@@ -197,69 +197,45 @@ def _config_lines(cfg: dict) -> list[str]:
     return [f"{k}={cfg[k]}" for k in sorted(cfg)]
 
 
-def cmd_sweep_weight(args) -> int:
-    keys = ["d", "ks", "level", "nu", "mu", "y", "grid", "height", "cutoff",
-            "convention", "final_dev", "format", "out"]
-    cfg = _merged(args, keys)
-    try:
+def cmd_sweep(args) -> int:
+    """sweep-weight (parallel weights --ks at one --level) and sweep-level
+    (levels --levels at one weight --k): the same experiment on two axes."""
+    by_weight = args.command == "sweep-weight"
+    keys = ["d", "ks", "level"] if by_weight else ["d", "k", "levels"]
+    cfg = _merged(args, keys + ["nu", "mu", "y", "grid", "height", "cutoff",
+                                "convention", "final_dev", "format", "out"])
+    try:  # the parse order decides which fault a bad config reports first
         field = make_field(int(cfg["d"]))
-        k_list = _int_list(cfg["ks"])
+        if by_weight:
+            params = _int_list(cfg["ks"])
+        else:
+            k1, k2 = _pair_of_ints(cfg["k"])
+            params = _parse_levels(field, cfg["levels"])
         nu = _dual(field, cfg.get("nu", "0,1"))
         mu = _dual(field, cfg.get("mu", "-1,1"))
-        level = _parse_levels(field, cfg.get("level", "1"))[0]
+        if by_weight:
+            fixed = _parse_levels(field, cfg.get("level", "1"))[0]
         domain = _domain_from(field, cfg)
         policy = _policy_from(cfg)
         convention = _convention_from(cfg)
         thresholds = exp.TrendThresholds(
             final_deviation=float(cfg.get("final_dev", 0.05)))
+        if not by_weight:
+            fixed = Weight(k1, k2)
     except (KeyError, ValueError, QFieldError, EvaluationError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    run = exp.sweep_weight if by_weight else exp.sweep_level
     try:
-        report = exp.sweep_weight(field, nu, mu, level, k_list, domain,
-                                  policy, convention)
+        report = run(field, nu, mu, fixed, params, domain, policy, convention)
     except (EvaluationError, QFieldError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    return _emit_sweep(report, cfg, thresholds)
-
-
-def cmd_sweep_level(args) -> int:
-    keys = ["d", "k", "levels", "nu", "mu", "y", "grid", "height", "cutoff",
-            "convention", "final_dev", "format", "out"]
-    cfg = _merged(args, keys)
-    try:
-        field = make_field(int(cfg["d"]))
-        k1, k2 = _pair_of_ints(cfg["k"])
-        levels = _parse_levels(field, cfg["levels"])
-        nu = _dual(field, cfg.get("nu", "0,1"))
-        mu = _dual(field, cfg.get("mu", "-1,1"))
-        domain = _domain_from(field, cfg)
-        policy = _policy_from(cfg)
-        convention = _convention_from(cfg)
-        thresholds = exp.TrendThresholds(
-            final_deviation=float(cfg.get("final_dev", 0.05)))
-        weight = Weight(k1, k2)
-    except (KeyError, ValueError, QFieldError, EvaluationError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = exp.sweep_level(field, nu, mu, weight, levels, domain,
-                                 policy, convention)
-    except (EvaluationError, QFieldError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    return _emit_sweep(report, cfg, thresholds)
-
-
-def _emit_sweep(report: exp.SweepReport, cfg: dict,
-                thresholds: exp.TrendThresholds) -> int:
-    out = cfg.get("out")
     if cfg.get("format", "csv") == "json":
         text = exp.sweep_to_json(report, {k: str(v) for k, v in cfg.items()})
     else:
         text = exp.sweep_to_csv(report, _config_lines(cfg))
-    _write_out(text, out)
+    _write_out(text, cfg.get("out"))
     if any(row.failed for row in report.rows):
         return EXIT_TRUNCATION
     nu_ok, mu_ok = report.endpoint_improvement()
@@ -272,7 +248,7 @@ def _emit_sweep(report: exp.SweepReport, cfg: dict,
 
 def cmd_certify(args) -> int:
     keys = ["d", "k", "level", "nu", "y", "grid", "height", "cutoff",
-            "convention", "safety", "format", "out"]
+            "convention", "safety", "out"]
     cfg = _merged(args, keys)
     try:
         field = make_field(int(cfg["d"]))
@@ -408,6 +384,31 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_ASSERT
 
 
+def _add_run_flags(p: argparse.ArgumentParser, axis_flags: tuple[str, ...],
+                   sweep: bool) -> None:
+    """Flags of sweep-weight, sweep-level and certify, in help order: --d,
+    the axis flags, the series and sampling flags, then --final-dev and
+    --format (sweeps) or --safety (certify), --out and --config."""
+    p.add_argument("--d", type=int)
+    for flag in axis_flags:
+        p.add_argument(flag)
+    p.add_argument("--nu")
+    if sweep:
+        p.add_argument("--mu")
+    p.add_argument("--y")
+    p.add_argument("--grid", type=int)
+    p.add_argument("--height", type=float)
+    p.add_argument("--cutoff", type=float)
+    p.add_argument("--convention")
+    if sweep:
+        p.add_argument("--final-dev", dest="final_dev", type=float)
+        p.add_argument("--format", choices=("csv", "json"))
+    else:
+        p.add_argument("--safety", type=float)
+    p.add_argument("--out")
+    p.add_argument("--config")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hpseries",
@@ -426,52 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-weight", help="coefficients across a "
                                             "parallel-weight list")
-    p.add_argument("--d", type=int)
-    p.add_argument("--ks")
-    p.add_argument("--level")
-    p.add_argument("--nu")
-    p.add_argument("--mu")
-    p.add_argument("--y")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--height", type=float)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--convention")
-    p.add_argument("--final-dev", dest="final_dev", type=float)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_sweep_weight)
+    _add_run_flags(p, ("--ks", "--level"), sweep=True)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sweep-level", help="coefficients across a level list")
-    p.add_argument("--d", type=int)
-    p.add_argument("--k")
-    p.add_argument("--levels")
-    p.add_argument("--nu")
-    p.add_argument("--mu")
-    p.add_argument("--y")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--height", type=float)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--convention")
-    p.add_argument("--final-dev", dest="final_dev", type=float)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_sweep_level)
+    _add_run_flags(p, ("--k", "--levels"), sweep=True)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("certify", help="non-vanishing certificate at mu = nu")
-    p.add_argument("--d", type=int)
-    p.add_argument("--k")
-    p.add_argument("--level")
-    p.add_argument("--nu")
-    p.add_argument("--y")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--height", type=float)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--convention")
-    p.add_argument("--safety", type=float)
-    p.add_argument("--out")
-    p.add_argument("--config")
+    _add_run_flags(p, ("--k", "--level"), sweep=False)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("classical", help="F = Q oracles")

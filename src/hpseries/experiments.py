@@ -100,10 +100,31 @@ class Certificate:
     safety_factor: float
 
 
-def _extract_pair(spec: PoincareSpec, nu: DualIndex, mu: DualIndex,
-                  domain: SamplingDomain, policy: TruncationPolicy):
-    evaluand = PoincareEvaluand(spec, policy)
-    return extract_many(evaluand, [nu, mu], domain)
+# spec_snapshot keys that vary along each axis (reported per row instead)
+_ROW_KEYS = {SweepAxis.WEIGHT: ("weight",),
+             SweepAxis.LEVEL: ("level_hnf", "level_norm")}
+
+
+def sweep(axis: SweepAxis, specs: list[tuple[int, PoincareSpec]],
+          mu: DualIndex, domain: SamplingDomain,
+          policy: TruncationPolicy) -> SweepReport:
+    """One row per (param, spec), in the given order: the coefficients at
+    the spec's own index nu and at mu.  A row whose lattice sum runs out of
+    term budget is kept as a failed row."""
+    rows = []
+    for param, spec in specs:
+        try:
+            est_nu, est_mu = extract_many(PoincareEvaluand(spec, policy),
+                                          [spec.nu, mu], domain)
+            rows.append(SweepRow(param=param, p_nu=est_nu, p_mu=est_mu))
+        except TruncationLimitExceeded:
+            rows.append(SweepRow(param=param, p_nu=None, p_mu=None,
+                                 failed=True))
+    snapshot = {}
+    if specs:
+        snapshot = {k: v for k, v in specs[0][1].snapshot().items()
+                    if k not in _ROW_KEYS[axis]}
+    return SweepReport(axis=axis, rows=tuple(rows), spec_snapshot=snapshot)
 
 
 def sweep_weight(field: RealQuadraticField, nu: DualIndex, mu: DualIndex,
@@ -114,21 +135,10 @@ def sweep_weight(field: RealQuadraticField, nu: DualIndex, mu: DualIndex,
     """One row per parallel weight k, ascending."""
     if sorted(k_list) != list(k_list):
         raise ValueError("k_list must be ascending")
-    rows = []
-    snapshot = None
-    for k in k_list:
-        spec = PoincareSpec(field=field, weight=Weight(k, k), nu=nu,
-                            level=level, convention=convention)
-        if snapshot is None:
-            snapshot = {kk: v for kk, v in spec.snapshot().items()
-                        if kk != "weight"}
-        try:
-            est_nu, est_mu = _extract_pair(spec, nu, mu, domain, policy)
-            rows.append(SweepRow(param=k, p_nu=est_nu, p_mu=est_mu))
-        except TruncationLimitExceeded:
-            rows.append(SweepRow(param=k, p_nu=None, p_mu=None, failed=True))
-    return SweepReport(axis=SweepAxis.WEIGHT, rows=tuple(rows),
-                       spec_snapshot=snapshot or {})
+    return sweep(SweepAxis.WEIGHT,
+                 [(k, PoincareSpec(field=field, weight=Weight(k, k), nu=nu,
+                                   level=level, convention=convention))
+                  for k in k_list], mu, domain, policy)
 
 
 def sweep_level(field: RealQuadraticField, nu: DualIndex, mu: DualIndex,
@@ -138,22 +148,10 @@ def sweep_level(field: RealQuadraticField, nu: DualIndex, mu: DualIndex,
                 ) -> SweepReport:
     """One row per level ideal, ascending norm; param is N(I)."""
     levels = sorted(level_list, key=lambda ideal: ideal.norm)
-    rows = []
-    snapshot = None
-    for level in levels:
-        spec = PoincareSpec(field=field, weight=weight, nu=nu, level=level,
-                            convention=convention)
-        if snapshot is None:
-            snapshot = {kk: v for kk, v in spec.snapshot().items()
-                        if kk != "level_hnf" and kk != "level_norm"}
-        try:
-            est_nu, est_mu = _extract_pair(spec, nu, mu, domain, policy)
-            rows.append(SweepRow(param=level.norm, p_nu=est_nu, p_mu=est_mu))
-        except TruncationLimitExceeded:
-            rows.append(SweepRow(param=level.norm, p_nu=None, p_mu=None,
-                                 failed=True))
-    return SweepReport(axis=SweepAxis.LEVEL, rows=tuple(rows),
-                       spec_snapshot=snapshot or {})
+    return sweep(SweepAxis.LEVEL,
+                 [(level.norm, PoincareSpec(field=field, weight=weight, nu=nu,
+                                            level=level, convention=convention))
+                  for level in levels], mu, domain, policy)
 
 
 def certify_nonvanishing(spec: PoincareSpec, domain: SamplingDomain,

@@ -97,8 +97,7 @@ class PoincareEvaluand:
 
     def sample_grid(self, domain: SamplingDomain):
         xs = domain.lattice_points()
-        values, tails, _ = evaluate_grid(self.spec, xs, domain.y, self.policy)
-        return values, tails
+        return evaluate_grid(self.spec, xs, domain.y, self.policy)[:2]
 
     def min_alias_trace(self, domain: SamplingDomain) -> float:
         """The spectrum of a (truncated) cusp form sits on totally positive

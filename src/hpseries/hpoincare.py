@@ -253,12 +253,6 @@ def _gamma_box(f: RealQuadraticField, height: float) -> Iterable[tuple[int, int]
                 yield (p, q)
 
 
-def _level_contains(level: IdealHNF, pq: tuple[int, int]) -> bool:
-    if pq[1] % level.m11:
-        return False
-    return (pq[0] - (pq[1] // level.m11) * level.m01) % level.m00 == 0
-
-
 def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
                             policy: TruncationPolicy):
     """(kept classes, skipped-class mass bound, largest skipped term bound).
@@ -278,7 +272,7 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
     skip_mass = 0.0
     largest_skipped = 0.0
     for pq in sorted(_gamma_box(f, policy.gamma_height_max)):
-        if not _level_contains(spec.level, pq):
+        if not spec.level._contains_int(pq):
             continue
         if eps_inv is not None and not is_canonical_gamma(f, pq, eps_inv):
             continue
@@ -355,8 +349,7 @@ def _delta_windows(b1: float, b2: float, k1: int, k2: int, cutoff: float,
 
 
 def _class_delta_ranges(cl: _GammaClass, x: tuple[float, float],
-                        wd: tuple[float, float], sq_disc: float,
-                        omega_emb: tuple[float, float]):
+                        wd: tuple[float, float], sq_disc: float):
     """Integer (q-range, p-ranges) covering the delta box at grid point x."""
     g1, g2 = cl.emb
     c1 = -g1 * x[0]
@@ -367,7 +360,7 @@ def _class_delta_ranges(cl: _GammaClass, x: tuple[float, float],
     return c1, c2, int(qlo), int(qhi)
 
 
-# -- single-point evaluation -------------------------------------------------
+# -- identity class ----------------------------------------------------------
 
 class _Kahan:
     __slots__ = ("s", "c")
@@ -423,102 +416,24 @@ def _identity_terms(spec: PoincareSpec, z: tuple[complex, complex],
     return complex(acc.s), rem, count
 
 
-def _check_z(z: tuple[complex, complex], policy: TruncationPolicy):
-    if min(z[0].imag, z[1].imag) < policy.min_im:
+# -- lattice sum --------------------------------------------------------------
+
+def _check_y(y: tuple[float, float], policy: TruncationPolicy):
+    if min(y) < policy.min_im:
         raise EvaluationError(
             f"Im(z) below the quality guard {policy.min_im}")
 
 
-def evaluate(spec: PoincareSpec, z: tuple[complex, complex],
-             policy: TruncationPolicy) -> EvalResult:
-    """Compensated sum of the truncated series at a single point."""
-    _check_z(z, policy)
-    y = (z[0].imag, z[1].imag)
-    x = (z[0].real, z[1].real)
-    classes, skip_mass, largest_dropped = _classes_with_skip_info(
-        spec, y, policy)
-    ident, unit_rem, count = _identity_terms(spec, z, policy)
-    acc = _Kahan()
-    acc.add(ident)
-    shell_mass = 0.0
-    dropped_sites = 0.0
-    k1, k2 = spec.weight.as_tuple()
-    f = spec.field
-    w1e, w2e = f.omega_embeddings()
-    sq_disc = f.sqrt_disc
-    nu1, nu2 = spec.nu.embeddings()
-    shell_height = _SHELL_FRAC * policy.gamma_height_max
-    for cl in classes:
-        g1, g2 = cl.emb
-        b1, b2 = abs(g1) * y[0], abs(g2) * y[1]
-        wd = _delta_windows(b1, b2, k1, k2, policy.term_cutoff,
-                            policy.delta_box_margin)
-        if wd is None:
-            bound = b1 ** (-k1) * b2 ** (-k2)
-            skip_mass += bound
-            largest_dropped = max(largest_dropped, bound)
-            continue
-        c1, c2, qlo, qhi = _class_delta_ranges(cl, x, wd, sq_disc, (w1e, w2e))
-        A, B, C = cl.hnf
-        tab = cl.phase_table
-        total = 0.0 + 0.0j
-        abssum = 0.0
-        nterms = 0
-        for qd in range(qlo, qhi + 1):
-            plo = math.ceil(max(c1 - wd[0] - qd * w1e, c2 - wd[1] - qd * w2e))
-            phi = math.floor(min(c1 + wd[0] - qd * w1e, c2 + wd[1] - qd * w2e))
-            if phi < plo:
-                continue
-            pd = np.arange(int(plo), int(phi) + 1, dtype=np.int64)
-            jj = qd % C
-            ii = (pd - ((qd - jj) // C) * B) % A
-            ph = tab[ii, jj]
-            live = ph != 0
-            if not live.any():
-                continue
-            pdl = pd[live].astype(np.float64)
-            w1 = (g1 * x[0] + pdl + qd * w1e) + 1j * (g1 * y[0])
-            w2 = (g2 * x[1] + pdl + qd * w2e) + 1j * (g2 * y[1])
-            t = ph[live] * w1 ** (-k1) * w2 ** (-k2) * np.exp(
-                -2j * math.pi * (nu1 / (g1 * w1) + nu2 / (g2 * w2)))
-            total += t.sum()
-            abssum += np.abs(t).sum()
-            nterms += int(live.sum())
-        count += nterms
-        if count > policy.max_terms:
-            raise TruncationLimitExceeded(count)
-        acc.add(total)
-        if cl.height >= shell_height:
-            shell_mass += abssum
-        dropped_sites += 2.0 * (wd[0] + wd[1]) / sq_disc + 4.0
-    h = policy.gamma_height_max
-    geom = (h / (h + 1.0)) ** (2 * (min(k1, k2) - 1))
-    beyond = _beyond_box_mass(spec, y, policy,
-                              bool(classes) or skip_mass > 0.0)
-    tail = shell_mass * geom / (1.0 - geom) \
-        + policy.term_cutoff * dropped_sites + skip_mass + beyond + unit_rem
-    return EvalResult(value=complex(acc.s), tail_estimate=tail,
-                      terms_used=count, largest_dropped=largest_dropped)
-
-
-def tail_bound(spec: PoincareSpec, z: tuple[complex, complex],
-               policy: TruncationPolicy) -> float:
-    """Heuristic bound on the truncated mass: boundary-shell magnitudes
-    times a geometric factor, plus cutoff mass for the delta boxes.
-    Reported separately from the value, never added to it."""
-    return evaluate(spec, z, policy).tail_estimate
-
-
-# -- grid evaluation (shared by Fourier extraction) ---------------------------
-
 def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
                   y: tuple[float, float], policy: TruncationPolicy,
                   chunk_elements: int = 2_000_000):
-    """Values and tail estimates of the truncated series at points
-    x + iy for x in xs (embedding pairs).  Deterministic: fixed class and
-    lattice ordering, numpy pairwise/bincount reductions."""
-    if min(y) < policy.min_im:
-        raise EvaluationError(f"Im(z) below the quality guard {policy.min_im}")
+    """(values, tails, terms_used, largest_dropped) of the truncated series
+    at the points x + iy for x in xs (embedding pairs): per-point values and
+    tail estimates, the total term count and the largest term bound left
+    out of the sum.  The only lattice-sum engine; `evaluate` is its
+    one-point case.  Deterministic: fixed class and lattice ordering,
+    per-point bincount reductions in that order."""
+    _check_y(y, policy)
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
     nu1, nu2 = spec.nu.embeddings()
@@ -529,22 +444,17 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     values = np.zeros(npts, dtype=np.complex128)
     comp = np.zeros(npts, dtype=np.complex128)  # Kahan compensation per point
     shell_mass = np.zeros(npts, dtype=np.float64)
-    classes, skip_mass, _largest = _classes_with_skip_info(spec, y, policy)
+    classes, skip_mass, largest_dropped = _classes_with_skip_info(
+        spec, y, policy)
     terms_used = npts  # identity terms
     dropped_sites = 0.0
 
-    def kahan_add(vals: np.ndarray, idx: np.ndarray | None = None):
+    def kahan_add(vals: np.ndarray):
         nonlocal values, comp
-        if idx is None:
-            yv = vals - comp
-            t = values + yv
-            comp = (t - values) - yv
-            values = t
-        else:
-            yv = vals - comp[idx]
-            t = values[idx] + yv
-            comp[idx] = (t - values[idx]) - yv
-            values[idx] = t
+        yv = vals - comp
+        t = values + yv
+        comp = (t - values) - yv
+        values = t
 
     # identity class
     if spec.convention is GammaInfConvention.UNIT_EXTENDED:
@@ -570,7 +480,9 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
         wd = _delta_windows(b1, b2, k1, k2, policy.term_cutoff,
                             policy.delta_box_margin)
         if wd is None:
-            skip_mass += b1 ** (-k1) * b2 ** (-k2)
+            bound = b1 ** (-k1) * b2 ** (-k2)
+            skip_mass += bound
+            largest_dropped = max(largest_dropped, bound)
             continue
         dropped_sites += (2.0 * (wd[0] + wd[1]) / sq_disc + 4.0) * npts
         A, B, C = cl.hnf
@@ -638,7 +550,25 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     tails = shell_mass * geom / (1.0 - geom) \
         + policy.term_cutoff * dropped_sites / npts + skip_mass \
         + beyond + unit_rem
-    return values, tails, terms_used
+    return values, tails, terms_used, largest_dropped
+
+
+def evaluate(spec: PoincareSpec, z: tuple[complex, complex],
+             policy: TruncationPolicy) -> EvalResult:
+    """Compensated sum of the truncated series at a single point: a
+    one-point `evaluate_grid`."""
+    values, tails, terms_used, largest_dropped = evaluate_grid(
+        spec, [(z[0].real, z[1].real)], (z[0].imag, z[1].imag), policy)
+    return EvalResult(value=complex(values[0]), tail_estimate=float(tails[0]),
+                      terms_used=terms_used, largest_dropped=largest_dropped)
+
+
+def tail_bound(spec: PoincareSpec, z: tuple[complex, complex],
+               policy: TruncationPolicy) -> float:
+    """Heuristic bound on the truncated mass: boundary-shell magnitudes
+    times a geometric factor, plus cutoff mass for the delta boxes.
+    Reported separately from the value, never added to it."""
+    return evaluate(spec, z, policy).tail_estimate
 
 
 # -- explicit coset representatives (reference path) --------------------------
@@ -647,11 +577,11 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
                      policy: TruncationPolicy) -> list[CosetRep]:
     """Materialized coset representatives for the truncation box at z, in
     deterministic order.  Reference path for tests and small runs; the
-    production sum (`evaluate`) shares the class/box construction but keeps
-    only residue data."""
-    _check_z(z, policy)
+    production sum (`evaluate_grid`) shares the class/box construction but
+    keeps only residue data."""
     f = spec.field
     y = (z[0].imag, z[1].imag)
+    _check_y(y, policy)
     x = (z[0].real, z[1].real)
     k1, k2 = spec.weight.as_tuple()
     sq_disc = f.sqrt_disc
@@ -673,7 +603,7 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
         if wd is None:
             continue
         gamma = f.element(*cl.pq)
-        c1, c2, qlo, qhi = _class_delta_ranges(cl, x, wd, sq_disc, (w1e, w2e))
+        c1, c2, qlo, qhi = _class_delta_ranges(cl, x, wd, sq_disc)
         for qd in range(qlo, qhi + 1):
             plo = math.ceil(max(c1 - wd[0] - qd * w1e, c2 - wd[1] - qd * w2e))
             phi = math.floor(min(c1 + wd[0] - qd * w1e, c2 + wd[1] - qd * w2e))

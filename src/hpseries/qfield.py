@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 # d values for which nearest-coordinate rounding gives a working Euclidean
@@ -241,17 +240,6 @@ class FieldElement:
         w1, w2 = self.field.omega_embeddings()
         return (float(self.a) + float(self.b) * w1,
                 float(self.a) + float(self.b) * w2)
-
-    def sign_embedding1(self) -> int:
-        """Exact sign of sigma_1(x), with sigma_1(sqrt d) > 0."""
-        if self.is_zero():
-            return 0
-        n = self.norm()
-        if n > 0:
-            t = self.trace()
-            return 1 if t > 0 else -1
-        # embeddings have opposite signs; sigma_1 - sigma_2 = b*sqrt(D) > 0 iff b > 0
-        return 1 if self.b > 0 else -1
 
     def __repr__(self):
         return f"({self.a} + {self.b}*w | d={self.field.d})"
@@ -591,13 +579,8 @@ def complete_pair(gamma: FieldElement,
     return f.element(*a), f.element(*b)
 
 
-@lru_cache(maxsize=None)
-def _fundamental_unit_coords(d: int) -> tuple[int, int]:
-    return _FUNDAMENTAL_UNITS[d]
-
-
 def fundamental_unit(field: RealQuadraticField) -> FieldElement:
     """Unit > 1 under sigma_1 generating the units modulo sign (table-driven)."""
     if field.d not in _FUNDAMENTAL_UNITS:
         raise QFieldError(f"no fundamental unit tabulated for d={field.d}")
-    return field.element(*_fundamental_unit_coords(field.d))
+    return field.element(*_FUNDAMENTAL_UNITS[field.d])

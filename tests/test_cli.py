@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hpseries.cli import main
 
 
@@ -72,13 +74,23 @@ def test_sweep_weight_exit_and_determinism(capsys):
     assert "# ks=10,14" in out1
 
 
-def test_sweep_weight_json_format(capsys):
+# one row per sweep axis: (subcommand, axis flags, param of the row)
+SWEEP_ROWS = {
+    "sweep-weight": (["--ks", "14"], 14),
+    "sweep-level": (["--k", "8,8", "--levels", "3"], 9),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_ROWS))
+def test_sweep_json_format(command, capsys):
+    axis_flags, param = SWEEP_ROWS[command]
     code, out, _ = run_cli(
-        ["sweep-weight", "--d", "5", "--ks", "14", "--grid", "32",
+        [command, "--d", "5", *axis_flags, "--grid", "32",
          "--height", "8", "--cutoff", "1e-10", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["rows"][0]["param"] == 14
+    assert doc["axis"] == command.removeprefix("sweep-")
+    assert doc["rows"][0]["param"] == param
     assert doc["config"]["d"] == "5"
 
 
@@ -116,16 +128,22 @@ def _write_cfg(tmp_path, entries):
     return str(path)
 
 
-def test_config_file_flags_win(capsys, tmp_path):
-    cfg = _write_cfg(tmp_path, {"d": "5", "ks": "10", "grid": "32",
-                                "height": "8", "cutoff": "1e-10"})
-    code1, out1, _ = run_cli(["sweep-weight", "--config", cfg], capsys)
+@pytest.mark.parametrize("command,file_entries,key,flag_value", [
+    pytest.param("sweep-weight", {"ks": "10"}, "ks", "14", id="sweep-weight"),
+    pytest.param("sweep-level", {"k": "8,8", "levels": "3"}, "levels", "2",
+                 id="sweep-level"),
+])
+def test_config_file_flags_win(command, file_entries, key, flag_value, capsys,
+                               tmp_path):
+    cfg = _write_cfg(tmp_path, {"d": "5", "grid": "32", "height": "8",
+                                "cutoff": "1e-10", **file_entries})
+    code1, out1, _ = run_cli([command, "--config", cfg], capsys)
     assert code1 == 0
-    assert "# ks=10" in out1
+    assert f"# {key}={file_entries[key]}" in out1
     code2, out2, _ = run_cli(
-        ["sweep-weight", "--config", cfg, "--ks", "14"], capsys)
+        [command, "--config", cfg, f"--{key}", flag_value], capsys)
     assert code2 == 0
-    assert "# ks=14" in out2  # flag overrode the file
+    assert f"# {key}={flag_value}" in out2  # flag overrode the file
 
 
 def test_certify_cli(capsys):

@@ -21,10 +21,12 @@ from hpseries.hpoincare import (
     term,
 )
 from hpseries.qfield import (
+    EUCLIDEAN_D,
     DualIndex,
     complete_pair,
     ideal_from_gen,
     make_field,
+    trace_one_totally_positive,
 )
 
 Z0 = (0.13 + 1.15j, -0.21 + 1.05j)
@@ -207,10 +209,16 @@ def test_max_terms_failure_carries_count(spec8):
 
 # -- evaluation -------------------------------------------------------------------
 
-def test_evaluate_matches_explicit_coset_sum(spec8, policy_small):
-    res = evaluate(spec8, Z0, policy_small)
-    reps = enumerate_cosets(spec8, Z0, policy_small)
-    direct = sum(term(M, Z0, spec8) for M in reps)
+@pytest.mark.parametrize("level_gen", (1, 2))
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_evaluate_matches_explicit_coset_sum(d, level_gen, policy_small):
+    f = make_field(d)
+    spec = PoincareSpec(field=f, weight=Weight(8, 8),
+                        nu=trace_one_totally_positive(f, 8)[-1],
+                        level=ideal_from_gen(f.element(level_gen, 0)))
+    res = evaluate(spec, Z0, policy_small)
+    reps = enumerate_cosets(spec, Z0, policy_small)
+    direct = sum(term(M, Z0, spec) for M in reps)
     assert res.value == pytest.approx(direct, abs=1e-14)
     assert res.terms_used == len(reps)
 
@@ -296,11 +304,11 @@ def test_largest_dropped_below_cutoff(spec8):
 def test_evaluate_grid_matches_pointwise(spec8, policy_small):
     xs = [(Z0[0].real, Z0[1].real), (0.41, -0.07), (0.0, 0.0)]
     y = (Z0[0].imag, Z0[1].imag)
-    vals, tails, _ = evaluate_grid(spec8, xs, y, policy_small)
+    vals, tails = evaluate_grid(spec8, xs, y, policy_small)[:2]
     for x, v in zip(xs, vals):
         r = evaluate(spec8, (complex(x[0], y[0]), complex(x[1], y[1])),
                      policy_small)
-        # same terms, different (but fixed) reduction order
+        # evaluate is the one-point grid: same terms, same per-point order
         assert v == pytest.approx(r.value, abs=1e-14)
     assert (tails >= 0).all()
 
