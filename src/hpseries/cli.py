@@ -19,7 +19,12 @@ import tempfile
 
 from . import classical as cla
 from . import experiments as exp
-from .fourier import SamplingDomain, SyntheticEvaluand, extract_many
+from .fourier import (
+    AliasingError,
+    SamplingDomain,
+    SyntheticEvaluand,
+    extract_many,
+)
 from .hpoincare import (
     EvaluationError,
     GammaInfConvention,
@@ -208,6 +213,8 @@ def cmd_sweep(args) -> int:
         field = make_field(int(cfg["d"]))
         if by_weight:
             params = _int_list(cfg["ks"])
+            if sorted(params) != params:
+                raise ValueError(f"--ks must be ascending, got {cfg['ks']}")
         else:
             k1, k2 = _pair_of_ints(cfg["k"])
             params = _parse_levels(field, cfg["levels"])
@@ -228,7 +235,7 @@ def cmd_sweep(args) -> int:
     run = exp.sweep_weight if by_weight else exp.sweep_level
     try:
         report = run(field, nu, mu, fixed, params, domain, policy, convention)
-    except (EvaluationError, QFieldError) as err:
+    except (EvaluationError, QFieldError, AliasingError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.get("format", "csv") == "json":
@@ -268,6 +275,9 @@ def cmd_certify(args) -> int:
     except TruncationLimitExceeded as err:
         print(f"truncation failure: {err}", file=sys.stderr)
         return EXIT_TRUNCATION
+    except AliasingError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     text = exp.certificate_to_json(cert, {k: str(v) for k, v in cfg.items()})
     _write_out(text, cfg.get("out"))
     return EXIT_OK if cert.verdict is exp.Verdict.NONZERO_CERTIFIED \

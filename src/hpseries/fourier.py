@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .hpoincare import PoincareSpec, TruncationPolicy, evaluate_grid
-from .qfield import DualIndex, RealQuadraticField
+from .qfield import DualIndex, RealQuadraticField, _dual_from_freq_int
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,55 +135,24 @@ class SyntheticEvaluand:
 
 def _min_tp_trace_outside(field: RealQuadraticField, domain: SamplingDomain,
                           shells: int) -> float:
-    """min tr(m y) over totally positive dual m with frequency outside the
-    open Nyquist box |r|, |s| < grid_n/2.
+    """min tr(m y) over totally positive dual m with frequency (r, s),
+    1 <= r <= shells and |s| <= shells, outside the open Nyquist box
+    |r|, |s| < grid_n/2.
 
-    Totally positive m have tr(m y) >= min(y) * r, so only r below a cap
-    can matter; the scan is exact within it.
+    Decided in integers on the whole (r, s) grid at once: m has numerator
+    beta = (s - t r) + r w (t = tr(w), n = N(w)), and m is totally positive
+    iff r > 0 and N(beta) = s^2 - t r s + n r^2 < 0.  tr(m y) is then taken
+    in floats from m's exact coordinates, as DualIndex.embeddings does.
     """
-    n = domain.grid_n
-    half = n // 2
-    best = math.inf
-    ymin = min(domain.y1, domain.y2)
-    # tr(m y) >= ymin * r; nothing with r above best/ymin can improve
-    r_cap = shells
-    for r in range(1, r_cap + 1):
-        if ymin * r >= best:
-            break
-        for s in range(-r_cap, r_cap + 1):
-            if abs(r) < half and abs(s) < half:
-                continue
-            mu = _dual_from_freq(field, r, s)
-            if mu is None or not mu.is_totally_positive():
-                continue
-            m1, m2 = mu.embeddings()
-            best = min(best, m1 * domain.y1 + m2 * domain.y2)
-    return best
-
-
-def _dual_from_freq(field: RealQuadraticField, r: int, s: int):
-    """Dual index with frequency pair (r, s): the trace pairing is a
-    bijection from the codifferent onto Z^2."""
-    # nu = (p + q w)/sqrt(D): solve tr(nu) = r, tr(nu w) = s for (p, q)
-    from fractions import Fraction
-
-    from .qfield import DualIndex, codifferent_gen
-
-    g = codifferent_gen(field)
-    # basis duals: tr((p + q w) g * 1), tr((p + q w) g * w) linear in (p, q)
-    e10 = (field.element(1, 0) * g).trace()
-    e1w = (field.element(1, 0) * g * field.omega).trace()
-    ew0 = (field.element(0, 1) * g).trace()
-    eww = (field.element(0, 1) * g * field.omega).trace()
-    det = e10 * eww - e1w * ew0
-    p = Fraction(r * eww - s * ew0, 1) / det
-    q = Fraction(s * e10 - r * e1w, 1) / det
-    if p.denominator != 1 or q.denominator != 1:
-        return None
-    beta = field.element(int(p), int(q))
-    if beta.is_zero():
-        return None
-    return DualIndex.from_numerator(field, beta)
+    half = domain.grid_n // 2
+    r, s = np.meshgrid(np.arange(1, shells + 1), np.arange(-shells, shells + 1),
+                       indexing="ij")
+    _beta, (a, b), positive = _dual_from_freq_int(field, r, s)
+    keep = positive & ((r >= half) | (np.abs(s) >= half))
+    w1, w2 = field.omega_embeddings()
+    a, b = a[keep] / field.disc, b[keep] / field.disc
+    tr = (a + b * w1) * domain.y1 + (a + b * w2) * domain.y2
+    return float(np.min(tr, initial=math.inf))
 
 
 def _dft_readout(samples: np.ndarray, n: int, freq: tuple[int, int],

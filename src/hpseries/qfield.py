@@ -331,16 +331,15 @@ def trace_one_totally_positive(field: RealQuadraticField,
                                height_bound: int = 20) -> list[DualIndex]:
     """All totally positive dual indices of trace 1 with numerator
     coordinates bounded by height_bound, sorted by coordinates."""
+    if height_bound < 1:
+        return []
+    # trace 1 means q = 1; s = p + tr(w) then runs p upwards
+    t = field.omega_trace
     out = []
-    for p in range(-height_bound, height_bound + 1):
-        for q in range(-height_bound, height_bound + 1):
-            beta = field.element(p, q)
-            if beta.is_zero():
-                continue
-            nu = DualIndex.from_numerator(field, beta)
-            if nu.freq[0] == 1 and nu.is_totally_positive():
-                out.append(nu)
-    out.sort(key=lambda n: n.numerator.int_coords())
+    for s in range(t - height_bound, t + height_bound + 1):
+        beta, _num, positive = _dual_from_freq_int(field, 1, s)
+        if positive:
+            out.append(DualIndex.from_numerator(field, field.element(*beta)))
     return out
 
 
@@ -402,6 +401,23 @@ def _conj_int(f: RealQuadraticField, x: tuple[int, int]) -> tuple[int, int]:
 def _norm_int(f: RealQuadraticField, x: tuple[int, int]) -> int:
     return x[0] * x[0] + x[0] * x[1] * f.omega_trace \
         + x[1] * x[1] * f.omega_norm
+
+
+def _dual_from_freq_int(f: RealQuadraticField, r, s):
+    """Closed-form inverse of the trace pairing nu -> (tr nu, tr(nu w)) on
+    the codifferent, elementwise on ints or integer numpy arrays.
+
+    For nu = beta/sqrt(D) with beta = p + q w, tr(nu) = q and
+    tr(nu w) = p + q tr(w): the pairing has determinant -1 on the numerator
+    coordinates, so every (r, s) has the integral numerator
+    beta = (s - r tr(w), r).  Returns (beta, num, positive):
+    nu = (num[0] + num[1] w)/disc, since 1/sqrt(D) = (2w - tr(w))/disc, and
+    nu is totally positive iff r > 0 and N(beta) < 0, as sqrt(D) has
+    embeddings of opposite sign.
+    """
+    beta = (s - f.omega_trace * r, r)
+    positive = (r > 0) & (_norm_int(f, beta) < 0)
+    return beta, _mul_int(f, beta, (-f.omega_trace, 2)), positive
 
 
 @dataclass(frozen=True)

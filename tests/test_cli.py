@@ -111,6 +111,21 @@ def test_sweep_invalid_config_exits_2(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["sweep-weight", "--d", "5", "--ks", "14,10"],
+                 "ascending", id="descending-ks"),
+    pytest.param(["sweep-weight", "--d", "5", "--ks", "10", "--grid", "4"],
+                 "Nyquist box", id="sweep-coarse-grid"),
+    pytest.param(["certify", "--d", "5", "--k", "8,8", "--grid", "4"],
+                 "Nyquist box", id="certify-coarse-grid"),
+])
+def test_run_config_error_exits_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("config error") and message in err
+    assert out == ""
+
+
 def test_sweep_truncation_failure_exits_3(capsys, tmp_path):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run_cli(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hpseries.fourier import (
     PoincareEvaluand,
     SamplingDomain,
     SyntheticEvaluand,
+    _min_tp_trace_outside,
     extract_coefficient,
     extract_many,
     y_independence_check,
 )
 from hpseries.hpoincare import PoincareSpec, TruncationPolicy, Weight
-from hpseries.qfield import DualIndex
+from hpseries.qfield import EUCLIDEAN_D, DualIndex, codifferent_gen, make_field
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +143,64 @@ def test_aliasing_guard_undeclarable_content(field5, nu5):
     syn = SyntheticEvaluand([(nu5, 1.0), (two_nu, 1.0)])
     with pytest.raises(AliasingError):
         extract_coefficient(syn, nu5, dom4)
+
+
+def test_aliasing_guard_poincare_coarse_grid(field5, nu5, mu5, unit_ideal5):
+    # grid 4: the series' totally positive spectrum just outside the Nyquist
+    # box is far from negligible against the trace-1 targets
+    spec = PoincareSpec(field=field5, weight=Weight(8, 8), nu=nu5,
+                        level=unit_ideal5)
+    ev = PoincareEvaluand(spec, TruncationPolicy(gamma_height_max=8.0,
+                                                 term_cutoff=1e-11))
+    dom4 = SamplingDomain(field=field5, y1=1.1, y2=1.0, grid_n=4)
+    with pytest.raises(AliasingError):
+        extract_many(ev, [nu5, mu5], dom4)
+
+
+def _fraction_gate_oracle(field, domain, shells):
+    """The alias gate as an exact-rational scan: solve the trace pairing
+    for each frequency (r, s) by Cramer's rule in Fractions, build the
+    DualIndex, test total positivity on its Fraction coordinates.  The
+    pairing constants do not depend on (r, s) and are computed once."""
+    g = codifferent_gen(field)
+    e10 = (field.element(1, 0) * g).trace()
+    e1w = (field.element(1, 0) * g * field.omega).trace()
+    ew0 = (field.element(0, 1) * g).trace()
+    eww = (field.element(0, 1) * g * field.omega).trace()
+    det = e10 * eww - e1w * ew0
+    half = domain.grid_n // 2
+    best = math.inf
+    ymin = min(domain.y1, domain.y2)
+    for r in range(1, shells + 1):
+        if ymin * r >= best:
+            break
+        for s in range(-shells, shells + 1):
+            if abs(r) < half and abs(s) < half:
+                continue
+            p = Fraction(r * eww - s * ew0, 1) / det
+            q = Fraction(s * e10 - r * e1w, 1) / det
+            if p.denominator != 1 or q.denominator != 1:
+                continue
+            beta = field.element(int(p), int(q))
+            if beta.is_zero():
+                continue
+            mu = DualIndex.from_numerator(field, beta)
+            if not mu.is_totally_positive():
+                continue
+            m1, m2 = mu.embeddings()
+            best = min(best, m1 * domain.y1 + m2 * domain.y2)
+    return best
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_alias_gate_matches_fraction_oracle(d):
+    field = make_field(d)
+    for grid_n in (4, 8, 16, 32, 64):
+        for y1, y2 in ((1.1, 1.0), (1.5, 0.9), (3.0, 0.5), (1.01, 1.0)):
+            dom = SamplingDomain(field=field, y1=y1, y2=y2, grid_n=grid_n)
+            shells = 3 * grid_n
+            assert _min_tp_trace_outside(field, dom, shells) == \
+                _fraction_gate_oracle(field, dom, shells), (grid_n, y1, y2)
 
 
 def test_y_independence_synthetic(field5, nu5):

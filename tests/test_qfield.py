@@ -147,6 +147,35 @@ def test_trace_one_set_d5(field5):
     assert [n.freq for n in found] == [(1, 0), (1, 1)]
 
 
+def _trace_one_by_full_scan(field, height_bound):
+    """Every nonzero numerator in the height box through DualIndex, kept
+    when the Fraction trace is 1 and the Fraction element is totally
+    positive."""
+    out = []
+    for p in range(-height_bound, height_bound + 1):
+        for q in range(-height_bound, height_bound + 1):
+            beta = field.element(p, q)
+            if beta.is_zero():
+                continue
+            nu = DualIndex.from_numerator(field, beta)
+            if nu.freq[0] == 1 and nu.is_totally_positive():
+                out.append(nu)
+    out.sort(key=lambda n: n.numerator.int_coords())
+    return out
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_trace_one_matches_full_scan(d):
+    f = make_field(d)
+    for height in (0, 1, 3, 8, 20):
+        found = trace_one_totally_positive(f, height)
+        expected = _trace_one_by_full_scan(f, height)
+        assert [(n.numerator.int_coords(), n.freq, n.elem.a, n.elem.b)
+                for n in found] == \
+            [(n.numerator.int_coords(), n.freq, n.elem.a, n.elem.b)
+             for n in expected], height
+
+
 # -- ideals --------------------------------------------------------------------
 
 def test_ideal_examples(field5):
