@@ -12,10 +12,8 @@ from .qfield import (
     complete_pair,
     embed,
     fundamental_unit,
-    ideal_contains,
     ideal_from_gen,
     ideal_from_gens,
-    ideal_norm,
     is_totally_positive,
     is_unimodular_pair,
     make_field,

@@ -51,24 +51,11 @@ class RealQuadraticField:
     disc: int
     omega_is_half: bool  # True: w = (1+sqrt d)/2, else w = sqrt d
     euclidean: bool
-
-    # -- basis constants -------------------------------------------------
-    @property
-    def omega_trace(self) -> int:
-        return 1 if self.omega_is_half else 0
-
-    @property
-    def omega_norm(self) -> int:
-        return (1 - self.d) // 4 if self.omega_is_half else -self.d
-
-    @property
-    def omega_sq_const(self) -> int:
-        # w^2 = omega_sq_const + omega_sq_lin * w
-        return (self.d - 1) // 4 if self.omega_is_half else self.d
-
-    @property
-    def omega_sq_lin(self) -> int:
-        return 1 if self.omega_is_half else 0
+    # basis constants: tr(w), N(w), and w^2 = omega_sq_const + omega_sq_lin*w
+    omega_trace: int
+    omega_norm: int
+    omega_sq_const: int
+    omega_sq_lin: int
 
     def omega_embeddings(self) -> tuple[float, float]:
         r = math.sqrt(self.d)
@@ -118,13 +105,17 @@ def make_field(d: int, strict: bool = True) -> RealQuadraticField:
         raise QFieldError(
             f"d={d} outside the supported norm-Euclidean set {EUCLIDEAN_D}"
         )
-    omega_is_half = d % 4 == 1
-    disc = d if omega_is_half else 4 * d
-    return RealQuadraticField(d=d, disc=disc, omega_is_half=omega_is_half,
-                              euclidean=euclidean)
+    if d % 4 == 1:
+        return RealQuadraticField(
+            d=d, disc=d, omega_is_half=True, euclidean=euclidean,
+            omega_trace=1, omega_norm=(1 - d) // 4,
+            omega_sq_const=(d - 1) // 4, omega_sq_lin=1)
+    return RealQuadraticField(
+        d=d, disc=4 * d, omega_is_half=False, euclidean=euclidean,
+        omega_trace=0, omega_norm=-d, omega_sq_const=d, omega_sq_lin=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """a + b*w with exact rational a, b."""
 
@@ -138,17 +129,24 @@ class FieldElement:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check(other)
         return FieldElement(self.field, self.a + other.a, self.b + other.b)
 
-    def __radd__(self, other):
-        return self + other
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __neg__(self):
         return FieldElement(self.field, -self.a, -self.b)
@@ -171,8 +169,7 @@ class FieldElement:
         b = self.a * other.b + self.b * other.a + cross * f.omega_sq_lin
         return FieldElement(f, a, b)
 
-    def __rmul__(self, other):
-        return self * other
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -199,6 +196,8 @@ class FieldElement:
 
     def __truediv__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self * other.inverse()
 
     def __eq__(self, other):
@@ -234,7 +233,7 @@ class FieldElement:
     def int_coords(self) -> tuple[int, int]:
         if not self.is_integral():
             raise QFieldError(f"{self} is not integral")
-        return (int(self.a), int(self.b))
+        return (self.a.numerator, self.b.numerator)
 
     def embeddings(self) -> tuple[float, float]:
         w1, w2 = self.field.omega_embeddings()
@@ -302,19 +301,17 @@ class DualIndex:
     @classmethod
     def from_numerator(cls, field: RealQuadraticField,
                        beta: FieldElement) -> DualIndex:
+        """nu = beta/sqrt(D) = (num[0] + num[1] w)/disc with
+        num = beta*(2w - tr(w)); for beta = p + q w the pairing gives
+        freq = (q, p + q tr(w)) (the inverse of _dual_from_freq_int)."""
         if not beta.is_integral():
             raise QFieldError("dual index numerator must be integral")
-        sqrt_d = field.sqrt_d_elem()
-        denom = Fraction(field.disc)
-        # 1/sqrt(D) = sqrt(D)/D; sqrt(D) = sqrt(d) or 2 sqrt(d)
-        sroot = sqrt_d if field.omega_is_half else 2 * sqrt_d
-        nu = beta * FieldElement(field, sroot.a / denom, sroot.b / denom)
-        r = nu.trace()
-        s = (nu * field.omega).trace()
-        if r.denominator != 1 or s.denominator != 1:
-            raise QFieldError("dual pairing must give integer frequencies")
-        return cls(field=field, numerator=beta, elem=nu,
-                   freq=(int(r), int(s)))
+        p, q = beta.int_coords()
+        t = field.omega_trace
+        num = _mul_int(field, (p, q), (-t, 2))
+        nu = FieldElement(field, Fraction(num[0], field.disc),
+                          Fraction(num[1], field.disc))
+        return cls(field=field, numerator=beta, elem=nu, freq=(q, p + q * t))
 
     def is_totally_positive(self) -> bool:
         return is_totally_positive(self.elem)
@@ -483,14 +480,6 @@ def ideal_from_gen(c: FieldElement) -> IdealHNF:
     return ideal_from_gens(c.field, [c])
 
 
-def ideal_contains(ideal: IdealHNF, x: FieldElement) -> bool:
-    return ideal.contains(x)
-
-
-def ideal_norm(ideal: IdealHNF) -> int:
-    return ideal.norm
-
-
 def is_unimodular_pair(gamma: FieldElement, delta: FieldElement) -> bool:
     """gamma*O_F + delta*O_F = O_F, via the HNF of {g, gw, d, dw}."""
     if gamma.is_zero() and delta.is_zero():
@@ -510,55 +499,65 @@ def is_unimodular_pair(gamma: FieldElement, delta: FieldElement) -> bool:
     return a == 1 and c == 1
 
 
-def _round_quotient(f: RealQuadraticField, num: tuple[int, int],
-                    den: int) -> tuple[int, int]:
-    def rdiv(a: int, b: int) -> int:
-        if b < 0:
-            a, b = -a, -b
-        return (2 * a + b) // (2 * b)
-    return (rdiv(num[0], den), rdiv(num[1], den))
-
-
-def _euclidean_step(f: RealQuadraticField, a: tuple[int, int],
-                    b: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """a = q*b + r with |N(r)| < |N(b)|.  Nearest-coordinate rounding
-    always works for d in {2, 3, 5, 13}; d in {6, 7} occasionally needs the
-    small correction search."""
-    nb = _norm_int(f, b)
-    num = _mul_int(f, a, _conj_int(f, b))
-    q0 = _round_quotient(f, num, nb)
-    r0 = _sub_int(a, _mul_int(f, q0, b))
-    if abs(_norm_int(f, r0)) < abs(nb):
-        return q0, r0
-    best = None
-    for dp in (0, -1, 1):
-        for dq in (0, -1, 1):
-            q = (q0[0] + dp, q0[1] + dq)
-            r = _sub_int(a, _mul_int(f, q, b))
-            nr = abs(_norm_int(f, r))
-            if best is None or nr < best[0]:
-                best = (nr, q, r)
-    nr, q, r = best
-    if nr >= abs(nb):
-        raise QFieldError(
-            f"Euclidean division failed in d={f.d}: |N(r)|={nr} >= |N(b)|={abs(nb)}")
-    return q, r
-
-
-def _sub_int(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] - b[0], a[1] - b[1])
+# the correction offsets after (0, 0), in search order (see _ext_gcd_int)
+_QUOTIENT_CORRECTIONS = ((0, -1), (0, 1), (-1, 0), (-1, -1), (-1, 1),
+                         (1, 0), (1, -1), (1, 1))
 
 
 def _ext_gcd_int(f: RealQuadraticField, a: tuple[int, int],
                  b: tuple[int, int]):
-    """Returns (g, x, y) with x*a + y*b = g in integer coordinates."""
-    x0, y0, x1, y1 = (1, 0), (0, 0), (0, 0), (1, 0)
-    while b != (0, 0):
-        q, r = _euclidean_step(f, a, b)
-        a, b = b, r
-        x0, x1 = x1, _sub_int(x0, _mul_int(f, q, x1))
-        y0, y1 = y1, _sub_int(y0, _mul_int(f, q, y1))
-    return a, x0, y0
+    """Returns (g, x, y) with x*a + y*b = g in integer coordinates.
+
+    Each step divides a = q*b + r with |N(r)| < |N(b)|.  The quotient is
+    a*conj(b)/N(b) rounded coordinatewise to the nearest integer: the
+    coordinate m of a*conj(b) gives (2m + N) // (2N), with the signs of m
+    and N flipped when N < 0.  That always works for d in {2, 3, 5, 13}.
+    When it does not (d in {6, 7}), the offsets q + (dp, dq) are tried in
+    the order (0, 0), then _QUOTIENT_CORRECTIONS, and the first with the
+    smallest |N(r)| wins.  Neither rule may change: the quotient sequence
+    fixes x, hence the residue a mod gamma that complete_pair and every
+    _GammaClass phase table are built from, and with them the float bits
+    of every series value.
+    """
+    # w^2 = c0 + c1 w, N(p + q w) = p^2 + t p q + n q^2
+    c0, c1 = f.omega_sq_const, f.omega_sq_lin
+    t, n = f.omega_trace, f.omega_norm
+    a0, a1 = a
+    b0, b1 = b
+    x0, x1, u0, u1 = 1, 0, 0, 0  # coefficients of a and b on the input a
+    y0, y1, v0, v1 = 0, 0, 1, 0  # ... and on the input b
+    while b0 or b1:
+        den = b0 * b0 + t * b0 * b1 + n * b1 * b1  # N(b)
+        # num = a*conj(b), conj(b) = (b0 + t b1, -b1)
+        cb0 = b0 + t * b1
+        cross = -a1 * b1
+        num0 = a0 * cb0 + c0 * cross
+        num1 = -a0 * b1 + a1 * cb0 + c1 * cross
+        if den < 0:
+            num0, num1, den = -num0, -num1, -den
+        q0 = (2 * num0 + den) // (2 * den)
+        q1 = (2 * num1 + den) // (2 * den)
+        r0 = a0 - q0 * b0 - c0 * q1 * b1
+        r1 = a1 - q0 * b1 - q1 * b0 - c1 * q1 * b1
+        nr = abs(r0 * r0 + t * r0 * r1 + n * r1 * r1)
+        if nr >= den:
+            best = (nr, q0, q1, r0, r1)
+            for dp, dq in _QUOTIENT_CORRECTIONS:
+                s0 = r0 - dp * b0 - c0 * dq * b1
+                s1 = r1 - dp * b1 - dq * b0 - c1 * dq * b1
+                ns = abs(s0 * s0 + t * s0 * s1 + n * s1 * s1)
+                if ns < best[0]:
+                    best = (ns, q0 + dp, q1 + dq, s0, s1)
+            nr, q0, q1, r0, r1 = best
+            if nr >= den:
+                raise QFieldError(f"Euclidean division failed in d={f.d}: "
+                                  f"|N(r)|={nr} >= |N(b)|={den}")
+        a0, a1, b0, b1 = b0, b1, r0, r1
+        x0, x1, u0, u1 = (u0, u1, x0 - q0 * u0 - c0 * q1 * u1,
+                          x1 - q0 * u1 - q1 * u0 - c1 * q1 * u1)
+        y0, y1, v0, v1 = (v0, v1, y0 - q0 * v0 - c0 * q1 * v1,
+                          y1 - q0 * v1 - q1 * v0 - c1 * q1 * v1)
+    return (a0, a1), (x0, x1), (y0, y1)
 
 
 def _unit_inverse_int(f: RealQuadraticField,
@@ -589,10 +588,11 @@ def complete_pair(gamma: FieldElement,
     gi = _unit_inverse_int(f, g)
     a = _mul_int(f, gi, x)
     b = _mul_int(f, gi, (-y[0], -y[1]))
-    det = _sub_int(_mul_int(f, a, dc), _mul_int(f, b, gc))
-    if det != (1, 0):
+    ad, bg = _mul_int(f, a, dc), _mul_int(f, b, gc)
+    if (ad[0] - bg[0], ad[1] - bg[1]) != (1, 0):
         raise QFieldError("completion determinant check failed")
-    return f.element(*a), f.element(*b)
+    return (FieldElement(f, Fraction(a[0]), Fraction(a[1])),
+            FieldElement(f, Fraction(b[0]), Fraction(b[1])))
 
 
 def fundamental_unit(field: RealQuadraticField) -> FieldElement:

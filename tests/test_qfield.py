@@ -1,12 +1,16 @@
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hpseries import hpoincare, qfield
 from hpseries.qfield import (
     EUCLIDEAN_D,
     DualIndex,
+    FieldElement,
     QFieldError,
     codifferent_gen,
     complete_pair,
@@ -54,11 +58,29 @@ def test_make_field_rejects_non_squarefree(bad):
         make_field(bad)
 
 
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_field_constants_exact(d):
+    f = make_field(d)
+    w, wbar = f.omega, f.omega.conjugate()
+    assert w + wbar == f.omega_trace
+    assert w * wbar == f.omega_norm
+    assert w * w == f.omega_sq_const + f.omega_sq_lin * w
+
+
 def test_make_field_strict_mode():
     with pytest.raises(QFieldError):
         make_field(11)  # squarefree but outside the Euclidean set
     f = make_field(11, strict=False)
     assert not f.euclidean
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+@pytest.mark.parametrize("swap", [False, True])
+def test_arithmetic_rejects_unsupported_operand(field5, op, swap):
+    args = (1.5, field5.one) if swap else (field5.one, 1.5)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(*args)
 
 
 # -- embeddings, trace, norm ---------------------------------------------------
@@ -139,6 +161,35 @@ def test_dual_pairing_integrality(f, p, q, r, s):
     assert trace(nu.elem * lam).denominator == 1
     # stored frequency matches recomputation
     assert nu.freq == (int(trace(nu.elem)), int(trace(nu.elem * f.omega)))
+
+
+def _dual_by_fraction(field, beta):
+    """Fraction route: nu = beta * sqrt(D)/D, freq = (tr nu, tr(nu w)),
+    with the integrality of both traces checked."""
+    sqrt_d = field.sqrt_d_elem()
+    denom = Fraction(field.disc)
+    sroot = sqrt_d if field.omega_is_half else 2 * sqrt_d
+    nu = beta * FieldElement(field, sroot.a / denom, sroot.b / denom)
+    r = nu.trace()
+    s = (nu * field.omega).trace()
+    assert r.denominator == 1 and s.denominator == 1
+    return nu, (int(r), int(s))
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_dual_index_matches_fraction_route(d):
+    f = make_field(d)
+    for p in range(-20, 21):
+        for q in range(-20, 21):
+            beta = f.element(p, q)
+            nu = DualIndex.from_numerator(f, beta)
+            elem, freq = _dual_by_fraction(f, beta)
+            assert (nu.numerator, nu.elem, nu.freq) == (beta, elem, freq)
+
+
+def test_dual_index_rejects_non_integral(field5):
+    with pytest.raises(QFieldError, match="must be integral"):
+        DualIndex.from_numerator(field5, field5.element(Fraction(1, 2), 1))
 
 
 def test_trace_one_set_d5(field5):
@@ -317,6 +368,110 @@ def test_complete_pair_exhaustive_small_heights():
                         assert a * delta - b * gamma == f.one
                         checked += 1
         assert checked > 0
+
+
+def _ext_gcd_by_steps(f, a, b, hits):
+    """The step-by-step extended gcd: each Euclidean step rounds
+    a*conj(b)/N(b) to the nearest coordinates and, when that leaves
+    |N(r)| >= |N(b)|, searches q + (dp, dq) for dp, dq in (0, -1, 1),
+    the first strictly smallest |N(r)| winning.  hits[0] counts the
+    searches."""
+    from hpseries.qfield import _conj_int, _mul_int, _norm_int
+
+    def sub(u, v):
+        return (u[0] - v[0], u[1] - v[1])
+
+    def rdiv(n, m):
+        if m < 0:
+            n, m = -n, -m
+        return (2 * n + m) // (2 * m)
+
+    def step(a, b):
+        nb = _norm_int(f, b)
+        num = _mul_int(f, a, _conj_int(f, b))
+        q0 = (rdiv(num[0], nb), rdiv(num[1], nb))
+        r0 = sub(a, _mul_int(f, q0, b))
+        if abs(_norm_int(f, r0)) < abs(nb):
+            return q0, r0
+        hits[0] += 1
+        best = None
+        for dp in (0, -1, 1):
+            for dq in (0, -1, 1):
+                q = (q0[0] + dp, q0[1] + dq)
+                r = sub(a, _mul_int(f, q, b))
+                nr = abs(_norm_int(f, r))
+                if best is None or nr < best[0]:
+                    best = (nr, q, r)
+        nr, q, r = best
+        if nr >= abs(nb):
+            raise QFieldError(f"Euclidean division failed in d={f.d}: "
+                              f"|N(r)|={nr} >= |N(b)|={abs(nb)}")
+        return q, r
+
+    x0, y0, x1, y1 = (1, 0), (0, 0), (0, 0), (1, 0)
+    while b != (0, 0):
+        q, r = step(a, b)
+        a, b = b, r
+        x0, x1 = x1, sub(x0, _mul_int(f, q, x1))
+        y0, y1 = y1, sub(y0, _mul_int(f, q, y1))
+    return a, x0, y0
+
+
+def _coordinate_pairs(rng, count, height=20):
+    for _ in range(count):
+        yield (tuple(rng.randint(-height, height) for _ in range(2)),
+               tuple(rng.randint(-height, height) for _ in range(2)))
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_ext_gcd_matches_step_oracle(d):
+    """Same (g, x, y), so the same quotients, on pairs of height <= 20,
+    unimodular or not; for d = 6, 7 the sample takes the correction
+    search."""
+    f = make_field(d)
+    rng = random.Random(1000 + d)
+    hits = [0]
+    unimodular = 0
+    for a, b in _coordinate_pairs(rng, 3000):
+        g, x, y = qfield._ext_gcd_int(f, a, b)
+        assert (g, x, y) == _ext_gcd_by_steps(f, a, b, hits), (a, b)
+        unimodular += abs(qfield._norm_int(f, g)) == 1
+    assert 0 < unimodular < 3000
+    if d in (6, 7):
+        assert hits[0] > 0
+
+
+def test_ext_gcd_failure_matches_step_oracle():
+    """Q(sqrt 10) is not Euclidean: the division fails with the same
+    message at the same step."""
+    f = make_field(10, strict=False)
+    rng = random.Random(10)
+    failed = 0
+    for a, b in _coordinate_pairs(rng, 500):
+        try:
+            expected = _ext_gcd_by_steps(f, a, b, [0])
+        except QFieldError as err:
+            failed += 1
+            with pytest.raises(QFieldError) as got:
+                qfield._ext_gcd_int(f, a, b)
+            assert str(got.value) == str(err)
+        else:
+            assert qfield._ext_gcd_int(f, a, b) == expected
+    assert failed > 0
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_phase_table_matches_step_oracle(d, monkeypatch):
+    f = make_field(d)
+    nu_emb = (0.7, 0.3)
+    classes = [(3, 1), (2, 5), (7, -3), (4, 0)]
+    new = [hpoincare._GammaClass(f, pq, nu_emb).phase_table
+           for pq in classes]
+    monkeypatch.setattr(hpoincare, "_ext_gcd_int",
+                        lambda f, a, b: _ext_gcd_by_steps(f, a, b, [0]))
+    for pq, table in zip(classes, new):
+        expected = hpoincare._GammaClass(f, pq, nu_emb).phase_table
+        assert table.tobytes() == expected.tobytes(), pq
 
 
 # -- units ----------------------------------------------------------------------
