@@ -86,6 +86,8 @@ class QuadraturePolicy:
         d-tail:  sum_c 2 (W c y)^{1-k}/(k-1) <= 4 (W y q)^{1-k}/(k-1);
         c-tail:  2 y^{1-k} C^{2-k} / ((k-2) q).
         """
+        if y <= 1.0:  # before any arithmetic: y^{1-k} needs y > 0
+            raise ClassicalError("quadrature fiber needs y > 1")
         n, k, q = params.n, params.k, params.q
         unfold = math.exp(TWO_PI * n * y)
         half_tol = tol / 2.0

@@ -79,11 +79,20 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+# policy keys that only a config file sets (no flag)
+_CONFIG_ONLY_KEYS = ("max_terms", "unit_cap")
+
+
 def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Config-file values with explicit flags winning."""
+    """Config-file values with explicit flags winning.  A file key that is
+    neither one of the subcommand's flags nor a config-only policy key is a
+    ValueError, not silently dropped."""
     merged = {}
     if getattr(args, "config", None):
         merged.update(_load_config_file(args.config))
+    for key in merged:
+        if key not in keys and key not in _CONFIG_ONLY_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
@@ -135,7 +144,6 @@ def _policy_from(cfg: dict) -> TruncationPolicy:
         gamma_height_max=float(cfg.get("height", 12.0)),
         term_cutoff=float(cfg.get("cutoff", 3e-12)),
         max_terms=int(cfg.get("max_terms", 50_000_000)),
-        delta_box_margin=float(cfg.get("margin", 1.0)),
         unit_cap=int(cfg.get("unit_cap", 6)),
     )
 
@@ -207,9 +215,10 @@ def cmd_sweep(args) -> int:
     (levels --levels at one weight --k): the same experiment on two axes."""
     by_weight = args.command == "sweep-weight"
     keys = ["d", "ks", "level"] if by_weight else ["d", "k", "levels"]
-    cfg = _merged(args, keys + ["nu", "mu", "y", "grid", "height", "cutoff",
-                                "convention", "final_dev", "format", "out"])
     try:  # the parse order decides which fault a bad config reports first
+        cfg = _merged(args, keys + ["nu", "mu", "y", "grid", "height",
+                                    "cutoff", "convention", "final_dev",
+                                    "format", "out"])
         field = make_field(int(cfg["d"]))
         if by_weight:
             params = _int_list(cfg["ks"])
@@ -256,8 +265,8 @@ def cmd_sweep(args) -> int:
 def cmd_certify(args) -> int:
     keys = ["d", "k", "level", "nu", "y", "grid", "height", "cutoff",
             "convention", "safety", "out"]
-    cfg = _merged(args, keys)
     try:
+        cfg = _merged(args, keys)
         field = make_field(int(cfg["d"]))
         k1, k2 = _pair_of_ints(cfg["k"])
         nu = _dual(field, cfg.get("nu", "0,1"))
@@ -297,9 +306,10 @@ def cmd_classical(args) -> int:
         elif args.mode == "quadrature":
             params = cla.ClassicalParams(m=args.m, n=args.n, k=args.k,
                                          q=args.q)
-            if args.grid or args.y:
+            if args.grid is not None or args.y is not None:
                 policy = cla.QuadraturePolicy.auto(
-                    params, y=args.y or 1.1, grid_n=args.grid or 64)
+                    params, y=1.1 if args.y is None else args.y,
+                    grid_n=64 if args.grid is None else args.grid)
             else:
                 policy = None
             val = cla.classical_poincare_coefficient_by_quadrature(
@@ -324,6 +334,9 @@ def cmd_classical(args) -> int:
         return EXIT_CONFIG
     cfg_line = (f"# config: mode={args.mode} m={args.m} n={args.n} "
                 f"k={args.k} q={args.q} cmax={args.cmax}")
+    for key in ("grid", "y"):  # echoed only when given: defaults unchanged
+        if getattr(args, key) is not None:
+            cfg_line += f" {key}={getattr(args, key)}"
     _write_out(cfg_line + "\n" + cla.classical_csv(rows), args.out)
     return EXIT_OK
 

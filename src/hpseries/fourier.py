@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .hpoincare import PoincareSpec, TruncationPolicy, evaluate_grid
-from .qfield import DualIndex, RealQuadraticField, _dual_from_freq_int
+from .qfield import DualIndex, RealQuadraticField, _dual_from_freq_int, _embed
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,11 +56,9 @@ class SamplingDomain:
     def lattice_points(self, n: int | None = None) -> np.ndarray:
         """Embeddings of x(u, v) = (u/n) + (v/n) w, row-major over (u, v)."""
         n = n or self.grid_n
-        w1, w2 = self.field.omega_embeddings()
         u, v = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        x1 = u.ravel() / n + (v.ravel() / n) * w1
-        x2 = u.ravel() / n + (v.ravel() / n) * w2
-        return np.stack([x1, x2], axis=1)
+        return np.stack(_embed(self.field, (u.ravel() / n, v.ravel() / n)),
+                        axis=1)
 
 
 @dataclass(frozen=True)
@@ -149,9 +147,8 @@ def _min_tp_trace_outside(field: RealQuadraticField, domain: SamplingDomain,
                        indexing="ij")
     _beta, (a, b), positive = _dual_from_freq_int(field, r, s)
     keep = positive & ((r >= half) | (np.abs(s) >= half))
-    w1, w2 = field.omega_embeddings()
-    a, b = a[keep] / field.disc, b[keep] / field.disc
-    tr = (a + b * w1) * domain.y1 + (a + b * w2) * domain.y2
+    m1, m2 = _embed(field, (a[keep] / field.disc, b[keep] / field.disc))
+    tr = m1 * domain.y1 + m2 * domain.y2
     return float(np.min(tr, initial=math.inf))
 
 

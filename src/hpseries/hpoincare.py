@@ -10,7 +10,10 @@ gamma; the gamma = 0 class is then the single identity term
 e^{2 pi i tr(nu z)}.  TranslationsOnly (the literal translations-only
 stabilizer) is available behind a flag: it sums all unit multiples up to a
 cap and is kept for comparison runs, not production (its gamma = 0 class
-alone contributes one term per unit).
+alone contributes one term per unit).  Under both conventions the gamma = 0
+class is one compensated sum over its rows (0, u), vectorised over all
+points: the single row u = 1, or the rows u = +-eps^m with |m| <= cap plus
+a remainder bound for the rows beyond the cap.
 
 Terms are evaluated as
 
@@ -37,11 +40,12 @@ from .qfield import (
     FieldElement,
     IdealHNF,
     RealQuadraticField,
-    _conj_int,
+    _conj,
+    _embed,
     _ext_gcd_int,
-    _hnf_from_int_pairs,
-    _mul_int,
-    _norm_int,
+    _ideal_hnf,
+    _mul,
+    _norm,
     _unit_inverse_int,
     complete_pair,
     fundamental_unit,
@@ -51,6 +55,10 @@ from .qfield import (
 TWO_PI = 2.0 * math.pi
 _SHELL_FRAC = 0.75  # classes with height above this fraction of the box
                     # feed the tail estimate
+_DELTA_BOX_MARGIN = 1.0  # added to each delta-box half-width
+_MIN_IM = 1e-3  # quality guard: smallest Im(z_j) accepted
+_CHUNK_ELEMENTS = 2_000_000  # lattice sites per evaluate_grid chunk: bounds
+                             # the size of its temporary arrays
 
 
 class EvaluationError(ValueError):
@@ -126,13 +134,11 @@ class TruncationPolicy:
     gamma_height_max: float = 10.0
     term_cutoff: float = 1e-12
     max_terms: int = 50_000_000
-    delta_box_margin: float = 1.0
     unit_cap: int = 6       # TranslationsOnly only
-    min_im: float = 1e-3
 
     def __post_init__(self):
-        if min(self.gamma_height_max, self.term_cutoff,
-               self.delta_box_margin) <= 0 or self.max_terms <= 0:
+        if min(self.gamma_height_max, self.term_cutoff) <= 0 \
+                or self.max_terms <= 0:
             raise EvaluationError("policy fields must be positive")
 
 
@@ -166,7 +172,7 @@ class EvalResult:
 def _sign_emb1_int(f: RealQuadraticField, pq: tuple[int, int]) -> int:
     if pq == (0, 0):
         return 0
-    n = _norm_int(f, pq)
+    n = _norm(f, pq)
     if n > 0:
         t = 2 * pq[0] + pq[1] * f.omega_trace
         return 1 if t > 0 else -1
@@ -175,7 +181,7 @@ def _sign_emb1_int(f: RealQuadraticField, pq: tuple[int, int]) -> int:
 
 def _ratio_ge_one(f: RealQuadraticField, pq: tuple[int, int]) -> bool:
     # |x_1| >= |x_2|  iff  the w-coordinate of x^2 is >= 0
-    return _mul_int(f, pq, pq)[1] >= 0
+    return _mul(f, pq, pq)[1] >= 0
 
 
 def is_canonical_gamma(f: RealQuadraticField, pq: tuple[int, int],
@@ -184,7 +190,7 @@ def is_canonical_gamma(f: RealQuadraticField, pq: tuple[int, int],
     ratio |g_1/g_2| in [1, eps_1^2) and sigma_1(gamma) > 0."""
     if not _ratio_ge_one(f, pq):
         return False
-    if _ratio_ge_one(f, _mul_int(f, eps_inv, pq)):
+    if _ratio_ge_one(f, _mul(f, eps_inv, pq)):
         return False
     return _sign_emb1_int(f, pq) > 0
 
@@ -203,30 +209,22 @@ class _GammaClass:
     def __init__(self, f: RealQuadraticField, pq: tuple[int, int],
                  nu_emb: tuple[float, float]):
         self.pq = pq
-        w1, w2 = f.omega_embeddings()
-        g1 = pq[0] + pq[1] * w1
-        g2 = pq[0] + pq[1] * w2
-        self.emb = (g1, g2)
-        self.height = max(abs(g1), abs(g2))
-        self.abs_norm = abs(_norm_int(f, pq))
-        vecs = [pq, _mul_int(f, pq, (0, 1))]
-        A, B, C = _hnf_from_int_pairs(vecs)
-        self.hnf = (A, B, C)
+        self.emb = _embed(f, pq)
+        self.height = max(abs(self.emb[0]), abs(self.emb[1]))
+        n = _norm(f, pq)
+        self.abs_norm = abs(n)
+        self.hnf = A, B, C = _ideal_hnf(f, [pq])
         table = np.zeros((A, C), dtype=np.complex128)
-        gconj = _conj_int(f, pq)
-        n = _norm_int(f, pq)
+        gconj = _conj(f, pq)
         for j in range(C):
             for i in range(A):
-                delta0 = (i, j)
-                a_res = _completion_residue(f, pq, delta0)
+                a_res = _completion_residue(f, pq, (i, j))
                 if a_res is None:
                     continue
                 # a/gamma = a * conj(gamma) / N(gamma), embeddings in float
-                ag = _mul_int(f, a_res, gconj)
-                e1 = (ag[0] + ag[1] * w1) / n
-                e2 = (ag[0] + ag[1] * w2) / n
-                table[i, j] = complex(math.cos(TWO_PI * (nu_emb[0] * e1 + nu_emb[1] * e2)),
-                                      math.sin(TWO_PI * (nu_emb[0] * e1 + nu_emb[1] * e2)))
+                e1, e2 = _embed(f, _mul(f, a_res, gconj))
+                theta = TWO_PI * (nu_emb[0] * (e1 / n) + nu_emb[1] * (e2 / n))
+                table[i, j] = complex(math.cos(theta), math.sin(theta))
         self.phase_table = table
 
 
@@ -236,9 +234,9 @@ def _completion_residue(f: RealQuadraticField, gamma: tuple[int, int],
     unimodular.  delta = 0 is fine: the pair is unimodular iff gamma is a
     unit (e.g. the inversion row (1, 0))."""
     g, x, _y = _ext_gcd_int(f, delta, gamma)
-    if abs(_norm_int(f, g)) != 1:
+    if abs(_norm(f, g)) != 1:
         return None
-    return _mul_int(f, _unit_inverse_int(f, g), x)
+    return _mul(f, _unit_inverse_int(f, g), x)
 
 
 def _gamma_box(f: RealQuadraticField, height: float) -> Iterable[tuple[int, int]]:
@@ -267,7 +265,6 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
     if spec.convention is GammaInfConvention.UNIT_EXTENDED:
         eps = fundamental_unit(f)
         eps_inv = _unit_inverse_int(f, eps.int_coords())
-    w1, w2 = f.omega_embeddings()
     kept = []
     skip_mass = 0.0
     largest_skipped = 0.0
@@ -276,8 +273,8 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
             continue
         if eps_inv is not None and not is_canonical_gamma(f, pq, eps_inv):
             continue
-        b1 = abs(pq[0] + pq[1] * w1) * y[0]
-        b2 = abs(pq[0] + pq[1] * w2) * y[1]
+        g1, g2 = _embed(f, pq)
+        b1, b2 = abs(g1) * y[0], abs(g2) * y[1]
         bound = b1 ** (-k1) * b2 ** (-k2)
         if bound < policy.term_cutoff:
             skip_mass += bound
@@ -321,8 +318,8 @@ def _unit_rows(f: RealQuadraticField, cap: int) -> list[tuple[int, int]]:
     rows.append(u)
     up, un = u, u
     for _ in range(cap):
-        up = _mul_int(f, up, eps)
-        un = _mul_int(f, un, eps_inv)
+        up = _mul(f, up, eps)
+        un = _mul(f, un, eps_inv)
         rows.extend([up, un])
     full = []
     for u in rows:
@@ -334,8 +331,7 @@ def _unit_rows(f: RealQuadraticField, cap: int) -> list[tuple[int, int]]:
 
 # -- delta boxes ------------------------------------------------------------
 
-def _delta_windows(b1: float, b2: float, k1: int, k2: int, cutoff: float,
-                   margin: float):
+def _delta_windows(b1: float, b2: float, k1: int, k2: int, cutoff: float):
     """Half-widths (W1, W2) of the per-embedding delta box around
     (-gamma_j x_j).  Every delta outside the box has
     prod |gamma_j z_j + delta_j|^{-k_j} < cutoff."""
@@ -343,8 +339,8 @@ def _delta_windows(b1: float, b2: float, k1: int, k2: int, cutoff: float,
     r2 = (b1 ** (-k1) / cutoff) ** (1.0 / k2)
     if r1 <= b1 or r2 <= b2:
         return None
-    wd1 = math.sqrt(r1 * r1 - b1 * b1) + margin
-    wd2 = math.sqrt(r2 * r2 - b2 * b2) + margin
+    wd1 = math.sqrt(r1 * r1 - b1 * b1) + _DELTA_BOX_MARGIN
+    wd2 = math.sqrt(r2 * r2 - b2 * b2) + _DELTA_BOX_MARGIN
     return wd1, wd2
 
 
@@ -362,78 +358,69 @@ def _class_delta_ranges(cl: _GammaClass, x: tuple[float, float],
 
 # -- identity class ----------------------------------------------------------
 
-class _Kahan:
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0 + 0.0j
-        self.c = 0.0 + 0.0j
-
-    def add(self, x: complex):
-        yv = x - self.c
-        t = self.s + yv
-        self.c = (t - self.s) - yv
-        self.s = t
+def _kahan(s: np.ndarray, c: np.ndarray, x: np.ndarray):
+    """One compensated-summation step: (sum, compensation) after adding x."""
+    yv = x - c
+    t = s + yv
+    return t, (t - s) - yv
 
 
-def _identity_terms(spec: PoincareSpec, z: tuple[complex, complex],
-                    policy: TruncationPolicy) -> tuple[complex, float, int]:
-    """gamma = 0 contribution and (TranslationsOnly) unit-cap remainder."""
-    nu1, nu2 = spec.nu.embeddings()
-    base = np.exp(2j * math.pi * (nu1 * z[0] + nu2 * z[1]))
-    if spec.convention is GammaInfConvention.UNIT_EXTENDED:
-        return complex(base), 0.0, 1
+def _identity_sum(spec: PoincareSpec, xs: np.ndarray, y: tuple[float, float],
+                  rows: list[tuple[int, int]]) -> np.ndarray:
+    """Compensated sum over the rows (0, u), a = u^{-1}, of the gamma = 0
+    terms u_1^{-k_1} u_2^{-k_2} e^{2 pi i tr(nu u^{-2} z)}, at every point
+    z = x + iy for x in xs at once."""
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
-    w1, w2 = f.omega_embeddings()
-    acc = _Kahan()
-    count = 0
-    for u in _unit_rows(f, policy.unit_cap):
-        u1 = u[0] + u[1] * w1
-        u2 = u[0] + u[1] * w2
-        ui = _unit_inverse_int(f, u)
-        ui1 = ui[0] + ui[1] * w1
-        ui2 = ui[0] + ui[1] * w2
-        val = (u1 ** (-k1)) * (u2 ** (-k2)) * np.exp(
-            2j * math.pi * (nu1 * ui1 * ui1 * z[0] + nu2 * ui2 * ui2 * z[1]))
-        acc.add(complex(val))
-        count += 1
-    # remainder: magnitudes of the first dropped unit translates (0, +-u)
+    nu1, nu2 = spec.nu.embeddings()
+    z1 = xs[:, 0] + 1j * y[0]
+    z2 = xs[:, 1] + 1j * y[1]
+    ident = comp = np.zeros(len(xs), dtype=np.complex128)
+    for u in rows:
+        u1, u2 = _embed(f, u)
+        ui1, ui2 = _embed(f, _unit_inverse_int(f, u))
+        scale = u1 ** (-k1) * u2 ** (-k2)
+        ident, comp = _kahan(ident, comp, scale * np.exp(
+            2j * math.pi * (nu1 * ui1 * ui1 * z1 + nu2 * ui2 * ui2 * z2)))
+    return ident
+
+
+def _unit_remainder(spec: PoincareSpec, y: tuple[float, float],
+                    cap: int) -> float:
+    """TranslationsOnly unit-cap remainder: the magnitudes of the first
+    dropped rows (0, +-u), u = eps^{+-(cap + 1)}."""
+    f = spec.field
+    k1, k2 = spec.weight.as_tuple()
+    nu1, nu2 = spec.nu.embeddings()
     eps = fundamental_unit(f).int_coords()
-    y1, y2 = z[0].imag, z[1].imag
-    rem = 0.0
     um = (1, 0)
-    for _ in range(policy.unit_cap + 1):
-        um = _mul_int(f, um, eps)
+    for _ in range(cap + 1):
+        um = _mul(f, um, eps)
+    rem = 0.0
     for u in (um, _unit_inverse_int(f, um)):
-        u1 = u[0] + u[1] * w1
-        u2 = u[0] + u[1] * w2
-        ui = _unit_inverse_int(f, u)
-        ui1 = ui[0] + ui[1] * w1
-        ui2 = ui[0] + ui[1] * w2
+        u1, u2 = _embed(f, u)
+        ui1, ui2 = _embed(f, _unit_inverse_int(f, u))
         rem += 2.0 * abs(u1) ** (-k1) * abs(u2) ** (-k2) * math.exp(
-            -TWO_PI * (nu1 * ui1 * ui1 * y1 + nu2 * ui2 * ui2 * y2))
-    return complex(acc.s), rem, count
+            -TWO_PI * (nu1 * ui1 * ui1 * y[0] + nu2 * ui2 * ui2 * y[1]))
+    return rem
 
 
 # -- lattice sum --------------------------------------------------------------
 
-def _check_y(y: tuple[float, float], policy: TruncationPolicy):
-    if min(y) < policy.min_im:
-        raise EvaluationError(
-            f"Im(z) below the quality guard {policy.min_im}")
+def _check_y(y: tuple[float, float]):
+    if min(y) < _MIN_IM:
+        raise EvaluationError(f"Im(z) below the quality guard {_MIN_IM}")
 
 
 def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
-                  y: tuple[float, float], policy: TruncationPolicy,
-                  chunk_elements: int = 2_000_000):
+                  y: tuple[float, float], policy: TruncationPolicy):
     """(values, tails, terms_used, largest_dropped) of the truncated series
     at the points x + iy for x in xs (embedding pairs): per-point values and
     tail estimates, the total term count and the largest term bound left
     out of the sum.  The only lattice-sum engine; `evaluate` is its
     one-point case.  Deterministic: fixed class and lattice ordering,
     per-point bincount reductions in that order."""
-    _check_y(y, policy)
+    _check_y(y)
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
     nu1, nu2 = spec.nu.embeddings()
@@ -441,44 +428,27 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     sq_disc = f.sqrt_disc
     xs_arr = np.asarray(xs, dtype=np.float64)
     npts = xs_arr.shape[0]
-    values = np.zeros(npts, dtype=np.complex128)
-    comp = np.zeros(npts, dtype=np.complex128)  # Kahan compensation per point
     shell_mass = np.zeros(npts, dtype=np.float64)
     classes, skip_mass, largest_dropped = _classes_with_skip_info(
         spec, y, policy)
-    terms_used = npts  # identity terms
     dropped_sites = 0.0
 
-    def kahan_add(vals: np.ndarray):
-        nonlocal values, comp
-        yv = vals - comp
-        t = values + yv
-        comp = (t - values) - yv
-        values = t
-
-    # identity class
+    # identity class; UnitExtended folds the units into the stabilizer and
+    # keeps the row (0, 1) alone
     if spec.convention is GammaInfConvention.UNIT_EXTENDED:
-        z1 = xs_arr[:, 0] + 1j * y[0]
-        z2 = xs_arr[:, 1] + 1j * y[1]
-        kahan_add(np.exp(2j * math.pi * (nu1 * z1 + nu2 * z2)))
-        unit_rem = 0.0
+        rows, unit_rem = [(1, 0)], 0.0
     else:
-        ident = np.empty(npts, dtype=np.complex128)
-        for i in range(npts):
-            val, rem, cnt = _identity_terms(
-                spec, (complex(xs_arr[i, 0], y[0]), complex(xs_arr[i, 1], y[1])),
-                policy)
-            ident[i] = val
-            unit_rem = rem
-            terms_used += cnt - 1
-        kahan_add(ident)
+        rows = _unit_rows(f, policy.unit_cap)
+        unit_rem = _unit_remainder(spec, y, policy.unit_cap)
+    values = comp = np.zeros(npts, dtype=np.complex128)  # Kahan per point
+    values, comp = _kahan(values, comp, _identity_sum(spec, xs_arr, y, rows))
+    terms_used = npts * len(rows)
 
     shell_height = _SHELL_FRAC * policy.gamma_height_max
     for cl in classes:
         g1, g2 = cl.emb
         b1, b2 = abs(g1) * y[0], abs(g2) * y[1]
-        wd = _delta_windows(b1, b2, k1, k2, policy.term_cutoff,
-                            policy.delta_box_margin)
+        wd = _delta_windows(b1, b2, k1, k2, policy.term_cutoff)
         if wd is None:
             bound = b1 ** (-k1) * b2 ** (-k2)
             skip_mass += bound
@@ -493,7 +463,7 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
         qhi = np.floor(((c1 + wd[0]) - (c2 - wd[1])) / sq_disc).astype(np.int64)
         per_point = float(np.maximum(qhi - qlo + 1, 0).mean()) \
             * (2 * wd[0] + 1) or 1.0
-        chunk = max(1, int(chunk_elements / max(per_point, 1.0)))
+        chunk = max(1, int(_CHUNK_ELEMENTS / max(per_point, 1.0)))
         is_shell = cl.height >= shell_height
         for start in range(0, npts, chunk):
             stop = min(start + chunk, npts)
@@ -539,7 +509,7 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
                 raise TruncationLimitExceeded(terms_used)
             sums = (np.bincount(pt, weights=t.real, minlength=npts)
                     + 1j * np.bincount(pt, weights=t.imag, minlength=npts))
-            kahan_add(sums)
+            values, comp = _kahan(values, comp, sums)
             if is_shell:
                 shell_mass += np.bincount(pt, weights=np.abs(t),
                                           minlength=npts)
@@ -581,7 +551,7 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
     keeps only residue data."""
     f = spec.field
     y = (z[0].imag, z[1].imag)
-    _check_y(y, policy)
+    _check_y(y)
     x = (z[0].real, z[1].real)
     k1, k2 = spec.weight.as_tuple()
     sq_disc = f.sqrt_disc
@@ -598,8 +568,7 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
     for cl in enumerate_gamma_classes(spec, y, policy):
         g1, g2 = cl.emb
         b1, b2 = abs(g1) * y[0], abs(g2) * y[1]
-        wd = _delta_windows(b1, b2, k1, k2, policy.term_cutoff,
-                            policy.delta_box_margin)
+        wd = _delta_windows(b1, b2, k1, k2, policy.term_cutoff)
         if wd is None:
             continue
         gamma = f.element(*cl.pq)

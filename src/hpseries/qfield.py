@@ -3,7 +3,10 @@
 Elements are stored as exact rational coordinates over the integral basis
 [1, w], where w = (1+sqrt(d))/2 when d = 1 mod 4 and w = sqrt(d) otherwise.
 Everything here (trace, norm, total positivity, ideal membership, unimodular
-completion) is decided exactly; floating point only enters through `embed`.
+completion) is decided exactly; floating point only enters through the
+embeddings.  One pair core (`_mul`, `_conj`, `_norm`, `_embed`) serves the
+integer coordinate pairs of the hot paths and the `Fraction` coordinates of
+`FieldElement` alike.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # d values for which nearest-coordinate rounding gives a working Euclidean
 # division (norm-Euclidean fields supported by complete_pair).
@@ -163,11 +166,8 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
-        f = self.field
-        cross = self.b * other.b
-        a = self.a * other.a + cross * f.omega_sq_const
-        b = self.a * other.b + self.b * other.a + cross * f.omega_sq_lin
-        return FieldElement(f, a, b)
+        x, y = (self.a, self.b), (other.a, other.b)
+        return FieldElement(self.field, *_mul(self.field, x, y))
 
     __rmul__ = __mul__
 
@@ -200,6 +200,12 @@ class FieldElement:
             return NotImplemented
         return self * other.inverse()
 
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
+
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -210,19 +216,13 @@ class FieldElement:
         return hash((self.field.d, self.a, self.b))
 
     def conjugate(self) -> FieldElement:
-        f = self.field
-        if f.omega_is_half:
-            # wbar = 1 - w
-            return FieldElement(f, self.a + self.b, -self.b)
-        return FieldElement(f, self.a, -self.b)
+        return FieldElement(self.field, *_conj(self.field, (self.a, self.b)))
 
     def trace(self) -> Fraction:
         return 2 * self.a + self.b * self.field.omega_trace
 
     def norm(self) -> Fraction:
-        f = self.field
-        return self.a * self.a + self.a * self.b * f.omega_trace \
-            + self.b * self.b * f.omega_norm
+        return _norm(self.field, (self.a, self.b))
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -236,9 +236,7 @@ class FieldElement:
         return (self.a.numerator, self.b.numerator)
 
     def embeddings(self) -> tuple[float, float]:
-        w1, w2 = self.field.omega_embeddings()
-        return (float(self.a) + float(self.b) * w1,
-                float(self.a) + float(self.b) * w2)
+        return _embed(self.field, (self.a, self.b))
 
     def __repr__(self):
         return f"({self.a} + {self.b}*w | d={self.field.d})"
@@ -246,16 +244,14 @@ class FieldElement:
 
 # -- spec-level operations ------------------------------------------------
 
-def embed(x: FieldElement, prec: int = 53) -> tuple[float, float]:
+def embed(x: FieldElement) -> tuple[float, float]:
     """Real embeddings (sigma_1(x), sigma_2(x)); sigma_1(sqrt d) > 0.
 
-    prec is the number of bits carried by the internal sqrt(d) approximation
-    before the final rounding to double.
+    Taken exactly from a 53-bit rational approximation of sqrt(d), then
+    rounded once to double.
     """
-    prec = max(prec, 53)
-    d = x.field.d
-    scale = 1 << prec
-    r = Fraction(math.isqrt(d * scale * scale), scale)
+    scale = 1 << 53
+    r = Fraction(math.isqrt(x.field.d * scale * scale), scale)
     if x.field.omega_is_half:
         w1 = (1 + r) / 2
         w2 = (1 - r) / 2
@@ -308,7 +304,7 @@ class DualIndex:
             raise QFieldError("dual index numerator must be integral")
         p, q = beta.int_coords()
         t = field.omega_trace
-        num = _mul_int(field, (p, q), (-t, 2))
+        num = _mul(field, (p, q), (-t, 2))
         nu = FieldElement(field, Fraction(num[0], field.disc),
                           Fraction(num[1], field.disc))
         return cls(field=field, numerator=beta, elem=nu, freq=(q, p + q * t))
@@ -342,11 +338,13 @@ def trace_one_totally_positive(field: RealQuadraticField,
 
 # -- integer lattice layer (fast paths share these) ------------------------
 
-def _hnf_from_int_pairs(vecs: Sequence[tuple[int, int]]) -> tuple[int, int, int]:
-    """Hermite normal form (A, B, C) of the Z-span of coordinate pairs
-    (p, q) = p*1 + q*w: lattice = A*Z + (B + C*w)*Z with C | q for all
-    members, 0 <= B < A. Requires full rank."""
-    vecs = [v for v in vecs if v != (0, 0)]
+def _ideal_hnf(f: RealQuadraticField,
+               gens: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+    """Hermite normal form (A, B, C) of the ideal generated by integer
+    coordinate pairs (p, q) = p*1 + q*w, i.e. of the Z-span of {g, g*w}:
+    lattice = A*Z + (B + C*w)*Z with C | q for all members, 0 <= B < A.
+    Requires full rank."""
+    vecs = [v for g in gens for v in (g, _mul(f, g, (0, 1))) if v != (0, 0)]
     if not vecs:
         raise QFieldError("zero lattice")
     # gcd of q-parts together with a witness combination
@@ -382,22 +380,33 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _mul_int(f: RealQuadraticField, x: tuple[int, int],
-             y: tuple[int, int]) -> tuple[int, int]:
+# The pair core: x = (x0, x1) stands for x0 + x1*w.  The coordinates may be
+# ints, Fractions or integer numpy arrays (elementwise); `_embed` also takes
+# float arrays.
+
+def _mul(f: RealQuadraticField, x, y):
     cross = x[1] * y[1]
     return (x[0] * y[0] + cross * f.omega_sq_const,
             x[0] * y[1] + x[1] * y[0] + cross * f.omega_sq_lin)
 
 
-def _conj_int(f: RealQuadraticField, x: tuple[int, int]) -> tuple[int, int]:
+def _conj(f: RealQuadraticField, x):
     if f.omega_is_half:
         return (x[0] + x[1], -x[1])
     return (x[0], -x[1])
 
 
-def _norm_int(f: RealQuadraticField, x: tuple[int, int]) -> int:
+def _norm(f: RealQuadraticField, x):
     return x[0] * x[0] + x[0] * x[1] * f.omega_trace \
         + x[1] * x[1] * f.omega_norm
+
+
+def _embed(f: RealQuadraticField, x):
+    """Float embeddings (x0 + x1*w_1, x0 + x1*w_2).  A Fraction coordinate
+    enters as float(x0) + float(x1)*w_j, which is what Python's mixed
+    Fraction/float arithmetic does."""
+    w1, w2 = f.omega_embeddings()
+    return (x[0] + x[1] * w1, x[0] + x[1] * w2)
 
 
 def _dual_from_freq_int(f: RealQuadraticField, r, s):
@@ -413,8 +422,8 @@ def _dual_from_freq_int(f: RealQuadraticField, r, s):
     embeddings of opposite sign.
     """
     beta = (s - f.omega_trace * r, r)
-    positive = (r > 0) & (_norm_int(f, beta) < 0)
-    return beta, _mul_int(f, beta, (-f.omega_trace, 2)), positive
+    positive = (r > 0) & (_norm(f, beta) < 0)
+    return beta, _mul(f, beta, (-f.omega_trace, 2)), positive
 
 
 @dataclass(frozen=True)
@@ -433,7 +442,7 @@ class IdealHNF:
                               f"({self.m00}, {self.m01}, {self.m11})")
         f = self.field
         for gen in ((self.m00, 0), (self.m01, self.m11)):
-            if not self._contains_int(_mul_int(f, gen, (0, 1))):
+            if not self._contains_int(_mul(f, gen, (0, 1))):
                 raise QFieldError("lattice is not an ideal (not closed "
                                   "under multiplication by w)")
 
@@ -465,12 +474,7 @@ def ideal_from_gens(field: RealQuadraticField,
                     gens: Iterable[FieldElement]) -> IdealHNF:
     """Smallest ideal containing the generators: HNF of the span of
     {g, g*w} over all g."""
-    vecs: list[tuple[int, int]] = []
-    for g in gens:
-        pq = g.int_coords()
-        vecs.append(pq)
-        vecs.append(_mul_int(field, pq, (0, 1)))
-    a, b, c = _hnf_from_int_pairs(vecs)
+    a, b, c = _ideal_hnf(field, [g.int_coords() for g in gens])
     return IdealHNF(field=field, m00=a, m01=b, m11=c)
 
 
@@ -484,16 +488,9 @@ def is_unimodular_pair(gamma: FieldElement, delta: FieldElement) -> bool:
     """gamma*O_F + delta*O_F = O_F, via the HNF of {g, gw, d, dw}."""
     if gamma.is_zero() and delta.is_zero():
         raise QFieldError("both entries zero")
-    f = gamma.field
-    vecs = []
-    for g in (gamma, delta):
-        if g.is_zero():
-            continue
-        pq = g.int_coords()
-        vecs.append(pq)
-        vecs.append(_mul_int(f, pq, (0, 1)))
+    gens = [gamma.int_coords(), delta.int_coords()]
     try:
-        a, b, c = _hnf_from_int_pairs(vecs)
+        a, _b, c = _ideal_hnf(gamma.field, gens)
     except QFieldError:
         return False
     return a == 1 and c == 1
@@ -562,8 +559,8 @@ def _ext_gcd_int(f: RealQuadraticField, a: tuple[int, int],
 
 def _unit_inverse_int(f: RealQuadraticField,
                       u: tuple[int, int]) -> tuple[int, int]:
-    n = _norm_int(f, u)
-    c = _conj_int(f, u)
+    n = _norm(f, u)
+    c = _conj(f, u)
     if n == 1:
         return c
     if n == -1:
@@ -583,12 +580,12 @@ def complete_pair(gamma: FieldElement,
     dc = delta.int_coords()
     gc = gamma.int_coords()
     g, x, y = _ext_gcd_int(f, dc, gc)
-    if abs(_norm_int(f, g)) != 1:
+    if abs(_norm(f, g)) != 1:
         raise QFieldError("pair is not unimodular")
     gi = _unit_inverse_int(f, g)
-    a = _mul_int(f, gi, x)
-    b = _mul_int(f, gi, (-y[0], -y[1]))
-    ad, bg = _mul_int(f, a, dc), _mul_int(f, b, gc)
+    a = _mul(f, gi, x)
+    b = _mul(f, gi, (-y[0], -y[1]))
+    ad, bg = _mul(f, a, dc), _mul(f, b, gc)
     if (ad[0] - bg[0], ad[1] - bg[1]) != (1, 0):
         raise QFieldError("completion determinant check failed")
     return (FieldElement(f, Fraction(a[0]), Fraction(a[1])),

@@ -159,6 +159,12 @@ def test_identity_only_at_huge_level():
     assert diff == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("y", [1.0, 0.0, -1.0])
+def test_quadrature_auto_rejects_low_fiber(y):
+    with pytest.raises(ClassicalError, match="y > 1"):
+        QuadraturePolicy.auto(ClassicalParams(1, 2, 12, 1), y=y)
+
+
 def test_petersson_requires_cmax_at_least_q():
     with pytest.raises(ClassicalError):
         petersson_coefficient(ClassicalParams(1, 1, 12, 5), 3)

@@ -49,6 +49,26 @@ def test_classical_petersson_and_quadrature_agree(capsys):
     assert abs(pet - quad) < 1e-6
 
 
+@pytest.mark.parametrize("flag", ["--grid=0", "--y=-1", "--y=0"])
+def test_classical_quadrature_rejects_bad_flags(flag, capsys):
+    code, out, err = run_cli(["classical", "quadrature", flag], capsys)
+    assert code == 2
+    assert err.startswith("config error")
+    assert out == ""
+
+
+def test_classical_quadrature_echoes_grid_and_y(capsys):
+    code, out, _ = run_cli(["classical", "quadrature", "--k", "12"], capsys)
+    assert code == 0
+    assert "grid=" not in out and " y=" not in out
+    code, out, _ = run_cli(
+        ["classical", "quadrature", "--k", "12", "--grid", "32", "--y", "1.2"],
+        capsys)
+    assert code == 0
+    assert out.startswith("# config: mode=quadrature m=1 n=1 k=12 q=1 "
+                          "cmax=500 grid=32 y=1.2\n")
+
+
 def test_classical_tau(capsys):
     code, out, _ = run_cli(["classical", "tau", "--nmax", "3"], capsys)
     assert code == 0
@@ -159,6 +179,22 @@ def test_config_file_flags_win(command, file_entries, key, flag_value, capsys,
         [command, "--config", cfg, f"--{key}", flag_value], capsys)
     assert code2 == 0
     assert f"# {key}={flag_value}" in out2  # flag overrode the file
+
+
+@pytest.mark.parametrize("command", ["sweep-weight", "certify"])
+@pytest.mark.parametrize("line,message", [
+    ("cutof=1e-3", "unknown config key 'cutof'"),
+    ("margin=1.0", "unknown config key 'margin'"),
+    ("cutoff", "bad config line: 'cutoff'"),
+])
+def test_config_file_fault_exits_2(command, line, message, capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d=5\ngrid=32\nheight=8\n{line}\n")
+    axis = ["--ks", "10"] if command == "sweep-weight" else ["--k", "12,12"]
+    code, out, err = run_cli([command, "--config", str(cfg), *axis], capsys)
+    assert code == 2
+    assert err == f"config error: {message}\n"
+    assert out == ""
 
 
 def test_certify_cli(capsys):

@@ -240,8 +240,10 @@ def test_evaluate_translations_only_matches_coset_sum(field5, nu5,
     policy = TruncationPolicy(gamma_height_max=5.0, term_cutoff=1e-9,
                               unit_cap=4)
     res = evaluate(spec, Z0, policy)
-    direct = sum(term(M, Z0, spec) for M in enumerate_cosets(spec, Z0, policy))
+    reps = enumerate_cosets(spec, Z0, policy)
+    direct = sum(term(M, Z0, spec) for M in reps)
     assert res.value == pytest.approx(direct, abs=1e-13)
+    assert res.terms_used == len(reps)
 
 
 def test_pointwise_weight_limit(field5, nu5, unit_ideal5):
@@ -301,16 +303,20 @@ def test_largest_dropped_below_cutoff(spec8):
     assert res.largest_dropped <= policy.term_cutoff
 
 
-def test_evaluate_grid_matches_pointwise(spec8, policy_small):
+def test_evaluate_grid_matches_pointwise(field5, nu5, unit_ideal5,
+                                         policy_small):
     xs = [(Z0[0].real, Z0[1].real), (0.41, -0.07), (0.0, 0.0)]
     y = (Z0[0].imag, Z0[1].imag)
-    vals, tails = evaluate_grid(spec8, xs, y, policy_small)[:2]
-    for x, v in zip(xs, vals):
-        r = evaluate(spec8, (complex(x[0], y[0]), complex(x[1], y[1])),
-                     policy_small)
-        # evaluate is the one-point grid: same terms, same per-point order
-        assert v == pytest.approx(r.value, abs=1e-14)
-    assert (tails >= 0).all()
+    for convention in GammaInfConvention:  # both identity-class row sets
+        spec = PoincareSpec(field=field5, weight=Weight(8, 8), nu=nu5,
+                            level=unit_ideal5, convention=convention)
+        vals, tails = evaluate_grid(spec, xs, y, policy_small)[:2]
+        for x, v in zip(xs, vals):
+            r = evaluate(spec, (complex(x[0], y[0]), complex(x[1], y[1])),
+                         policy_small)
+            # evaluate is the one-point grid: same terms, same per-point order
+            assert v == pytest.approx(r.value, abs=1e-14), convention
+        assert (tails >= 0).all()
 
 
 # -- tail bound --------------------------------------------------------------------

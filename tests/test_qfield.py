@@ -83,6 +83,14 @@ def test_arithmetic_rejects_unsupported_operand(field5, op, swap):
         op(*args)
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+@pytest.mark.parametrize("left", [3, Fraction(-2, 7)])
+def test_arithmetic_with_rational_on_the_left(field5, op, left):
+    x = field5.element(Fraction(1, 3), 2)
+    assert op(left, x) == op(field5.element(left), x)
+
+
 # -- embeddings, trace, norm ---------------------------------------------------
 
 def test_embed_identity(field5):
@@ -283,13 +291,13 @@ def test_ideal_membership_vs_rational_solve(f, p, q, r, s):
 def _minor_gcd_unimodular(f, gamma, delta):
     """Independent unimodularity oracle: the Z-span of {g, gw, d, dw} is
     the full lattice iff the gcd of all 2x2 minors is 1."""
-    from hpseries.qfield import _mul_int
+    from hpseries.qfield import _mul
     vs = []
     for e in (gamma, delta):
         pq = e.int_coords()
         if pq != (0, 0):
             vs.append(pq)
-            vs.append(_mul_int(f, pq, (0, 1)))
+            vs.append(_mul(f, pq, (0, 1)))
     g = 0
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
@@ -376,7 +384,7 @@ def _ext_gcd_by_steps(f, a, b, hits):
     |N(r)| >= |N(b)|, searches q + (dp, dq) for dp, dq in (0, -1, 1),
     the first strictly smallest |N(r)| winning.  hits[0] counts the
     searches."""
-    from hpseries.qfield import _conj_int, _mul_int, _norm_int
+    from hpseries.qfield import _conj, _mul, _norm
 
     def sub(u, v):
         return (u[0] - v[0], u[1] - v[1])
@@ -387,19 +395,19 @@ def _ext_gcd_by_steps(f, a, b, hits):
         return (2 * n + m) // (2 * m)
 
     def step(a, b):
-        nb = _norm_int(f, b)
-        num = _mul_int(f, a, _conj_int(f, b))
+        nb = _norm(f, b)
+        num = _mul(f, a, _conj(f, b))
         q0 = (rdiv(num[0], nb), rdiv(num[1], nb))
-        r0 = sub(a, _mul_int(f, q0, b))
-        if abs(_norm_int(f, r0)) < abs(nb):
+        r0 = sub(a, _mul(f, q0, b))
+        if abs(_norm(f, r0)) < abs(nb):
             return q0, r0
         hits[0] += 1
         best = None
         for dp in (0, -1, 1):
             for dq in (0, -1, 1):
                 q = (q0[0] + dp, q0[1] + dq)
-                r = sub(a, _mul_int(f, q, b))
-                nr = abs(_norm_int(f, r))
+                r = sub(a, _mul(f, q, b))
+                nr = abs(_norm(f, r))
                 if best is None or nr < best[0]:
                     best = (nr, q, r)
         nr, q, r = best
@@ -412,8 +420,8 @@ def _ext_gcd_by_steps(f, a, b, hits):
     while b != (0, 0):
         q, r = step(a, b)
         a, b = b, r
-        x0, x1 = x1, sub(x0, _mul_int(f, q, x1))
-        y0, y1 = y1, sub(y0, _mul_int(f, q, y1))
+        x0, x1 = x1, sub(x0, _mul(f, q, x1))
+        y0, y1 = y1, sub(y0, _mul(f, q, y1))
     return a, x0, y0
 
 
@@ -435,7 +443,7 @@ def test_ext_gcd_matches_step_oracle(d):
     for a, b in _coordinate_pairs(rng, 3000):
         g, x, y = qfield._ext_gcd_int(f, a, b)
         assert (g, x, y) == _ext_gcd_by_steps(f, a, b, hits), (a, b)
-        unimodular += abs(qfield._norm_int(f, g)) == 1
+        unimodular += abs(qfield._norm(f, g)) == 1
     assert 0 < unimodular < 3000
     if d in (6, 7):
         assert hits[0] > 0
