@@ -64,6 +64,11 @@ class PeterssonResult:
     tail_bound: float
 
 
+def _check_fiber(y: float):
+    if y <= 1.0:
+        raise ClassicalError("quadrature fiber needs y > 1")
+
+
 @dataclass(frozen=True)
 class QuadraturePolicy:
     grid_n: int = 64
@@ -72,8 +77,7 @@ class QuadraturePolicy:
     d_window: float = 8.0  # half-width of the d box in units of c*y
 
     def __post_init__(self):
-        if self.y <= 1.0:
-            raise ClassicalError("quadrature fiber needs y > 1")
+        _check_fiber(self.y)
         if self.grid_n < 4 or self.grid_n % 2:
             raise ClassicalError("grid_n must be even and >= 4")
 
@@ -86,8 +90,7 @@ class QuadraturePolicy:
         d-tail:  sum_c 2 (W c y)^{1-k}/(k-1) <= 4 (W y q)^{1-k}/(k-1);
         c-tail:  2 y^{1-k} C^{2-k} / ((k-2) q).
         """
-        if y <= 1.0:  # before any arithmetic: y^{1-k} needs y > 0
-            raise ClassicalError("quadrature fiber needs y > 1")
+        _check_fiber(y)  # before any arithmetic: y^{1-k} needs y > 0
         n, k, q = params.n, params.k, params.q
         unfold = math.exp(TWO_PI * n * y)
         half_tol = tol / 2.0

@@ -308,25 +308,20 @@ def _beyond_box_mass(spec: PoincareSpec, y: tuple[float, float],
     return (floor_norm * ny) ** (1 - kmin) / (kmin - 1)
 
 
-def _unit_rows(f: RealQuadraticField, cap: int) -> list[tuple[int, int]]:
-    """Bottom rows (0, u) of the gamma = 0 class under TranslationsOnly:
-    u = +-eps^m, |m| <= cap."""
+def _unit_rows(f: RealQuadraticField, cap: int):
+    """Bottom rows (0, u) of the gamma = 0 class under TranslationsOnly,
+    u = +-eps^m with |m| <= cap, sorted; and the first dropped units
+    eps^{cap+1}, eps^{-(cap+1)}, one step further along the same walk."""
     eps = fundamental_unit(f).int_coords()
     eps_inv = _unit_inverse_int(f, eps)
-    rows = []
-    u = (1, 0)
-    rows.append(u)
-    up, un = u, u
+    up = un = (1, 0)
+    powers = [up]
     for _ in range(cap):
         up = _mul(f, up, eps)
         un = _mul(f, un, eps_inv)
-        rows.extend([up, un])
-    full = []
-    for u in rows:
-        full.append(u)
-        full.append((-u[0], -u[1]))
-    full.sort()
-    return full
+        powers.extend([up, un])
+    rows = sorted(v for u in powers for v in (u, (-u[0], -u[1])))
+    return rows, (_mul(f, up, eps), _mul(f, un, eps_inv))
 
 
 # -- delta boxes ------------------------------------------------------------
@@ -365,42 +360,39 @@ def _kahan(s: np.ndarray, c: np.ndarray, x: np.ndarray):
     return t, (t - s) - yv
 
 
-def _identity_sum(spec: PoincareSpec, xs: np.ndarray, y: tuple[float, float],
-                  rows: list[tuple[int, int]]) -> np.ndarray:
-    """Compensated sum over the rows (0, u), a = u^{-1}, of the gamma = 0
-    terms u_1^{-k_1} u_2^{-k_2} e^{2 pi i tr(nu u^{-2} z)}, at every point
-    z = x + iy for x in xs at once."""
+def _unit_row_factors(spec: PoincareSpec, units):
+    """(u_1^{-k_1} u_2^{-k_2}, a_1, a_2) for each row (0, u), a = u^{-1}:
+    the factors of the gamma = 0 term u_1^{-k_1} u_2^{-k_2}
+    e^{2 pi i tr(nu a^2 z)}."""
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
+    for u in units:
+        u1, u2 = _embed(f, u)
+        yield (u1 ** (-k1) * u2 ** (-k2),) + _embed(f, _unit_inverse_int(f, u))
+
+
+def _identity_sum(spec: PoincareSpec, xs: np.ndarray, y: tuple[float, float],
+                  rows: list[tuple[int, int]]) -> np.ndarray:
+    """Compensated sum of the gamma = 0 terms over the rows (0, u), at
+    every point z = x + iy for x in xs at once."""
     nu1, nu2 = spec.nu.embeddings()
     z1 = xs[:, 0] + 1j * y[0]
     z2 = xs[:, 1] + 1j * y[1]
     ident = comp = np.zeros(len(xs), dtype=np.complex128)
-    for u in rows:
-        u1, u2 = _embed(f, u)
-        ui1, ui2 = _embed(f, _unit_inverse_int(f, u))
-        scale = u1 ** (-k1) * u2 ** (-k2)
+    for scale, ui1, ui2 in _unit_row_factors(spec, rows):
         ident, comp = _kahan(ident, comp, scale * np.exp(
             2j * math.pi * (nu1 * ui1 * ui1 * z1 + nu2 * ui2 * ui2 * z2)))
     return ident
 
 
 def _unit_remainder(spec: PoincareSpec, y: tuple[float, float],
-                    cap: int) -> float:
-    """TranslationsOnly unit-cap remainder: the magnitudes of the first
-    dropped rows (0, +-u), u = eps^{+-(cap + 1)}."""
-    f = spec.field
-    k1, k2 = spec.weight.as_tuple()
+                    dropped) -> float:
+    """TranslationsOnly unit-cap remainder: the term magnitudes of the
+    first dropped rows (0, +-u), u = eps^{+-(cap + 1)}."""
     nu1, nu2 = spec.nu.embeddings()
-    eps = fundamental_unit(f).int_coords()
-    um = (1, 0)
-    for _ in range(cap + 1):
-        um = _mul(f, um, eps)
     rem = 0.0
-    for u in (um, _unit_inverse_int(f, um)):
-        u1, u2 = _embed(f, u)
-        ui1, ui2 = _embed(f, _unit_inverse_int(f, u))
-        rem += 2.0 * abs(u1) ** (-k1) * abs(u2) ** (-k2) * math.exp(
+    for scale, ui1, ui2 in _unit_row_factors(spec, dropped):
+        rem += 2.0 * abs(scale) * math.exp(
             -TWO_PI * (nu1 * ui1 * ui1 * y[0] + nu2 * ui2 * ui2 * y[1]))
     return rem
 
@@ -438,8 +430,8 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     if spec.convention is GammaInfConvention.UNIT_EXTENDED:
         rows, unit_rem = [(1, 0)], 0.0
     else:
-        rows = _unit_rows(f, policy.unit_cap)
-        unit_rem = _unit_remainder(spec, y, policy.unit_cap)
+        rows, dropped = _unit_rows(f, policy.unit_cap)
+        unit_rem = _unit_remainder(spec, y, dropped)
     values = comp = np.zeros(npts, dtype=np.complex128)  # Kahan per point
     values, comp = _kahan(values, comp, _identity_sum(spec, xs_arr, y, rows))
     terms_used = npts * len(rows)
@@ -494,12 +486,9 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
             live = ph != 0
             if not live.any():
                 continue
-            pd = pd[live].astype(np.float64)
-            qd_f = qd_f[live].astype(np.float64)
             pt = pt[live]
             ph = ph[live]
-            d1 = pd + qd_f * w1e
-            d2 = pd + qd_f * w2e
+            d1, d2 = _embed(f, (pd[live], qd_f[live]))
             wz1 = (g1 * xs_arr[pt, 0] + d1) + 1j * (g1 * y[0])
             wz2 = (g2 * xs_arr[pt, 1] + d2) + 1j * (g2 * y[1])
             t = ph * wz1 ** (-k1) * wz2 ** (-k2) * np.exp(
@@ -560,7 +549,7 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
     if spec.convention is GammaInfConvention.UNIT_EXTENDED:
         reps.append(CosetRep(gamma=f.zero, delta=f.one, a=f.one, b=f.zero))
     else:
-        for u in _unit_rows(f, policy.unit_cap):
+        for u in _unit_rows(f, policy.unit_cap)[0]:
             ui = _unit_inverse_int(f, u)
             reps.append(CosetRep(gamma=f.zero, delta=f.element(*u),
                                  a=f.element(*ui), b=f.zero))
