@@ -9,7 +9,9 @@ k >= 4 and level q is computed two independent ways:
           + 2 pi i^{-k} (n/m)^{(k-1)/2}
             sum_{c > 0, q | c} S(m,n;c)/c * J_{k-1}(4 pi sqrt(mn) / c)
 
-  with brute-force Kloosterman sums and a self-validating Bessel J;
+  with Kloosterman sums summed term by term over the units mod c (one
+  vectorised inverse table per c) and a self-validating Bessel J whose
+  ascending series runs in exact integer arithmetic;
 
 * direct coset summation of the series over bottom rows (c, d), c > 0,
   q | c, gcd(c, d) = 1 (plus the single identity row), followed by
@@ -26,9 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, pi
+from math import pi
 
 import numpy as np
 
@@ -36,6 +37,11 @@ TWO_PI = 2.0 * pi
 
 _BESSEL_SERIES_XMAX = 50.0
 _KLOOSTERMAN_CMAX = 10_000
+# QuadraturePolicy.auto refuses a run whose estimated lattice-term count
+# sum_c 2 W c y grid_n exceeds this; the largest criterion-1 configuration,
+# (m, n, k, q) = (3, 3, 12, 1), needs about 5.0e6
+_QUADRATURE_MAX_TERMS = 10 ** 8
+_SERIES_TOL_INV = 10 ** 16  # the series stops once its tail is < 1e-16
 _TAU_NMAX = 10_000
 
 
@@ -89,36 +95,78 @@ class QuadraturePolicy:
 
         d-tail:  sum_c 2 (W c y)^{1-k}/(k-1) <= 4 (W y q)^{1-k}/(k-1);
         c-tail:  2 y^{1-k} C^{2-k} / ((k-2) q).
+
+        Raises ClassicalError when the run would sum more than
+        _QUADRATURE_MAX_TERMS lattice terms, sum_{q | c <= C} 2 W c y grid_n
+        (k = 4 at n = 1 asks for about 1.6e17).
         """
         _check_fiber(y)  # before any arithmetic: y^{1-k} needs y > 0
         n, k, q = params.n, params.k, params.q
-        unfold = math.exp(TWO_PI * n * y)
         half_tol = tol / 2.0
-        w = (8.0 * unfold / ((k - 1) * half_tol)) ** (1.0 / (k - 1)) / (y * q)
-        c = (4.0 * y ** (1 - k) * unfold
-             / ((k - 2) * q * half_tol)) ** (1.0 / (k - 2))
-        c_max = max(int(math.ceil(c)) + q, 2 * q)
-        return cls(grid_n=grid_n, y=y, c_max=c_max,
-                   d_window=max(w, 4.0))
+        try:
+            unfold = math.exp(TWO_PI * n * y)
+            w = (8.0 * unfold / ((k - 1) * half_tol)) ** (1.0 / (k - 1)) \
+                / (y * q)
+            c = (4.0 * y ** (1 - k) * unfold
+                 / ((k - 2) * q * half_tol)) ** (1.0 / (k - 2))
+            c_max = max(int(math.ceil(c)) + q, 2 * q)
+        except OverflowError:
+            raise ClassicalError(
+                f"quadrature sizing overflows at n = {n}, y = {y}: far "
+                f"more than {_QUADRATURE_MAX_TERMS:.0e} lattice terms") from None
+        d_window = max(w, 4.0)
+        rows = c_max // q  # c = q, 2q, ..., rows q
+        terms = d_window * y * grid_n * q * rows * (rows + 1)
+        if terms > _QUADRATURE_MAX_TERMS:
+            raise ClassicalError(
+                f"quadrature needs about {terms:.2e} lattice terms "
+                f"(c_max {c_max}, d_window {d_window:.1f}), more than "
+                f"{_QUADRATURE_MAX_TERMS:.0e}")
+        return cls(grid_n=grid_n, y=y, c_max=c_max, d_window=d_window)
 
 
-def kloosterman(m: int, n: int, c: int) -> float:
-    """S(m, n; c) = sum over invertible x mod c of e((m x + n xbar)/c),
-    by brute force with exact modular inverses.  Real by conjugate
-    symmetry; returned as the cosine sum."""
+def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units x of Z/c in increasing order and their inverses mod c, as
+    int64 arrays (c = 1 has the single unit 0, its own inverse).  The
+    inverse is x^(phi(c) - 1) mod c by square-and-multiply; every product
+    is below c^2, so int64 is exact for c < 3e9."""
+    xs = np.arange(c, dtype=np.int64)
+    units = xs[np.gcd(xs, c) == 1]
+    inverses = np.ones_like(units)
+    base = units.copy()
+    power = len(units) - 1
+    while power:
+        if power & 1:
+            inverses = inverses * base % c
+        base = base * base % c
+        power >>= 1
+    return units, inverses % c
+
+
+def _check_kloosterman_modulus(c: int):
     if c < 1:
         raise ClassicalError("c must be >= 1")
     if c > _KLOOSTERMAN_CMAX:
         raise ClassicalError(f"brute-force Kloosterman capped at c <= "
                              f"{_KLOOSTERMAN_CMAX}")
-    if c == 1:
-        return 1.0
-    total = 0.0
-    for x in range(1, c):
-        if gcd(x, c) == 1:
-            xbar = pow(x, -1, c)
-            total += math.cos(TWO_PI * ((m * x + n * xbar) % c) / c)
-    return total
+
+
+def kloosterman(m: int, n: int, c: int) -> float:
+    """S(m, n; c) = sum over invertible x mod c of e((m x + n xbar)/c).
+    Real by conjugate symmetry; returned as the cosine sum.
+
+    The residues and the arguments 2 pi r / c are formed in numpy, in the
+    same IEEE operations (and so the same doubles) as a Python loop over
+    x; m and n are reduced mod c first, so int64 cannot overflow.  The
+    cosines come from math.cos, not np.cos, whose SIMD kernels may round
+    differently, and they are added strictly left to right in increasing
+    x by np.add.accumulate (np.sum adds pairwise), so the sum has the bits
+    of the plain loop `total += cos(...)`."""
+    _check_kloosterman_modulus(c)
+    units, inverses = _unit_inverses(c)
+    residues = ((m % c) * units + (n % c) * inverses) % c
+    cosines = list(map(math.cos, (TWO_PI * residues / c).tolist()))
+    return float(np.add.accumulate(cosines)[-1])
 
 
 def _bessel_series_rational(order: int, x: float) -> tuple[float, float]:
@@ -126,27 +174,43 @@ def _bessel_series_rational(order: int, x: float) -> tuple[float, float]:
     (j! (j+order)!) evaluated in exact rational arithmetic, with a rigorous
     geometric remainder bound.  Exact rationals sidestep the catastrophic
     cancellation the alternating series suffers in doubles once x exceeds
-    ~12."""
-    x2_4 = Fraction(x) * Fraction(x) / 4
-    prefix = Fraction(x) ** order / 2 ** order
-    term = Fraction(1, math.factorial(order))
-    total = term
-    tol = Fraction(1, 10 ** 16)
+    ~12.
+
+    With x = p/e exactly, x^2/4 = P/E (P = p^2, E = 4 e^2) and the partial
+    sum through term j is the integer A over D = E^j j! (j+order)!, so one
+    step is A <- A E j (j+order) +- P^j.  The stopping test (ratio < 1/2
+    and |prefix term| ratio < 1e-16) is decided by integer
+    cross-multiplication, and each result is one correctly rounded int/int
+    division.  These are the rationals a term-by-term Fraction sum forms,
+    so the doubles are the same bit for bit."""
+    p, e = x.as_integer_ratio()
+    big_p, big_e = p * p, 4 * e * e
+    pre_num, pre_den = p ** order, (2 * e) ** order  # prefix (x/2)^order
+    num, den = 1, math.factorial(order)
+    power = 1  # P^j: |term_j| = power / den
     j = 0
     # stop once the geometric tail bound (prefix included) is far below the
-    # double-precision target
+    # double-precision target; ratio = P / ratio_den
     while True:
         j += 1
-        term = -term * x2_4 / (j * (j + order))
-        total += term
-        ratio = x2_4 / ((j + 1) * (j + 1 + order))
-        if ratio < Fraction(1, 2) and prefix * abs(term) * ratio < tol:
+        step = big_e * j * (j + order)
+        power *= big_p
+        num = num * step + (-power if j % 2 else power)
+        den *= step
+        ratio_den = big_e * (j + 1) * (j + 1 + order)
+        if (2 * big_p < ratio_den
+                and pre_num * power * big_p * _SERIES_TOL_INV
+                < pre_den * den * ratio_den):
             break
         if j > 600:
             break
-    next_term = abs(term) * ratio
-    remainder = next_term / (1 - ratio) if ratio < 1 else next_term * 10
-    return float(prefix * total), float(prefix * remainder)
+    # next term |term_j| ratio, over (1 - ratio) if ratio < 1 else times 10
+    if big_p < ratio_den:
+        rem_num, rem_den = power * big_p, den * (ratio_den - big_p)
+    else:
+        rem_num, rem_den = 10 * power * big_p, den * ratio_den
+    return (pre_num * num / (pre_den * den),
+            pre_num * rem_num / (pre_den * rem_den))
 
 
 def _bessel_backward_recurrence(order: int, x: float) -> float:
@@ -220,6 +284,7 @@ def petersson_coefficient(params: ClassicalParams,
     if c_max < params.q:
         raise ClassicalError("c_max must be at least q")
     m, n, k, q = params.m, params.n, params.k, params.q
+    _check_kloosterman_modulus(c_max - c_max % q)  # the largest c, up front
     arg = 4 * pi * math.sqrt(m * n)
     ik = (-1) ** (k // 2)  # i^{-k} for even k
     total = 0.0
@@ -252,7 +317,12 @@ def _eval_series_grid(m: int, k: int, q: int,
                       policy: QuadraturePolicy) -> np.ndarray:
     """P_{m,k,q}(x + iy) on the equispaced circle grid, by direct coset
     summation over bottom rows (c, d), c > 0, q | c, gcd(c, d) = 1 plus
-    the identity row, using M z = a/c - 1/(c(cz+d)) with a d = 1 mod c."""
+    the identity row, using M z = a/c - 1/(c(cz+d)) with a d = 1 mod c.
+
+    Per c, the inverse table (-1 off the units) and the phase table
+    e(m a / c) over a mod c are built once and gathered by d; each entry
+    is the double the per-term expression gives.  Neither table outlives
+    its c."""
     n_grid = policy.grid_n
     y = policy.y
     xs = np.arange(n_grid) / n_grid
@@ -260,21 +330,22 @@ def _eval_series_grid(m: int, k: int, q: int,
     vals = np.exp(2j * pi * m * z)
     for c in range(q, policy.c_max + 1, q):
         halfw = policy.d_window * c * y
-        inv = np.array([pow(d, -1, c) if gcd(d, c) == 1 else -1
-                        for d in range(c)]) if c > 1 else np.zeros(1, dtype=int)
+        units, inverses = _unit_inverses(c)
+        inv = np.full(c, -1, dtype=np.int64)
+        inv[units] = inverses
+        phase = np.exp(2j * pi * (m * np.arange(c) / c))
         for i, x in enumerate(xs):
             lo = math.ceil(-c * x - halfw)
             hi = math.floor(-c * x + halfw)
             d = np.arange(lo, hi + 1)
-            a = inv[d % c] if c > 1 else np.zeros(len(d), dtype=int)
+            a = inv[d % c]
             live = a >= 0
             if not live.any():
                 continue
             d = d[live]
             a = a[live]
             w = c * z[i] + d
-            t = w ** (-k) * np.exp(2j * pi * (m * a / c)) \
-                * np.exp(-2j * pi * m / (c * w))
+            t = w ** (-k) * phase[a] * np.exp(-2j * pi * m / (c * w))
             vals[i] += t.sum()
     return vals
 

@@ -66,16 +66,20 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    try:  # a missing or unreadable file is a config error, like a bad line
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as err:
+        raise ValueError(f"cannot read config file: {err}") from err
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line: {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 

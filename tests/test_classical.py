@@ -1,12 +1,18 @@
-from math import gcd
+import math
+import random
+from fractions import Fraction
+from math import gcd, pi
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hpseries import classical as cla
 from hpseries.classical import (
     ClassicalError,
     ClassicalParams,
     QuadraturePolicy,
+    TWO_PI,
     bessel_j,
     bessel_j_with_bound,
     classical_poincare_coefficient_by_quadrature,
@@ -207,3 +213,169 @@ def test_scan_fixed_index_across_weights():
     for k in (12, 16, 24, 32, 40):
         scan = nonvanishing_range_scan(k, 1, 300)
         assert scan[0] == (1, True)
+
+
+# -- fast paths against the reference loops, bit for bit -----------------------
+#
+# The three functions below are the reference implementations the fast paths
+# replaced: the term-by-term Fraction series, the per-x pow() Kloosterman
+# loop and the per-term quadrature grid.  The fast paths must return the
+# same doubles, so these tests compare bits (float.hex / tobytes), not
+# approximate values.
+
+def _reference_bessel_series(order, x):
+    x2_4 = Fraction(x) * Fraction(x) / 4
+    prefix = Fraction(x) ** order / 2 ** order
+    term = Fraction(1, math.factorial(order))
+    total = term
+    tol = Fraction(1, 10 ** 16)
+    j = 0
+    while True:
+        j += 1
+        term = -term * x2_4 / (j * (j + order))
+        total += term
+        ratio = x2_4 / ((j + 1) * (j + 1 + order))
+        if ratio < Fraction(1, 2) and prefix * abs(term) * ratio < tol:
+            break
+        if j > 600:
+            break
+    next_term = abs(term) * ratio
+    remainder = next_term / (1 - ratio) if ratio < 1 else next_term * 10
+    return float(prefix * total), float(prefix * remainder)
+
+
+def _reference_kloosterman(m, n, c):
+    if c == 1:
+        return 1.0
+    total = 0.0
+    for x in range(1, c):
+        if gcd(x, c) == 1:
+            xbar = pow(x, -1, c)
+            total += math.cos(TWO_PI * ((m * x + n * xbar) % c) / c)
+    return total
+
+
+def _reference_eval_series_grid(m, k, q, policy):
+    n_grid = policy.grid_n
+    y = policy.y
+    xs = np.arange(n_grid) / n_grid
+    z = xs + 1j * y
+    vals = np.exp(2j * pi * m * z)
+    for c in range(q, policy.c_max + 1, q):
+        halfw = policy.d_window * c * y
+        inv = np.array([pow(d, -1, c) if gcd(d, c) == 1 else -1
+                        for d in range(c)]) if c > 1 else np.zeros(1, dtype=int)
+        for i, x in enumerate(xs):
+            lo = math.ceil(-c * x - halfw)
+            hi = math.floor(-c * x + halfw)
+            d = np.arange(lo, hi + 1)
+            a = inv[d % c] if c > 1 else np.zeros(len(d), dtype=int)
+            live = a >= 0
+            if not live.any():
+                continue
+            d = d[live]
+            a = a[live]
+            w = c * z[i] + d
+            t = w ** (-k) * np.exp(2j * pi * (m * a / c)) \
+                * np.exp(-2j * pi * m / (c * w))
+            vals[i] += t.sum()
+    return vals
+
+
+def _hex_pair(pair):
+    assert all(type(v) is float for v in pair)
+    return tuple(v.hex() for v in pair)
+
+
+def _bessel_cases():
+    rng = random.Random(20111)
+    c_sample = sorted({1, 2, 3, 7, 12, 100, 999, 1000,
+                       *rng.sample(range(1, 1001), 12)})
+    for order in range(3, 28):
+        for mn in (1, 2, 3, 4, 6, 9):
+            for c in c_sample:
+                yield order, 4 * pi * math.sqrt(mn) / c
+        # 60 and 120 lie past the series range bessel_j uses
+        yield from ((order, x) for x in (0.0, 50.0, 7, 60.0, 120.0))
+        yield from ((order, rng.uniform(0.0, 50.0)) for _ in range(8))
+
+
+def test_bessel_series_matches_fraction_series_bits():
+    cases = list(_bessel_cases())
+    assert len(cases) == 25 * (6 * 20 + 5 + 8)
+    for order, x in cases:
+        assert _hex_pair(cla._bessel_series_rational(order, x)) == \
+            _hex_pair(_reference_bessel_series(order, x)), (order, x)
+
+
+_KLOOSTERMAN_MODULI = [*range(1, 201), 211, 997, 1009, 7919, 9973,
+                       2 ** 13, 3 ** 8, 5 ** 5, 7 ** 4, 2 * 3 ** 7, 10_000]
+
+
+def test_unit_inverses():
+    for c in _KLOOSTERMAN_MODULI:
+        units, inverses = cla._unit_inverses(c)
+        assert units.tolist() == [x for x in range(c) if gcd(x, c) == 1]
+        assert ((units * inverses) % c == 1 % c).all()
+
+
+def test_kloosterman_matches_pow_loop_bits():
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            for c in _KLOOSTERMAN_MODULI:
+                got = kloosterman(m, n, c)
+                assert type(got) is float
+                assert got.hex() == _reference_kloosterman(m, n, c).hex(), \
+                    (m, n, c)
+
+
+@pytest.mark.parametrize("m,n,c", [
+    (250, 1001, 200), (7919, 7919, 997), (10_000, 3, 10_000),  # m, n >= c
+    (-1, 2, 97), (-5, -7, 360), (3, -10 ** 12, 1009),          # negative
+    (10 ** 18, 1, 9973), (1, 10 ** 18, 10_000),                 # > int64 / c
+    (10 ** 18, -10 ** 18, 8192), (2 ** 63 + 5, 3, 1000),
+])
+def test_kloosterman_wide_arguments_bits(m, n, c):
+    assert kloosterman(m, n, c).hex() == _reference_kloosterman(m, n, c).hex()
+
+
+@pytest.mark.parametrize("m,k,q,policy", [
+    (1, 12, 1, QuadraturePolicy(grid_n=16, y=1.1, c_max=13, d_window=6.0)),
+    (2, 16, 3, QuadraturePolicy(grid_n=8, y=1.2, c_max=30, d_window=5.0)),
+])
+def test_series_grid_matches_per_term_grid_bits(m, k, q, policy):
+    got = cla._eval_series_grid(m, k, q, policy)
+    want = _reference_eval_series_grid(m, k, q, policy)
+    assert got.tobytes() == want.tobytes()
+
+
+# -- refusing work that cannot finish ----------------------------------------------
+
+def test_petersson_refuses_cmax_past_kloosterman_cap(monkeypatch):
+    calls = []
+
+    def counting(m, n, c):
+        calls.append(c)
+        return kloosterman(m, n, c)
+
+    monkeypatch.setattr(cla, "kloosterman", counting)
+    cla._kloosterman_cached.cache_clear()
+    with pytest.raises(ClassicalError, match="capped at c <= 10000"):
+        petersson_coefficient(ClassicalParams(1, 2, 12, 1), 10_001)
+    assert calls == []
+    # the cap itself stays legal (one c = 10000 at this level)
+    petersson_coefficient(ClassicalParams(1, 2, 12, 10_000), 10_000)
+    assert calls == [10_000]
+    cla._kloosterman_cached.cache_clear()
+
+
+def test_quadrature_auto_refuses_unbounded_work():
+    for params in (ClassicalParams(1, 1, 4, 1), ClassicalParams(1, 30, 12, 1),
+                   ClassicalParams(1, 200, 12, 1)):  # e^{2 pi n y} overflows
+        with pytest.raises(ClassicalError, match="lattice terms"):
+            QuadraturePolicy.auto(params)
+    # the largest criterion-1 configuration stays well inside the limit
+    policy = QuadraturePolicy.auto(ClassicalParams(3, 3, 12, 1))
+    rows = policy.c_max
+    assert policy.d_window * policy.y * policy.grid_n * rows * (rows + 1) \
+        < cla._QUADRATURE_MAX_TERMS / 10

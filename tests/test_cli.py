@@ -57,6 +57,17 @@ def test_classical_quadrature_rejects_bad_flags(flag, capsys):
     assert out == ""
 
 
+def test_classical_fails_fast_on_unbounded_work(capsys):
+    # k = 4 asks the auto quadrature for ~1.6e17 lattice terms, and c_max
+    # past the Kloosterman cap used to be refused only after the full sum
+    for argv in (["quadrature", "--m", "1", "--n", "1", "--k", "4"],
+                 ["petersson", "--k", "12", "--cmax", "20000"]):
+        code, out, err = run_cli(["classical", *argv], capsys)
+        assert code == 2
+        assert err.startswith("config error")
+        assert out == ""
+
+
 def test_classical_quadrature_echoes_grid_and_y(capsys):
     code, out, _ = run_cli(["classical", "quadrature", "--k", "12"], capsys)
     assert code == 0
@@ -194,6 +205,19 @@ def test_config_file_fault_exits_2(command, line, message, capsys, tmp_path):
     code, out, err = run_cli([command, "--config", str(cfg), *axis], capsys)
     assert code == 2
     assert err == f"config error: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["sweep-weight", "certify"])
+@pytest.mark.parametrize("which", ["missing", "directory"])
+def test_unreadable_config_file_exits_2(command, which, capsys, tmp_path):
+    path = tmp_path / "missing.cfg" if which == "missing" else tmp_path
+    axis = ["--ks", "10"] if command == "sweep-weight" else ["--k", "12,12"]
+    code, out, err = run_cli([command, "--d", "5", "--config", str(path),
+                              *axis], capsys)
+    assert code == 2
+    assert err.startswith("config error: cannot read config file: ")
+    assert str(path) in err
     assert out == ""
 
 
