@@ -243,16 +243,20 @@ def _bessel_backward_recurrence(order: int, x: float) -> float:
     return target / norm
 
 
+def _check_bessel_domain(order: int, x: float, x_max: float):
+    if order < 3:
+        raise ClassicalError("order must be >= 3")
+    if not 0.0 <= x <= x_max:
+        raise ClassicalError(f"x must lie in [0, {x_max:g}]")
+
+
 def bessel_j(order: int, x: float) -> float:
     """J_order(x) for integer order >= 3, 0 <= x <= 1000, abs error < 1e-12.
 
     Exact-rational ascending series up to x = 50 (with rigorous remainder),
     backward recurrence beyond.
     """
-    if order < 3:
-        raise ClassicalError("order must be >= 3")
-    if not 0.0 <= x <= 1000.0:
-        raise ClassicalError("x must lie in [0, 1000]")
+    _check_bessel_domain(order, x, 1000.0)
     if x <= _BESSEL_SERIES_XMAX:
         value, rem = _bessel_series_rational(order, x)
         if rem > 1e-13:
@@ -263,9 +267,8 @@ def bessel_j(order: int, x: float) -> float:
 
 def bessel_j_with_bound(order: int, x: float) -> tuple[float, float]:
     """Series value together with its rigorous truncation remainder
-    (series range only)."""
-    if x > _BESSEL_SERIES_XMAX:
-        raise ClassicalError("remainder bound only for the series range")
+    (series range only: order >= 3, 0 <= x <= 50)."""
+    _check_bessel_domain(order, x, _BESSEL_SERIES_XMAX)
     return _bessel_series_rational(order, x)
 
 

@@ -10,6 +10,12 @@ coefficients of a holomorphic periodic evaluand are y-independent, which is
 used as a consistency check rather than assumed.
 
 The e^{+2 pi tr(mu y)} unfolding factor is applied once at the end.
+
+The Poincare series has real coefficients, so its samples obey
+P(-x + iy) = conj P(x + iy); `PoincareEvaluand` evaluates the lattice sum
+at one point per reflection orbit (n^2/2 + 2 points) and fills the mirror
+half of the grid by conjugation.  The imaginary part of an extracted
+coefficient is then a rounding check, not a truncation effect.
 """
 
 from __future__ import annotations
@@ -87,15 +93,47 @@ class Evaluand(Protocol):
 
 
 class PoincareEvaluand:
-    """Truncated Poincare series as an extraction target."""
+    """Truncated Poincare series as an extraction target.
+
+    The series is sampled at one point per orbit of the reflection
+    x -> -x on the grid, and the mirror half is filled by conjugation:
+    P(-x + iy) = conj P(x + iy).  Why this holds term by term: the map
+    (gamma, delta) -> (gamma, -delta) keeps gamma canonical (canonicity
+    reads gamma alone) and in the level ideal, keeps the pair unimodular,
+    sends the completion a to -a and the delta box at x onto the box at
+    -x.  With w_j = gamma_j z_j + delta_j, the image row at -x + iy has
+    w_j' = -conj(w_j), so w_1'^{-k_1} w_2'^{-k_2} = (-1)^{k_1+k_2}
+    conj(w_1^{-k_1} w_2^{-k_2}) with k_1 + k_2 even (a Weight invariant);
+    the residue phase e^{2 pi i tr(nu a/gamma)} and the factor
+    e^{-2 pi i sum_j nu_j/(gamma_j w_j)} go to their conjugates, as does
+    every gamma = 0 term e^{2 pi i tr(nu a^2 z)}.  So each term maps to its
+    conjugate, under both Gamma_inf conventions and at any level.  Grid
+    index (u, v) pairs with ((-u) mod n, (-v) mod n), which is -x up to a
+    translation by O_F; the truncated sum is O_F-periodic because the delta
+    box at x + lambda is the box at x shifted by gamma*lambda, with the
+    residue of a unchanged.  Mirror tails are the representative's tail.
+    """
 
     def __init__(self, spec: PoincareSpec, policy: TruncationPolicy):
         self.spec = spec
         self.policy = policy
 
     def sample_grid(self, domain: SamplingDomain):
-        xs = domain.lattice_points()
-        return evaluate_grid(self.spec, xs, domain.y, self.policy)[:2]
+        n = domain.grid_n
+        idx = np.arange(n * n)
+        u, v = np.divmod(idx, n)
+        mirror = ((-u) % n) * n + (-v) % n  # row-major index of -x(u, v)
+        reps = np.flatnonzero(idx <= mirror)  # one per orbit: n^2/2 + 2
+        rep_values, rep_tails = evaluate_grid(
+            self.spec, domain.lattice_points()[reps], domain.y, self.policy)[:2]
+        values = np.empty(n * n, dtype=np.complex128)
+        tails = np.empty(n * n, dtype=np.float64)
+        # mirrors first, so that the 4 two-torsion points (their own
+        # mirrors) keep their computed value
+        values[mirror[reps]] = np.conj(rep_values)
+        values[reps] = rep_values
+        tails[mirror[reps]] = tails[reps] = rep_tails
+        return values, tails
 
     def min_alias_trace(self, domain: SamplingDomain) -> float:
         """The spectrum of a (truncated) cusp form sits on totally positive

@@ -404,6 +404,18 @@ def _check_y(y: tuple[float, float]):
         raise EvaluationError(f"Im(z) below the quality guard {_MIN_IM}")
 
 
+def _points_array(xs) -> np.ndarray:
+    """xs as a float (npts, 2) array with npts >= 1, else EvaluationError."""
+    try:
+        arr = np.asarray(xs, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise EvaluationError(f"xs is not an array of points: {err}") from None
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != 2:
+        raise EvaluationError(f"xs must be a non-empty (npts, 2) array of "
+                              f"embedding pairs, got shape {arr.shape}")
+    return arr
+
+
 def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
                   y: tuple[float, float], policy: TruncationPolicy):
     """(values, tails, terms_used, largest_dropped) of the truncated series
@@ -411,14 +423,15 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     tail estimates, the total term count and the largest term bound left
     out of the sum.  The only lattice-sum engine; `evaluate` is its
     one-point case.  Deterministic: fixed class and lattice ordering,
-    per-point bincount reductions in that order."""
+    per-point bincount reductions in that order.  xs must be a non-empty
+    (npts, 2) array (EvaluationError otherwise)."""
     _check_y(y)
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
     nu1, nu2 = spec.nu.embeddings()
     w1e, w2e = f.omega_embeddings()
     sq_disc = f.sqrt_disc
-    xs_arr = np.asarray(xs, dtype=np.float64)
+    xs_arr = _points_array(xs)
     npts = xs_arr.shape[0]
     shell_mass = np.zeros(npts, dtype=np.float64)
     classes, skip_mass, largest_dropped = _classes_with_skip_info(

@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from hpseries.qfield import DualIndex, ideal_from_gen, make_field
+from hpseries.hpoincare import GammaInfConvention, PoincareSpec, Weight
+from hpseries.qfield import (
+    EUCLIDEAN_D,
+    DualIndex,
+    ideal_from_gen,
+    make_field,
+    trace_one_totally_positive,
+)
 
 settings.register_profile(
     "pkg",
@@ -31,3 +38,27 @@ def mu5(field5):
 @pytest.fixture(scope="session")
 def unit_ideal5(field5):
     return ideal_from_gen(field5.one)
+
+
+# (d, weight, level generator, convention) for the reflection checks:
+# every Euclidean field at parallel weight and level 1, plus non-parallel
+# weight over norm +1 units (d = 3, 7), levels 2 and 3, translations_only
+_SYMMETRY_CASES = (
+    [(d, (8, 8), 1, GammaInfConvention.UNIT_EXTENDED) for d in EUCLIDEAN_D]
+    + [(3, (5, 7), 1, GammaInfConvention.UNIT_EXTENDED),
+       (7, (5, 7), 1, GammaInfConvention.UNIT_EXTENDED),
+       (5, (6, 6), 2, GammaInfConvention.UNIT_EXTENDED),
+       (13, (8, 8), 3, GammaInfConvention.UNIT_EXTENDED),
+       (5, (8, 8), 1, GammaInfConvention.TRANSLATIONS_ONLY)])
+
+
+@pytest.fixture(params=_SYMMETRY_CASES,
+                ids=[f"d{d}-k{k[0]},{k[1]}-level{g}-{c.value}"
+                     for d, k, g, c in _SYMMETRY_CASES])
+def symmetry_spec(request):
+    d, k, level_gen, convention = request.param
+    f = make_field(d)
+    return PoincareSpec(field=f, weight=Weight(*k),
+                        nu=trace_one_totally_positive(f, 8)[-1],
+                        level=ideal_from_gen(f.element(level_gen, 0)),
+                        convention=convention)

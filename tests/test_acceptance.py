@@ -248,6 +248,15 @@ def test_criterion_5_weight_sweep(crit5_report):
     assert seconds < 600.0
 
 
+def test_criterion_5_coefficients_real(crit5_report):
+    """The coefficients are real; with the sampled grid conjugate-symmetric
+    by construction, Im p is a rounding check."""
+    rep, _seconds = crit5_report
+    for row in rep.ok_rows():
+        for est in (row.p_nu, row.p_mu):
+            assert abs(est.value.imag) < 1e-13, (row.param, est.value)
+
+
 # -- criterion 6: Hilbert level sweep ----------------------------------------------
 
 def test_criterion_6_level_sweep(crit6_report):

@@ -85,6 +85,19 @@ def test_bessel_self_validating_remainder():
     assert value == pytest.approx(1.1980067463031372e-11, rel=1e-12)
 
 
+def test_bessel_with_bound_domain():
+    """The bounded series has bessel_j's domain: order >= 3 and
+    0 <= x <= 50 (a negative x once gave J_3(-2.5) a wrong value with a
+    negative remainder)."""
+    for order, x in [(2, 1.0), (0, 0.5), (3, -2.5), (11, -1e-9),
+                     (11, 50.5), (3, math.nan)]:
+        with pytest.raises(ClassicalError):
+            bessel_j_with_bound(order, x)
+    for order, x in [(3, 0.0), (3, 50.0)]:
+        value, remainder = bessel_j_with_bound(order, x)
+        assert value == bessel_j(order, x) and 0.0 <= remainder <= 1e-13
+
+
 @given(st.integers(4, 30), st.floats(0.5, 200.0))
 def test_bessel_recurrence_identity(order, x):
     lhs = bessel_j(order - 1, x) + bessel_j(order + 1, x)

@@ -15,7 +15,12 @@ from hpseries.fourier import (
     extract_many,
     y_independence_check,
 )
-from hpseries.hpoincare import PoincareSpec, TruncationPolicy, Weight
+from hpseries.hpoincare import (
+    PoincareSpec,
+    TruncationPolicy,
+    Weight,
+    evaluate_grid,
+)
 from hpseries.qfield import EUCLIDEAN_D, DualIndex, codifferent_gen, make_field
 
 
@@ -126,6 +131,23 @@ def test_trace_one_batch_is_finite_and_near_real(field5, nu5, mu5,
     for est in ests:
         assert math.isfinite(est.value.real) and math.isfinite(est.value.imag)
         assert abs(est.value.imag) < 1e-10 * (1 + abs(est.value))
+
+
+def test_sample_grid_matches_full_grid(symmetry_spec):
+    """The half-grid sample with its conjugate-filled mirror half against
+    the lattice sum evaluated at every grid point.  Per-point bits depend
+    on where a point sits in the batch, so the comparison is by tolerance."""
+    spec = symmetry_spec
+    policy = TruncationPolicy(gamma_height_max=8.0, term_cutoff=1e-11,
+                              unit_cap=3)
+    dom = SamplingDomain(field=spec.field, y1=1.1, y2=1.0, grid_n=16)
+    values, tails = PoincareEvaluand(spec, policy).sample_grid(dom)
+    full_values, full_tails = evaluate_grid(spec, dom.lattice_points(),
+                                            dom.y, policy)[:2]
+    assert values.shape == full_values.shape == (16 * 16,)
+    assert np.abs(values - full_values).max() \
+        <= 1e-12 * np.abs(full_values).max()
+    assert (np.abs(tails - full_tails) <= 1e-12 * full_tails).all()
 
 
 def test_aliasing_guard_out_of_box_target(field5, nu5, dom16):

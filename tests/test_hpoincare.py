@@ -86,6 +86,14 @@ def test_evaluate_rejects_low_im(spec8, policy_small):
         evaluate(spec8, (0.1 + 1e-5j, 0.2 + 1.0j), policy_small)
 
 
+@pytest.mark.parametrize("xs", ([], [[]], [0.1, 0.2], [(0.1, 0.2, 0.3)],
+                                [[(0.1, 0.2)]], [(0.1, 0.2), (0.3,)],
+                                [("a", "b")]))
+def test_evaluate_grid_rejects_malformed_points(spec8, policy_small, xs):
+    with pytest.raises(EvaluationError):
+        evaluate_grid(spec8, xs, (1.1, 1.0), policy_small)
+
+
 # -- automorphy factor and single terms ----------------------------------------
 
 def test_automorphy_identity_row(field5, spec8):
@@ -230,6 +238,25 @@ def test_evaluate_matches_coset_sum_level_two(field5, nu5):
     res = evaluate(spec, Z0, policy)
     direct = sum(term(M, Z0, spec) for M in enumerate_cosets(spec, Z0, policy))
     assert res.value == pytest.approx(direct, abs=1e-13)
+
+
+def test_reflection_through_explicit_cosets(symmetry_spec):
+    """sum_M term(M, -x + iy) = conj sum_M term(M, x + iy) over the explicit
+    coset representatives, at a point x off every sampling grid: the
+    identity behind filling half of a sampling grid by conjugation."""
+    spec = symmetry_spec
+    policy = TruncationPolicy(gamma_height_max=5.0, term_cutoff=1e-9,
+                              unit_cap=3)
+    x, y = (0.2718, -0.1414), (1.15, 1.05)
+    z = (complex(x[0], y[0]), complex(x[1], y[1]))
+    zm = (complex(-x[0], y[0]), complex(-x[1], y[1]))
+    reps = enumerate_cosets(spec, z, policy)
+    reps_m = enumerate_cosets(spec, zm, policy)
+    assert len(reps_m) == len(reps) > 1
+    direct = sum(term(M, z, spec) for M in reps)
+    mirrored = sum(term(M, zm, spec) for M in reps_m)
+    assert abs(direct.imag) > 1e-3 * abs(direct)  # conj is not a no-op
+    assert abs(mirrored - direct.conjugate()) <= 1e-12 * abs(direct)
 
 
 def test_evaluate_translations_only_matches_coset_sum(field5, nu5,
