@@ -71,8 +71,8 @@ class PeterssonResult:
 
 
 def _check_fiber(y: float):
-    if y <= 1.0:
-        raise ClassicalError("quadrature fiber needs y > 1")
+    if not math.isfinite(y) or y <= 1.0:
+        raise ClassicalError("quadrature fiber needs a finite y > 1")
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,9 @@ class SamplingDomain:
     grid_n: int
 
     def __post_init__(self):
-        if self.y1 <= 0 or self.y2 <= 0 or self.y1 * self.y2 <= 1.0:
-            raise ValueError("need y1, y2 > 0 with N(y) = y1*y2 > 1")
+        if not (math.isfinite(self.y1) and math.isfinite(self.y2)) \
+                or self.y1 <= 0 or self.y2 <= 0 or self.y1 * self.y2 <= 1.0:
+            raise ValueError("need finite y1, y2 > 0 with N(y) = y1*y2 > 1")
         if self.grid_n < 4 or self.grid_n % 2:
             raise ValueError("grid_n must be even and >= 4")
 
@@ -102,7 +103,8 @@ class PoincareEvaluand:
     reads gamma alone) and in the level ideal, keeps the pair unimodular,
     sends the completion a to -a and the delta box at x onto the box at
     -x.  With w_j = gamma_j z_j + delta_j, the image row at -x + iy has
-    w_j' = -conj(w_j), so w_1'^{-k_1} w_2'^{-k_2} = (-1)^{k_1+k_2}
+    w_j' = -conj(w_j), so |w_j'| = |w_j| and the cutoff keeps the image
+    row iff it keeps the row; w_1'^{-k_1} w_2'^{-k_2} = (-1)^{k_1+k_2}
     conj(w_1^{-k_1} w_2^{-k_2}) with k_1 + k_2 even (a Weight invariant);
     the residue phase e^{2 pi i tr(nu a/gamma)} and the factor
     e^{-2 pi i sum_j nu_j/(gamma_j w_j)} go to their conjugates, as does
@@ -111,7 +113,7 @@ class PoincareEvaluand:
     index (u, v) pairs with ((-u) mod n, (-v) mod n), which is -x up to a
     translation by O_F; the truncated sum is O_F-periodic because the delta
     box at x + lambda is the box at x shifted by gamma*lambda, with the
-    residue of a unchanged.  Mirror tails are the representative's tail.
+    residue of a and every w_j unchanged.  Mirror tails are the representative's tail.
     """
 
     def __init__(self, spec: PoincareSpec, policy: TruncationPolicy):

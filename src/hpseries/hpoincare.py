@@ -22,8 +22,15 @@ Terms are evaluated as
 
 using M z = a/gamma - 1/(gamma (gamma z + delta)), so only the residue of
 the completion a = delta^{-1} mod gamma is needed; residue phases are
-precomputed exactly per class.  delta boxes are sized from the closed-form
-term modulus so that every excluded term is below the policy cutoff.
+precomputed exactly per class.  The policy cutoff is exact: a term is summed
+iff its bound prod_j |w_j|^{-k_j} is at least the cutoff, i.e.
+
+    k_1 log(u_1^2 + b_1^2) + k_2 log(u_2^2 + b_2^2) <= -2 log(cutoff),
+    u_j = gamma_j x_j + delta_j,  b_j = gamma_j y_j.
+
+A per-class delta box, sized from the same bound, only limits the sites
+looked at; the bounds of the box sites below the cutoff are summed into
+the tail estimate.
 """
 
 from __future__ import annotations
@@ -57,8 +64,8 @@ _SHELL_FRAC = 0.75  # classes with height above this fraction of the box
                     # feed the tail estimate
 _DELTA_BOX_MARGIN = 1.0  # added to each delta-box half-width
 _MIN_IM = 1e-3  # quality guard: smallest Im(z_j) accepted
-_CHUNK_ELEMENTS = 2_000_000  # lattice sites per evaluate_grid chunk: bounds
-                             # the size of its temporary arrays
+_CHUNK_ELEMENTS = 200_000  # lattice sites per evaluate_grid chunk: keeps
+                           # its temporary arrays small and cache-resident
 
 
 class EvaluationError(ValueError):
@@ -137,9 +144,12 @@ class TruncationPolicy:
     unit_cap: int = 6       # TranslationsOnly only
 
     def __post_init__(self):
-        if min(self.gamma_height_max, self.term_cutoff) <= 0 \
+        # NaN passes every <= test: ask for finiteness first
+        if not all(map(math.isfinite, (self.gamma_height_max,
+                                       self.term_cutoff))) \
+                or min(self.gamma_height_max, self.term_cutoff) <= 0 \
                 or self.max_terms <= 0:
-            raise EvaluationError("policy fields must be positive")
+            raise EvaluationError("policy fields must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -328,8 +338,9 @@ def _unit_rows(f: RealQuadraticField, cap: int):
 
 def _delta_windows(b1: float, b2: float, k1: int, k2: int, cutoff: float):
     """Half-widths (W1, W2) of the per-embedding delta box around
-    (-gamma_j x_j).  Every delta outside the box has
-    prod |gamma_j z_j + delta_j|^{-k_j} < cutoff."""
+    (-gamma_j x_j), or None if no delta reaches the cutoff.  Every delta
+    outside the box has prod |gamma_j z_j + delta_j|^{-k_j} < cutoff; the
+    box bounds the enumeration, `_cutoff_window` picks the sites summed."""
     r1 = (b2 ** (-k2) / cutoff) ** (1.0 / k1)
     r2 = (b1 ** (-k1) / cutoff) ** (1.0 / k2)
     if r1 <= b1 or r2 <= b2:
@@ -339,16 +350,53 @@ def _delta_windows(b1: float, b2: float, k1: int, k2: int, cutoff: float):
     return wd1, wd2
 
 
-def _class_delta_ranges(cl: _GammaClass, x: tuple[float, float],
-                        wd: tuple[float, float], sq_disc: float):
-    """Integer (q-range, p-ranges) covering the delta box at grid point x."""
+def _q_ranges(cl: _GammaClass, x1, x2, wd: tuple[float, float],
+              sq_disc: float):
+    """(c1, c2, qlo, qhi): the box centres -gamma_j x_j and the q-range of
+    the delta box at points with real parts x1, x2 (arrays)."""
+    c1 = -cl.emb[0] * x1
+    c2 = -cl.emb[1] * x2
+    qlo = np.ceil(((c1 - wd[0]) - (c2 + wd[1])) / sq_disc).astype(np.int64)
+    qhi = np.floor(((c1 + wd[0]) - (c2 - wd[1])) / sq_disc).astype(np.int64)
+    return c1, c2, qlo, qhi
+
+
+def _box_sites(c1: np.ndarray, c2: np.ndarray, qlo: np.ndarray,
+               qhi: np.ndarray, wd: tuple[float, float],
+               omega_emb: tuple[float, float]):
+    """(point, p, q) arrays of every delta = p + q w in the box
+    |delta_j - c_j| <= W_j of each point (per-point arrays c1, c2 and the
+    q-range [qlo, qhi]), ordered by point, then q, then p."""
+    w1e, w2e = omega_emb
+    nq = np.maximum(qhi - qlo + 1, 0)
+    pt_q = np.repeat(np.arange(len(nq)), nq)
+    qd = np.repeat(qlo - (np.cumsum(nq) - nq), nq) + np.arange(len(pt_q))
+    plo = np.ceil(np.maximum(c1[pt_q] - wd[0] - qd * w1e,
+                             c2[pt_q] - wd[1] - qd * w2e)).astype(np.int64)
+    phi = np.floor(np.minimum(c1[pt_q] + wd[0] - qd * w1e,
+                              c2[pt_q] + wd[1] - qd * w2e)).astype(np.int64)
+    cnt = np.maximum(phi - plo + 1, 0)
+    pd = np.repeat(plo - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
+    return np.repeat(pt_q, cnt), pd, np.repeat(qd, cnt)
+
+
+def _cutoff_window(f: RealQuadraticField, cl: _GammaClass, x1, x2,
+                   y: tuple[float, float], pd: np.ndarray, qd: np.ndarray,
+                   weight: Weight, cutoff: float):
+    """(u1, u2, keep, logs) for the delta sites (pd, qd) of class cl at
+    points with real parts x1, x2: u_j = gamma_j x_j + delta_j is the real
+    part of w_j = gamma_j z_j + delta_j, logs = sum_j k_j log|w_j|^2, and
+    keep marks the sites whose term bound prod_j |w_j|^{-k_j} = e^{-logs/2}
+    is at least the cutoff.  The one decision of which sites are summed,
+    shared by `evaluate_grid` and `enumerate_cosets`."""
     g1, g2 = cl.emb
-    c1 = -g1 * x[0]
-    c2 = -g2 * x[1]
-    wd1, wd2 = wd
-    qlo = math.ceil(((c1 - wd1) - (c2 + wd2)) / sq_disc)
-    qhi = math.floor(((c1 + wd1) - (c2 - wd2)) / sq_disc)
-    return c1, c2, int(qlo), int(qhi)
+    b1, b2 = abs(g1) * y[0], abs(g2) * y[1]
+    d1, d2 = _embed(f, (pd, qd))
+    u1 = g1 * x1 + d1
+    u2 = g2 * x2 + d2
+    logs = weight.k1 * np.log(u1 * u1 + b1 * b1) \
+        + weight.k2 * np.log(u2 * u2 + b2 * b2)
+    return u1, u2, logs <= -2.0 * math.log(cutoff), logs
 
 
 # -- identity class ----------------------------------------------------------
@@ -420,23 +468,37 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
                   y: tuple[float, float], policy: TruncationPolicy):
     """(values, tails, terms_used, largest_dropped) of the truncated series
     at the points x + iy for x in xs (embedding pairs): per-point values and
-    tail estimates, the total term count and the largest term bound left
-    out of the sum.  The only lattice-sum engine; `evaluate` is its
-    one-point case.  Deterministic: fixed class and lattice ordering,
-    per-point bincount reductions in that order.  xs must be a non-empty
-    (npts, 2) array (EvaluationError otherwise)."""
+    tail estimates, the total count of summed terms and the largest term
+    bound left out of the sum.  The only lattice-sum engine; `evaluate` is
+    its one-point case.
+
+    Per class, the delta box of `_delta_windows` only bounds the
+    enumeration: a box site is summed iff its bound prod_j |w_j|^{-k_j} is
+    at least the cutoff (`_cutoff_window`), and the residue lookup and the
+    term are computed for kept sites only.  The bounds of the dropped box
+    sites are added to the tail per point; |e^{2 pi i tr(nu Mz)}| <= 1, so
+    that sum bounds what they would have contributed (sites with no
+    completion residue are counted too, which only over-bounds it).  The
+    tail also holds the boundary-shell, box-perimeter, skipped-class,
+    beyond-box and unit-cap parts.
+
+    Deterministic: fixed class and lattice ordering, per-point bincount
+    reductions in that order.  xs must be a non-empty (npts, 2) array
+    (EvaluationError otherwise)."""
     _check_y(y)
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
     nu1, nu2 = spec.nu.embeddings()
-    w1e, w2e = f.omega_embeddings()
+    omega_emb = f.omega_embeddings()
     sq_disc = f.sqrt_disc
     xs_arr = _points_array(xs)
     npts = xs_arr.shape[0]
+    x1, x2 = np.ascontiguousarray(xs_arr.T)
     shell_mass = np.zeros(npts, dtype=np.float64)
+    cut_mass = np.zeros(npts, dtype=np.float64)
     classes, skip_mass, largest_dropped = _classes_with_skip_info(
         spec, y, policy)
-    dropped_sites = 0.0
+    perimeter_sites = 0.0
 
     # identity class; UnitExtended folds the units into the stabilizer and
     # keeps the row (0, 1) alone
@@ -459,70 +521,64 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
             skip_mass += bound
             largest_dropped = max(largest_dropped, bound)
             continue
-        dropped_sites += (2.0 * (wd[0] + wd[1]) / sq_disc + 4.0) * npts
+        perimeter_sites += (2.0 * (wd[0] + wd[1]) / sq_disc + 4.0) * npts
         A, B, C = cl.hnf
         tab_flat = cl.phase_table.reshape(-1)
-        c1 = -g1 * xs_arr[:, 0]
-        c2 = -g2 * xs_arr[:, 1]
-        qlo = np.ceil(((c1 - wd[0]) - (c2 + wd[1])) / sq_disc).astype(np.int64)
-        qhi = np.floor(((c1 + wd[0]) - (c2 - wd[1])) / sq_disc).astype(np.int64)
+        c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, wd, sq_disc)
         per_point = float(np.maximum(qhi - qlo + 1, 0).mean()) \
             * (2 * wd[0] + 1) or 1.0
         chunk = max(1, int(_CHUNK_ELEMENTS / max(per_point, 1.0)))
         is_shell = cl.height >= shell_height
+        # a chunk is a run of whole points; pt indexes into it, so each
+        # point's reductions do not depend on the chunking
         for start in range(0, npts, chunk):
-            stop = min(start + chunk, npts)
-            sl = slice(start, stop)
-            nq = np.maximum(qhi[sl] - qlo[sl] + 1, 0)
-            if nq.sum() == 0:
+            sl = slice(start, min(start + chunk, npts))
+            n = sl.stop - start
+            pt, pd, qd = _box_sites(c1[sl], c2[sl], qlo[sl], qhi[sl], wd,
+                                    omega_emb)
+            if len(pt) == 0:
                 continue
-            pt_q = np.repeat(np.arange(start, stop), nq)
-            offs = np.arange(len(pt_q)) - np.repeat(
-                np.cumsum(nq) - nq, nq)
-            qd = qlo[pt_q] + offs
-            plo = np.ceil(np.maximum(c1[pt_q] - wd[0] - qd * w1e,
-                                     c2[pt_q] - wd[1] - qd * w2e)).astype(np.int64)
-            phi = np.floor(np.minimum(c1[pt_q] + wd[0] - qd * w1e,
-                                      c2[pt_q] + wd[1] - qd * w2e)).astype(np.int64)
-            cnt = np.maximum(phi - plo + 1, 0)
-            total = int(cnt.sum())
-            if total == 0:
-                continue
-            rep = np.repeat(np.arange(len(cnt)), cnt)
-            offs2 = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            pd = plo[rep] + offs2
-            qd_f = qd[rep]
-            pt = pt_q[rep]
-            jj = qd_f % C
-            ii = (pd - ((qd_f - jj) // C) * B) % A
+            u1, u2, keep, logs = _cutoff_window(
+                f, cl, x1[sl][pt], x2[sl][pt], y, pd, qd, spec.weight,
+                policy.term_cutoff)
+            cut = ~keep
+            if cut.any():
+                cut_bound = np.exp(-0.5 * logs[cut])
+                cut_mass[sl] += np.bincount(pt[cut], weights=cut_bound,
+                                            minlength=n)
+                largest_dropped = max(largest_dropped, float(cut_bound.max()))
+            pt, pd, qd, u1, u2 = pt[keep], pd[keep], qd[keep], u1[keep], \
+                u2[keep]
+            jj = qd % C
+            ii = (pd - ((qd - jj) // C) * B) % A
             ph = tab_flat[ii * C + jj]
             live = ph != 0
             if not live.any():
                 continue
             pt = pt[live]
             ph = ph[live]
-            d1, d2 = _embed(f, (pd[live], qd_f[live]))
-            wz1 = (g1 * xs_arr[pt, 0] + d1) + 1j * (g1 * y[0])
-            wz2 = (g2 * xs_arr[pt, 1] + d2) + 1j * (g2 * y[1])
+            wz1 = u1[live] + 1j * (g1 * y[0])
+            wz2 = u2[live] + 1j * (g2 * y[1])
             t = ph * wz1 ** (-k1) * wz2 ** (-k2) * np.exp(
                 -2j * math.pi * (nu1 / (g1 * wz1) + nu2 / (g2 * wz2)))
-            terms_used += int(live.sum())
+            terms_used += len(pt)
             if terms_used > policy.max_terms:
                 raise TruncationLimitExceeded(terms_used)
-            sums = (np.bincount(pt, weights=t.real, minlength=npts)
-                    + 1j * np.bincount(pt, weights=t.imag, minlength=npts))
-            values, comp = _kahan(values, comp, sums)
+            sums = (np.bincount(pt, weights=t.real, minlength=n)
+                    + 1j * np.bincount(pt, weights=t.imag, minlength=n))
+            values[sl], comp[sl] = _kahan(values[sl], comp[sl], sums)
             if is_shell:
-                shell_mass += np.bincount(pt, weights=np.abs(t),
-                                          minlength=npts)
+                shell_mass[sl] += np.bincount(pt, weights=np.abs(t),
+                                              minlength=n)
     h = policy.gamma_height_max
     geom = (h / (h + 1.0)) ** (2 * (min(k1, k2) - 1))
     beyond = _beyond_box_mass(spec, y, policy,
                               bool(classes) or skip_mass > 0.0)
-    tails = shell_mass * geom / (1.0 - geom) \
-        + policy.term_cutoff * dropped_sites / npts + skip_mass \
+    tails = shell_mass * geom / (1.0 - geom) + cut_mass \
+        + policy.term_cutoff * perimeter_sites / npts + skip_mass \
         + beyond + unit_rem
-    return values, tails, terms_used, largest_dropped
+    # a cut site's bound is below the cutoff; e^{-logs/2} may round above it
+    return values, tails, terms_used, min(largest_dropped, policy.term_cutoff)
 
 
 def evaluate(spec: PoincareSpec, z: tuple[complex, complex],
@@ -537,9 +593,11 @@ def evaluate(spec: PoincareSpec, z: tuple[complex, complex],
 
 def tail_bound(spec: PoincareSpec, z: tuple[complex, complex],
                policy: TruncationPolicy) -> float:
-    """Heuristic bound on the truncated mass: boundary-shell magnitudes
-    times a geometric factor, plus cutoff mass for the delta boxes.
-    Reported separately from the value, never added to it."""
+    """Estimate of the truncated mass at z: the summed bounds of the delta
+    sites below the cutoff, plus heuristic parts (boundary-shell magnitudes
+    times a geometric factor, cutoff mass for the box perimeters, skipped
+    classes, the classes beyond the height box, the unit cap).  Reported
+    separately from the value, never added to it."""
     return evaluate(spec, z, policy).tail_estimate
 
 
@@ -547,17 +605,17 @@ def tail_bound(spec: PoincareSpec, z: tuple[complex, complex],
 
 def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
                      policy: TruncationPolicy) -> list[CosetRep]:
-    """Materialized coset representatives for the truncation box at z, in
-    deterministic order.  Reference path for tests and small runs; the
-    production sum (`evaluate_grid`) shares the class/box construction but
-    keeps only residue data."""
+    """Materialized coset representatives of the terms `evaluate` sums at
+    z, in deterministic order.  Reference path for tests and small runs: it
+    enumerates the same delta boxes and keeps a site by the same
+    `_cutoff_window` decision as `evaluate_grid`, so both sum exactly the
+    same rows; it then tests unimodularity and completes each pair exactly
+    instead of reading residue tables."""
     f = spec.field
     y = (z[0].imag, z[1].imag)
     _check_y(y)
-    x = (z[0].real, z[1].real)
+    x1, x2 = np.array([z[0].real]), np.array([z[1].real])
     k1, k2 = spec.weight.as_tuple()
-    sq_disc = f.sqrt_disc
-    w1e, w2e = f.omega_embeddings()
     reps: list[CosetRep] = []
     if spec.convention is GammaInfConvention.UNIT_EXTENDED:
         reps.append(CosetRep(gamma=f.zero, delta=f.one, a=f.one, b=f.zero))
@@ -569,24 +627,24 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
     count = len(reps)
     for cl in enumerate_gamma_classes(spec, y, policy):
         g1, g2 = cl.emb
-        b1, b2 = abs(g1) * y[0], abs(g2) * y[1]
-        wd = _delta_windows(b1, b2, k1, k2, policy.term_cutoff)
+        wd = _delta_windows(abs(g1) * y[0], abs(g2) * y[1], k1, k2,
+                            policy.term_cutoff)
         if wd is None:
             continue
         gamma = f.element(*cl.pq)
-        c1, c2, qlo, qhi = _class_delta_ranges(cl, x, wd, sq_disc)
-        for qd in range(qlo, qhi + 1):
-            plo = math.ceil(max(c1 - wd[0] - qd * w1e, c2 - wd[1] - qd * w2e))
-            phi = math.floor(min(c1 + wd[0] - qd * w1e, c2 + wd[1] - qd * w2e))
-            for pd in range(int(plo), int(phi) + 1):
-                delta = f.element(pd, qd)
-                if not is_unimodular_pair(gamma, delta):
-                    continue
-                a, b = complete_pair(gamma, delta)
-                reps.append(CosetRep(gamma=gamma, delta=delta, a=a, b=b))
-                count += 1
-                if count > policy.max_terms:
-                    raise TruncationLimitExceeded(count)
+        c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, wd, f.sqrt_disc)
+        pt, pd, qd = _box_sites(c1, c2, qlo, qhi, wd, f.omega_embeddings())
+        keep = _cutoff_window(f, cl, x1[pt], x2[pt], y, pd, qd, spec.weight,
+                              policy.term_cutoff)[2]
+        for p, q in zip(pd[keep].tolist(), qd[keep].tolist()):
+            delta = f.element(p, q)
+            if not is_unimodular_pair(gamma, delta):
+                continue
+            a, b = complete_pair(gamma, delta)
+            reps.append(CosetRep(gamma=gamma, delta=delta, a=a, b=b))
+            count += 1
+            if count > policy.max_terms:
+                raise TruncationLimitExceeded(count)
     return reps
 
 

@@ -240,3 +240,29 @@ def test_out_file_written_atomically(capsys, tmp_path):
     assert doc["d"] == 5
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".hpseries")]
     assert leftovers == []
+
+
+_CERTIFY = ["certify", "--d", "5", "--k", "8,8", "--level", "1", "--grid", "32"]
+_SWEEP = ["sweep-weight", "--d", "5", "--ks", "10", "--grid", "32"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([*_CERTIFY, "--cutoff", "nan"], id="certify-cutoff-nan"),
+    pytest.param([*_CERTIFY, "--cutoff", "inf"], id="certify-cutoff-inf"),
+    pytest.param([*_CERTIFY, "--height", "nan"], id="certify-height-nan"),
+    pytest.param([*_CERTIFY, "--height", "inf"], id="certify-height-inf"),
+    pytest.param([*_CERTIFY, "--y", "nan,2"], id="certify-y-nan"),
+    pytest.param([*_SWEEP, "--cutoff", "nan"], id="sweep-cutoff-nan"),
+    pytest.param([*_SWEEP, "--height", "inf"], id="sweep-height-inf"),
+    pytest.param([*_SWEEP, "--y", "2,inf"], id="sweep-y-inf"),
+    pytest.param(["classical", "quadrature", "--k", "12", "--y", "nan"],
+                 id="quadrature-y-nan"),
+    pytest.param(["classical", "quadrature", "--k", "12", "--y", "inf"],
+                 id="quadrature-y-inf"),
+])
+def test_non_finite_values_exit_2(argv, capsys):
+    # NaN fails every <= guard, so each value is checked for finiteness
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("config error") and "finite" in err
+    assert out == ""

@@ -14,7 +14,12 @@ from hpseries.experiments import (
 )
 from hpseries.fourier import PoincareEvaluand, SamplingDomain, extract_coefficient
 from hpseries.hpoincare import PoincareSpec, TruncationPolicy, Weight
-from hpseries.qfield import ideal_from_gen
+from hpseries.qfield import (
+    EUCLIDEAN_D,
+    ideal_from_gen,
+    make_field,
+    trace_one_totally_positive,
+)
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +152,21 @@ def test_json_embeds_spec_snapshot(field5, nu5, mu5, unit_ideal5, dom,
     assert doc["spec"]["d"] == 5
     assert doc["config"] == {"d": "5"}
     assert doc["rows"][0]["param"] == 10
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_error_bar_covers_tighter_cutoff(d):
+    """The certificate configuration (k = (8,8), grid 32, H 8): the
+    coefficient moves from cutoff 1e-11 to 1e-12 by no more than the
+    quad_error + trunc_error reported at 1e-11."""
+    f = make_field(d)
+    spec = PoincareSpec(field=f, weight=Weight(8, 8),
+                        nu=trace_one_totally_positive(f, 8)[-1],
+                        level=ideal_from_gen(f.one))
+    domain = SamplingDomain(field=f, y1=1.1, y2=1.0, grid_n=32)
+    coarse, fine = (
+        certify_nonvanishing(spec, domain, TruncationPolicy(
+            gamma_height_max=8.0, term_cutoff=cutoff))
+        for cutoff in (1e-11, 1e-12))
+    moved = abs(fine.coefficient.value - coarse.coefficient.value)
+    assert moved <= coarse.total_error

@@ -20,11 +20,13 @@ from hpseries.hpoincare import (
     tail_bound,
     term,
 )
+from hpseries.hpoincare import _delta_windows, enumerate_gamma_classes
 from hpseries.qfield import (
     EUCLIDEAN_D,
     DualIndex,
     complete_pair,
     ideal_from_gen,
+    is_unimodular_pair,
     make_field,
     trace_one_totally_positive,
 )
@@ -257,6 +259,86 @@ def test_reflection_through_explicit_cosets(symmetry_spec):
     mirrored = sum(term(M, zm, spec) for M in reps_m)
     assert abs(direct.imag) > 1e-3 * abs(direct)  # conj is not a no-op
     assert abs(mirrored - direct.conjugate()) <= 1e-12 * abs(direct)
+
+
+def _full_box_rows(spec, z, policy):
+    """(gamma, delta) of every unimodular site of the full delta box of
+    each kept class: the rows a box-only window would sum at z."""
+    f = spec.field
+    k1, k2 = spec.weight.as_tuple()
+    w1e, w2e = f.omega_embeddings()
+    x, y = (z[0].real, z[1].real), (z[0].imag, z[1].imag)
+    rows = []
+    for cl in enumerate_gamma_classes(spec, y, policy):
+        g1, g2 = cl.emb
+        wd = _delta_windows(abs(g1) * y[0], abs(g2) * y[1], k1, k2,
+                            policy.term_cutoff)
+        if wd is None:
+            continue
+        gamma = f.element(*cl.pq)
+        c1, c2 = -g1 * x[0], -g2 * x[1]
+        qlo = math.ceil(((c1 - wd[0]) - (c2 + wd[1])) / f.sqrt_disc)
+        qhi = math.floor(((c1 + wd[0]) - (c2 - wd[1])) / f.sqrt_disc)
+        for qd in range(qlo, qhi + 1):
+            plo = math.ceil(max(c1 - wd[0] - qd * w1e, c2 - wd[1] - qd * w2e))
+            phi = math.floor(min(c1 + wd[0] - qd * w1e,
+                                 c2 + wd[1] - qd * w2e))
+            for pd in range(plo, phi + 1):
+                delta = f.element(pd, qd)
+                if is_unimodular_pair(gamma, delta):
+                    rows.append((gamma, delta))
+    return rows
+
+
+def _row_bound(spec, gamma, delta, z):
+    """prod_j |gamma_j z_j + delta_j|^{-k_j}, the bound on |term|."""
+    (g1, g2), (d1, d2) = gamma.embeddings(), delta.embeddings()
+    return (abs(g1 * z[0] + d1) ** -spec.weight.k1
+            * abs(g2 * z[1] + d2) ** -spec.weight.k2)
+
+
+# (d, weight, level generator, (height, cutoff)); in the last case the cut
+# sites outweigh the other tail parts together, so the tail holds only if
+# it counts them
+_WINDOW_CASES = ([(d, (8, 8), g, (6.0, 1e-10)) for d in EUCLIDEAN_D
+                  for g in (1, 2)]
+                 + [(3, (5, 7), 1, (6.0, 1e-10)), (5, (6, 6), 1, (16.0, 1e-11))])
+
+
+@pytest.mark.parametrize("d,k,level_gen,truncation", _WINDOW_CASES,
+                         ids=[f"d{d}-k{k[0]},{k[1]}-level{g}-H{t[0]:g}"
+                              for d, k, g, t in _WINDOW_CASES])
+def test_cutoff_window_against_full_box(d, k, level_gen, truncation):
+    """The cutoff window keeps exactly the box sites whose term bound is at
+    least the cutoff, and the tail covers what the rest of the box adds."""
+    f = make_field(d)
+    spec = PoincareSpec(field=f, weight=Weight(*k),
+                        nu=trace_one_totally_positive(f, 8)[-1],
+                        level=ideal_from_gen(f.element(level_gen, 0)))
+    policy = TruncationPolicy(gamma_height_max=truncation[0],
+                              term_cutoff=truncation[1])
+    z = (0.2718 + 1.15j, -0.1414 + 1.05j)  # off every sampling grid
+    cutoff = policy.term_cutoff
+    reps = enumerate_cosets(spec, z, policy)
+    kept = {(M.gamma, M.delta) for M in reps}
+    for M in reps[1:]:
+        assert _row_bound(spec, M.gamma, M.delta, z) >= cutoff
+    box = _full_box_rows(spec, z, policy)
+    assert kept - {(f.zero, f.one)} <= set(box)
+    cut = [row for row in box if row not in kept]
+    assert cut  # the window is narrower than the box
+    cut_bounds = [_row_bound(spec, g, dl, z) for g, dl in cut]
+    assert max(cut_bounds) < cutoff
+    full = term(reps[0], z, spec) + sum(
+        term(CosetRep(gamma=g, delta=dl, a=a, b=b), z, spec)
+        for g, dl in box for a, b in [complete_pair(g, dl)])
+    res = evaluate(spec, z, policy)
+    assert res.terms_used == len(reps)
+    assert abs(res.value - full) <= sum(cut_bounds) <= res.tail_estimate
+    # the engine takes the bound as e^{-logs/2}, which rounds differently
+    # from the product of powers above
+    assert max(cut_bounds) <= res.largest_dropped * (1 + 1e-12)
+    assert res.largest_dropped <= cutoff
 
 
 def test_evaluate_translations_only_matches_coset_sum(field5, nu5,
