@@ -279,7 +279,7 @@ def cmd_certify(args) -> int:
         policy = _policy_from(cfg)
         spec = PoincareSpec(field=field, weight=Weight(k1, k2), nu=nu,
                             level=level, convention=_convention_from(cfg))
-        safety = float(cfg.get("safety", 10.0))
+        safety = exp.check_safety_factor(float(cfg.get("safety", 10.0)))
     except (KeyError, ValueError, QFieldError, EvaluationError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

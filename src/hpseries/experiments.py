@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 from .fourier import (
@@ -50,6 +51,13 @@ class TrendThresholds:
 
     final_deviation: float = 0.05
     max_component_error: float = 1e-3
+
+    def __post_init__(self):
+        # NaN fails every comparison, so a NaN threshold fails every sweep
+        if not (math.isfinite(self.final_deviation)
+                and self.final_deviation > 0):
+            raise ValueError(f"final deviation must be finite and positive, "
+                             f"got {self.final_deviation}")
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,16 @@ def sweep_level(field: RealQuadraticField, nu: DualIndex, mu: DualIndex,
                   for level in levels], mu, domain, policy)
 
 
+def check_safety_factor(safety_factor: float) -> float:
+    """safety_factor if it is finite and at least 1, else ValueError: below
+    1, |p| > safety_factor * error would certify a coefficient smaller than
+    its own error bar (and a NaN factor is not valid JSON)."""
+    if not (math.isfinite(safety_factor) and safety_factor >= 1):
+        raise ValueError(f"safety factor must be finite and at least 1, "
+                         f"got {safety_factor}")
+    return safety_factor
+
+
 def certify_nonvanishing(spec: PoincareSpec, domain: SamplingDomain,
                          policy: TruncationPolicy,
                          safety_factor: float = 10.0) -> Certificate:
@@ -161,8 +179,10 @@ def certify_nonvanishing(spec: PoincareSpec, domain: SamplingDomain,
 
     NonzeroCertified means |p(nu)| exceeds safety_factor times the summed
     quadrature and truncation estimates; the estimates are not rigorous
-    bounds, so the verdict is labeled evidence, not proof.
+    bounds, so the verdict is labeled evidence, not proof.  safety_factor
+    must pass `check_safety_factor`.
     """
+    check_safety_factor(safety_factor)
     evaluand = PoincareEvaluand(spec, policy)
     est = extract_many(evaluand, [spec.nu], domain)[0]
     total = est.quad_error + est.trunc_error

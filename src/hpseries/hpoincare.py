@@ -28,9 +28,12 @@ iff its bound prod_j |w_j|^{-k_j} is at least the cutoff, i.e.
     k_1 log(u_1^2 + b_1^2) + k_2 log(u_2^2 + b_2^2) <= -2 log(cutoff),
     u_j = gamma_j x_j + delta_j,  b_j = gamma_j y_j.
 
-A per-class delta box, sized from the same bound, only limits the sites
-looked at; the bounds of the box sites below the cutoff are summed into
-the tail estimate.
+Per class, a delta box sized from the same bound only limits the walk.
+Inside it only the two strips |u_1| <= rho_1 and |u_2| <= rho_2 that hold
+every kept site are walked; the bounds of the walked sites below the
+cutoff are summed into the tail estimate, and the corner sites outside
+both strips are not visited but bounded in closed form by counting
+lattice sites per unit square (`_corner_bound`).
 """
 
 from __future__ import annotations
@@ -66,6 +69,10 @@ _DELTA_BOX_MARGIN = 1.0  # added to each delta-box half-width
 _MIN_IM = 1e-3  # quality guard: smallest Im(z_j) accepted
 _CHUNK_ELEMENTS = 200_000  # lattice sites per evaluate_grid chunk: keeps
                            # its temporary arrays small and cache-resident
+_STRIP_MARGIN = 1e-9  # relative widening of the walked cutoff strips, far
+                      # above the rounding of the cutoff test
+_CORNER_TERMS = 16  # explicit terms of each corner series before its
+                    # integral tail
 
 
 class EvaluationError(ValueError):
@@ -340,7 +347,8 @@ def _delta_windows(b1: float, b2: float, k1: int, k2: int, cutoff: float):
     """Half-widths (W1, W2) of the per-embedding delta box around
     (-gamma_j x_j), or None if no delta reaches the cutoff.  Every delta
     outside the box has prod |gamma_j z_j + delta_j|^{-k_j} < cutoff; the
-    box bounds the enumeration, `_cutoff_window` picks the sites summed."""
+    box only bounds the strips `_strip_sites` walks, and `_cutoff_window`
+    picks the sites summed."""
     r1 = (b2 ** (-k2) / cutoff) ** (1.0 / k1)
     r2 = (b1 ** (-k1) / cutoff) ** (1.0 / k2)
     if r1 <= b1 or r2 <= b2:
@@ -361,42 +369,114 @@ def _q_ranges(cl: _GammaClass, x1, x2, wd: tuple[float, float],
     return c1, c2, qlo, qhi
 
 
-def _box_sites(c1: np.ndarray, c2: np.ndarray, qlo: np.ndarray,
-               qhi: np.ndarray, wd: tuple[float, float],
-               omega_emb: tuple[float, float]):
-    """(point, p, q) arrays of every delta = p + q w in the box
+def _strip_radii(b1: float, b2: float, k1: int, k2: int, cutoff: float):
+    """Half-widths (rho1, rho2) of the two cutoff strips |u_j| <= rho_j of a
+    class with b_j = |gamma_j| y_j, where u_j = gamma_j x_j + delta_j.
+
+    With L = -2 log(cutoff), m_j = k_j log(b_j^2) and E = L - m1 - m2
+    (positive for every class `_delta_windows` keeps), set
+    rho_j^2 + b_j^2 = b_j^2 e^{E/(2 k_j)}.  A site with |u_1| > rho_1 and
+    |u_2| > rho_2 has k1 log(u1^2 + b1^2) + k2 log(u2^2 + b2^2) >
+    m1 + m2 + E = L, so its term bound is below the cutoff: every kept site
+    lies in one of the strips."""
+    e = max(-2.0 * math.log(cutoff) - k1 * math.log(b1 * b1)
+            - k2 * math.log(b2 * b2), 0.0)
+    return (b1 * math.sqrt(math.expm1(e / (2 * k1))),
+            b2 * math.sqrt(math.expm1(e / (2 * k2))))
+
+
+def _corner_bound(b1: float, b2: float, k1: int, k2: int,
+                  rho: tuple[float, float]):
+    """(mass, largest): a bound on the summed term bounds
+    f_1(u_1) f_2(u_2), f_j(t) = (t^2 + b_j^2)^{-k_j/2}, of all lattice sites
+    in the four corners |u_1| > rho_1, |u_2| > rho_2 (the sites the strip
+    walk does not visit, whether inside the delta box or not), and the
+    largest such bound f_1(rho_1) f_2(rho_2), which is the cutoff up to
+    rounding.
+
+    A half-open unit square [s, s+1) x [t, t+1) of the embedding plane
+    holds at most one site u = (gamma_j x_j + delta_j)_j: two would differ
+    by a nonzero delta in O_F with |N(delta)| = |delta_1 delta_2| < 1.  Tile
+    the corner u_1 > rho_1, u_2 > rho_2 by the squares with lower-left
+    corner (rho_1 + i, rho_2 + j), i, j >= 0; f_j decreases in |t|, so the
+    site in square (i, j) has bound at most f_1(rho_1 + i) f_2(rho_2 + j).
+    The corner mass is therefore at most S_1 S_2, S_j = sum_{i>=0}
+    f_j(rho_j + i), and the four corners (the signs of u_1, u_2) at most
+    4 S_1 S_2.
+
+    S_j is summed explicitly over its first N = _CORNER_TERMS terms.  Each
+    later term f_j(rho_j + i), i >= N, is at most the integral of f_j over
+    [rho_j + i - 1, rho_j + i], so the rest is at most the integral of f_j
+    from a = rho_j + N - 1 to infinity, and that is at most
+    (a^2 + b_j^2)^{1 - k_j/2} / (a (k_j - 1)): this right side minus the
+    integral tends to 0 as a grows and has derivative
+    -(a^2 + b_j^2)^{-k_j/2} b_j^2 / (a^2 (k_j - 1)) < 0 in a, so it is
+    positive."""
+    i = np.arange(_CORNER_TERMS)
+    mass, largest = 4.0, 1.0
+    for b, k, r in ((b1, k1, rho[0]), (b2, k2, rho[1])):
+        f = ((r + i) ** 2 + b * b) ** (-0.5 * k)
+        a = r + (_CORNER_TERMS - 1)
+        mass *= float(f.sum()) + (a * a + b * b) ** (1.0 - 0.5 * k) \
+            / (a * (k - 1))
+        largest *= float(f[0])
+    return mass, largest
+
+
+def _strip_sites(c1: np.ndarray, c2: np.ndarray, qlo: np.ndarray,
+                 qhi: np.ndarray, wd: tuple[float, float],
+                 rho: tuple[float, float], omega_emb: tuple[float, float]):
+    """(point, p, q, u1, u2) arrays of the delta = p + q w in the box
     |delta_j - c_j| <= W_j of each point (per-point arrays c1, c2 and the
-    q-range [qlo, qhi]), ordered by point, then q, then p."""
+    q-range [qlo, qhi]) that lie in a strip |u_j| <= rho_j, u_j =
+    delta_j - c_j, ordered by point, then q, then p.  The one site walk of
+    `evaluate_grid` and `enumerate_cosets`: on each box row, the p-intervals
+    of the two strips, clipped to the row and merged where they meet.  The
+    strips are widened by _STRIP_MARGIN, so every kept site is walked and
+    every site left out has |u_1| > rho_1 and |u_2| > rho_2 despite the
+    rounding of the interval ends."""
     w1e, w2e = omega_emb
     nq = np.maximum(qhi - qlo + 1, 0)
     pt_q = np.repeat(np.arange(len(nq)), nq)
     qd = np.repeat(qlo - (np.cumsum(nq) - nq), nq) + np.arange(len(pt_q))
-    plo = np.ceil(np.maximum(c1[pt_q] - wd[0] - qd * w1e,
-                             c2[pt_q] - wd[1] - qd * w2e)).astype(np.int64)
-    phi = np.floor(np.minimum(c1[pt_q] + wd[0] - qd * w1e,
-                              c2[pt_q] + wd[1] - qd * w2e)).astype(np.int64)
-    cnt = np.maximum(phi - plo + 1, 0)
-    pd = np.repeat(plo - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
-    return np.repeat(pt_q, cnt), pd, np.repeat(qd, cnt)
+    e1, e2 = c1[pt_q], c2[pt_q]
+    qw1, qw2 = qd * w1e, qd * w2e
+    plo = np.ceil(np.maximum(e1 - wd[0] - qw1, e2 - wd[1] - qw2))
+    phi = np.floor(np.minimum(e1 + wd[0] - qw1, e2 + wd[1] - qw2))
+    r1, r2 = (r * (1.0 + _STRIP_MARGIN) for r in rho)
+    lo1 = np.maximum(np.ceil(e1 - qw1 - r1), plo)
+    hi1 = np.minimum(np.floor(e1 - qw1 + r1), phi)
+    lo2 = np.maximum(np.ceil(e2 - qw2 - r2), plo)
+    hi2 = np.minimum(np.floor(e2 - qw2 + r2), phi)
+    # order the two intervals by their start; an empty one (hi < lo) then
+    # either merges into nothing or keeps a count of zero
+    first = lo2 < lo1
+    lo1, lo2 = np.where(first, lo2, lo1), np.where(first, lo1, lo2)
+    hi1, hi2 = np.where(first, hi2, hi1), np.where(first, hi1, hi2)
+    merge = lo2 <= hi1 + 1
+    hi1 = np.where(merge, np.maximum(hi1, hi2), hi1)
+    cnt = np.stack([hi1 - lo1, np.where(merge, -1.0, hi2 - lo2)], axis=1)
+    cnt = np.maximum(cnt + 1, 0).astype(np.int64).ravel()
+    starts = np.stack([lo1, lo2], axis=1).ravel().astype(np.int64)
+    pd = np.repeat(starts - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
+    per_row = cnt[::2] + cnt[1::2]  # a row's sites are contiguous
+    # (p + q w_j) - c_j: the bits of gamma_j x_j + delta_j
+    u1 = (pd + np.repeat(qw1, per_row)) - np.repeat(e1, per_row)
+    u2 = (pd + np.repeat(qw2, per_row)) - np.repeat(e2, per_row)
+    return (np.repeat(pt_q, per_row), pd, np.repeat(qd, per_row), u1, u2)
 
 
-def _cutoff_window(f: RealQuadraticField, cl: _GammaClass, x1, x2,
-                   y: tuple[float, float], pd: np.ndarray, qd: np.ndarray,
+def _cutoff_window(u1: np.ndarray, u2: np.ndarray, b: tuple[float, float],
                    weight: Weight, cutoff: float):
-    """(u1, u2, keep, logs) for the delta sites (pd, qd) of class cl at
-    points with real parts x1, x2: u_j = gamma_j x_j + delta_j is the real
-    part of w_j = gamma_j z_j + delta_j, logs = sum_j k_j log|w_j|^2, and
-    keep marks the sites whose term bound prod_j |w_j|^{-k_j} = e^{-logs/2}
-    is at least the cutoff.  The one decision of which sites are summed,
-    shared by `evaluate_grid` and `enumerate_cosets`."""
-    g1, g2 = cl.emb
-    b1, b2 = abs(g1) * y[0], abs(g2) * y[1]
-    d1, d2 = _embed(f, (pd, qd))
-    u1 = g1 * x1 + d1
-    u2 = g2 * x2 + d2
-    logs = weight.k1 * np.log(u1 * u1 + b1 * b1) \
-        + weight.k2 * np.log(u2 * u2 + b2 * b2)
-    return u1, u2, logs <= -2.0 * math.log(cutoff), logs
+    """(keep, logs) for delta sites with real parts u_j = gamma_j x_j +
+    delta_j of w_j = gamma_j z_j + delta_j, b_j = |gamma_j| y_j:
+    logs = sum_j k_j log|w_j|^2, and keep marks the sites whose term bound
+    prod_j |w_j|^{-k_j} = e^{-logs/2} is at least the cutoff.  The one
+    decision of which sites are summed, shared by `evaluate_grid` and
+    `enumerate_cosets`."""
+    logs = weight.k1 * np.log(u1 * u1 + b[0] * b[0]) \
+        + weight.k2 * np.log(u2 * u2 + b[1] * b[1])
+    return logs <= -2.0 * math.log(cutoff), logs
 
 
 # -- identity class ----------------------------------------------------------
@@ -472,15 +552,19 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     bound left out of the sum.  The only lattice-sum engine; `evaluate` is
     its one-point case.
 
-    Per class, the delta box of `_delta_windows` only bounds the
-    enumeration: a box site is summed iff its bound prod_j |w_j|^{-k_j} is
-    at least the cutoff (`_cutoff_window`), and the residue lookup and the
-    term are computed for kept sites only.  The bounds of the dropped box
-    sites are added to the tail per point; |e^{2 pi i tr(nu Mz)}| <= 1, so
-    that sum bounds what they would have contributed (sites with no
-    completion residue are counted too, which only over-bounds it).  The
-    tail also holds the boundary-shell, box-perimeter, skipped-class,
-    beyond-box and unit-cap parts.
+    Per class, the delta box of `_delta_windows` only bounds the strips
+    |u_j| <= rho_j (`_strip_radii`) that hold every kept site, and only the
+    strip sites inside the box are walked (`_strip_sites`).  A walked site
+    is summed iff its bound prod_j |w_j|^{-k_j} is at least the cutoff
+    (`_cutoff_window`), and the residue lookup and the term are computed
+    for kept sites only.  The bounds of the walked sites below the cutoff
+    are added to the tail per point; |e^{2 pi i tr(nu Mz)}| <= 1, so that
+    sum bounds what they would have contributed (sites with no completion
+    residue are counted too, which only over-bounds it).  The corner sites
+    outside both strips are not visited: the closed-form 4 S_1 S_2 of
+    `_corner_bound` bounds their summed bounds and is added to every
+    point's tail.  The tail also holds the boundary-shell, box-perimeter,
+    skipped-class, beyond-box and unit-cap parts.
 
     Deterministic: fixed class and lattice ordering, per-point bincount
     reductions in that order.  xs must be a non-empty (npts, 2) array
@@ -496,6 +580,7 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     x1, x2 = np.ascontiguousarray(xs_arr.T)
     shell_mass = np.zeros(npts, dtype=np.float64)
     cut_mass = np.zeros(npts, dtype=np.float64)
+    corner_mass = 0.0
     classes, skip_mass, largest_dropped = _classes_with_skip_info(
         spec, y, policy)
     perimeter_sites = 0.0
@@ -522,6 +607,10 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
             largest_dropped = max(largest_dropped, bound)
             continue
         perimeter_sites += (2.0 * (wd[0] + wd[1]) / sq_disc + 4.0) * npts
+        rho = _strip_radii(b1, b2, k1, k2, policy.term_cutoff)
+        mass, largest = _corner_bound(b1, b2, k1, k2, rho)
+        corner_mass += mass
+        largest_dropped = max(largest_dropped, largest)
         A, B, C = cl.hnf
         tab_flat = cl.phase_table.reshape(-1)
         c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, wd, sq_disc)
@@ -529,36 +618,39 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
             * (2 * wd[0] + 1) or 1.0
         chunk = max(1, int(_CHUNK_ELEMENTS / max(per_point, 1.0)))
         is_shell = cl.height >= shell_height
-        # a chunk is a run of whole points; pt indexes into it, so each
-        # point's reductions do not depend on the chunking
+        # a chunk is a run of whole points and pt indexes into it.  The
+        # values still depend on the chunking in the last bits: a chunk
+        # with live terms takes a Kahan step at each of its points, with a
+        # zero sum at points that have no terms, and that step folds the
+        # point's compensation into its sum
         for start in range(0, npts, chunk):
             sl = slice(start, min(start + chunk, npts))
             n = sl.stop - start
-            pt, pd, qd = _box_sites(c1[sl], c2[sl], qlo[sl], qhi[sl], wd,
-                                    omega_emb)
+            pt, pd, qd, u1, u2 = _strip_sites(c1[sl], c2[sl], qlo[sl],
+                                              qhi[sl], wd, rho, omega_emb)
             if len(pt) == 0:
                 continue
-            u1, u2, keep, logs = _cutoff_window(
-                f, cl, x1[sl][pt], x2[sl][pt], y, pd, qd, spec.weight,
-                policy.term_cutoff)
-            cut = ~keep
-            if cut.any():
+            keep, logs = _cutoff_window(u1, u2, (b1, b2), spec.weight,
+                                        policy.term_cutoff)
+            cut = np.flatnonzero(~keep)
+            if len(cut):
                 cut_bound = np.exp(-0.5 * logs[cut])
                 cut_mass[sl] += np.bincount(pt[cut], weights=cut_bound,
                                             minlength=n)
                 largest_dropped = max(largest_dropped, float(cut_bound.max()))
-            pt, pd, qd, u1, u2 = pt[keep], pd[keep], qd[keep], u1[keep], \
-                u2[keep]
+            kept = np.flatnonzero(keep)
+            qd = qd[kept]
             jj = qd % C
-            ii = (pd - ((qd - jj) // C) * B) % A
+            ii = (pd[kept] - ((qd - jj) // C) * B) % A
             ph = tab_flat[ii * C + jj]
-            live = ph != 0
-            if not live.any():
+            live = np.flatnonzero(ph)
+            if not len(live):
                 continue
-            pt = pt[live]
+            kept = kept[live]
+            pt = pt[kept]
             ph = ph[live]
-            wz1 = u1[live] + 1j * (g1 * y[0])
-            wz2 = u2[live] + 1j * (g2 * y[1])
+            wz1 = u1[kept] + 1j * (g1 * y[0])
+            wz2 = u2[kept] + 1j * (g2 * y[1])
             t = ph * wz1 ** (-k1) * wz2 ** (-k2) * np.exp(
                 -2j * math.pi * (nu1 / (g1 * wz1) + nu2 / (g2 * wz2)))
             terms_used += len(pt)
@@ -574,10 +666,11 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     geom = (h / (h + 1.0)) ** (2 * (min(k1, k2) - 1))
     beyond = _beyond_box_mass(spec, y, policy,
                               bool(classes) or skip_mass > 0.0)
-    tails = shell_mass * geom / (1.0 - geom) + cut_mass \
+    tails = shell_mass * geom / (1.0 - geom) + cut_mass + corner_mass \
         + policy.term_cutoff * perimeter_sites / npts + skip_mass \
         + beyond + unit_rem
-    # a cut site's bound is below the cutoff; e^{-logs/2} may round above it
+    # a cut or corner site's bound is below the cutoff; e^{-logs/2} and
+    # f_1(rho_1) f_2(rho_2) may round above it
     return values, tails, terms_used, min(largest_dropped, policy.term_cutoff)
 
 
@@ -593,11 +686,13 @@ def evaluate(spec: PoincareSpec, z: tuple[complex, complex],
 
 def tail_bound(spec: PoincareSpec, z: tuple[complex, complex],
                policy: TruncationPolicy) -> float:
-    """Estimate of the truncated mass at z: the summed bounds of the delta
-    sites below the cutoff, plus heuristic parts (boundary-shell magnitudes
-    times a geometric factor, cutoff mass for the box perimeters, skipped
-    classes, the classes beyond the height box, the unit cap).  Reported
-    separately from the value, never added to it."""
+    """Estimate of the truncated mass at z: the summed bounds of the walked
+    strip sites below the cutoff and the closed-form bound on the corner
+    sites outside both strips, which are bounded, not visited (both
+    rigorous), plus heuristic parts (boundary-shell magnitudes times a
+    geometric factor, cutoff mass for the box perimeters, skipped classes,
+    the classes beyond the height box, the unit cap).  Reported separately
+    from the value, never added to it."""
     return evaluate(spec, z, policy).tail_estimate
 
 
@@ -607,10 +702,12 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
                      policy: TruncationPolicy) -> list[CosetRep]:
     """Materialized coset representatives of the terms `evaluate` sums at
     z, in deterministic order.  Reference path for tests and small runs: it
-    enumerates the same delta boxes and keeps a site by the same
-    `_cutoff_window` decision as `evaluate_grid`, so both sum exactly the
-    same rows; it then tests unimodularity and completes each pair exactly
-    instead of reading residue tables."""
+    walks the same strips of the same delta boxes (`_strip_sites`; the
+    corner sites outside both strips are bounded in the tail, not visited)
+    and keeps a site by the same `_cutoff_window` decision as
+    `evaluate_grid`, so both sum exactly the same rows; it then tests
+    unimodularity and completes each pair exactly instead of reading
+    residue tables."""
     f = spec.field
     y = (z[0].imag, z[1].imag)
     _check_y(y)
@@ -626,16 +723,17 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
                                  a=f.element(*ui), b=f.zero))
     count = len(reps)
     for cl in enumerate_gamma_classes(spec, y, policy):
-        g1, g2 = cl.emb
-        wd = _delta_windows(abs(g1) * y[0], abs(g2) * y[1], k1, k2,
-                            policy.term_cutoff)
+        b1, b2 = abs(cl.emb[0]) * y[0], abs(cl.emb[1]) * y[1]
+        wd = _delta_windows(b1, b2, k1, k2, policy.term_cutoff)
         if wd is None:
             continue
         gamma = f.element(*cl.pq)
+        rho = _strip_radii(b1, b2, k1, k2, policy.term_cutoff)
         c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, wd, f.sqrt_disc)
-        pt, pd, qd = _box_sites(c1, c2, qlo, qhi, wd, f.omega_embeddings())
-        keep = _cutoff_window(f, cl, x1[pt], x2[pt], y, pd, qd, spec.weight,
-                              policy.term_cutoff)[2]
+        _pt, pd, qd, u1, u2 = _strip_sites(c1, c2, qlo, qhi, wd, rho,
+                                           f.omega_embeddings())
+        keep = _cutoff_window(u1, u2, (b1, b2), spec.weight,
+                              policy.term_cutoff)[0]
         for p, q in zip(pd[keep].tolist(), qd[keep].tolist()):
             delta = f.element(p, q)
             if not is_unimodular_pair(gamma, delta):

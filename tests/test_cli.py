@@ -266,3 +266,22 @@ def test_non_finite_values_exit_2(argv, capsys):
     assert code == 2
     assert err.startswith("config error") and "finite" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([*_CERTIFY, "--safety", "-1"], id="safety-negative"),
+    pytest.param([*_CERTIFY, "--safety", "0.5"], id="safety-below-one"),
+    pytest.param([*_CERTIFY, "--safety", "nan"], id="safety-nan"),
+    pytest.param([*_CERTIFY, "--safety", "inf"], id="safety-inf"),
+    pytest.param([*_SWEEP, "--final-dev", "nan"], id="final-dev-nan"),
+    pytest.param([*_SWEEP, "--final-dev", "-1"], id="final-dev-negative"),
+    pytest.param([*_SWEEP, "--final-dev", "0"], id="final-dev-zero"),
+    pytest.param([*_SWEEP, "--final-dev", "inf"], id="final-dev-inf"),
+])
+def test_verdict_thresholds_exit_2(argv, capsys):
+    # a safety factor below 1 certifies noise; a NaN one is invalid JSON,
+    # and a NaN or non-positive final deviation fails every sweep
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("config error")
+    assert out == ""

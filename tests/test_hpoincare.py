@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hpseries.hpoincare import (
@@ -20,7 +21,15 @@ from hpseries.hpoincare import (
     tail_bound,
     term,
 )
-from hpseries.hpoincare import _delta_windows, enumerate_gamma_classes
+from hpseries.hpoincare import (
+    _corner_bound,
+    _cutoff_window,
+    _delta_windows,
+    _q_ranges,
+    _strip_radii,
+    _strip_sites,
+    enumerate_gamma_classes,
+)
 from hpseries.qfield import (
     EUCLIDEAN_D,
     DualIndex,
@@ -339,6 +348,91 @@ def test_cutoff_window_against_full_box(d, k, level_gen, truncation):
     # from the product of powers above
     assert max(cut_bounds) <= res.largest_dropped * (1 + 1e-12)
     assert res.largest_dropped <= cutoff
+
+
+def _lattice_sites(f, cl, x, half):
+    """(p, q, u1, u2) of every delta = p + q w with |u_j| <= half_j,
+    u_j = gamma_j x_j + delta_j, by a row loop over q: a brute force
+    independent of the strip walk."""
+    w1e, w2e = f.omega_embeddings()
+    g1, g2 = cl.emb
+    c1, c2 = -g1 * x[0], -g2 * x[1]
+    qlo = math.ceil(((c1 - half[0]) - (c2 + half[1])) / f.sqrt_disc)
+    qhi = math.floor(((c1 + half[0]) - (c2 - half[1])) / f.sqrt_disc)
+    ps, qs = [], []
+    for q in range(qlo, qhi + 1):
+        plo = math.ceil(max(c1 - half[0] - q * w1e, c2 - half[1] - q * w2e))
+        phi = math.floor(min(c1 + half[0] - q * w1e,
+                             c2 + half[1] - q * w2e))
+        ps.append(np.arange(plo, phi + 1))
+        qs.append(np.full(max(phi - plo + 1, 0), q))
+    p, q = np.concatenate(ps), np.concatenate(qs)
+    return p, q, g1 * x[0] + (p + q * w1e), g2 * x[1] + (p + q * w2e)
+
+
+# at weight (4, 4), H 40, the rigorous tail parts (walked cut sites and
+# corner bounds) outweigh the heuristic ones, so the tail holds only if it
+# counts the corner bound
+_STRIP_CASES = _WINDOW_CASES + [(5, (4, 4), 1, (40.0, 1e-9))]
+
+
+@pytest.mark.parametrize("d,k,level_gen,truncation", _STRIP_CASES,
+                         ids=[f"d{d}-k{k[0]},{k[1]}-level{g}-H{t[0]:g}"
+                              for d, k, g, t in _STRIP_CASES])
+def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
+                                                     truncation):
+    """Every kept box site lies in the strips |u_j| <= rho_j, the walk
+    leaves out only box sites outside both strips, the corner bound covers
+    the corner sites of a box three times wider than the delta box, and
+    the tail and largest_dropped cover the walked cut sites and the
+    corners."""
+    f = make_field(d)
+    spec = PoincareSpec(field=f, weight=Weight(*k),
+                        nu=trace_one_totally_positive(f, 8)[-1],
+                        level=ideal_from_gen(f.element(level_gen, 0)))
+    cutoff = truncation[1]
+    policy = TruncationPolicy(gamma_height_max=truncation[0],
+                              term_cutoff=cutoff)
+    z = (0.2718 + 1.15j, -0.1414 + 1.05j)  # off every sampling grid
+    x, y = (z[0].real, z[1].real), (z[0].imag, z[1].imag)
+    rigorous = corner_max = 0.0
+    checked = 0
+    for cl in enumerate_gamma_classes(spec, y, policy):
+        b = (abs(cl.emb[0]) * y[0], abs(cl.emb[1]) * y[1])
+        wd = _delta_windows(*b, *k, cutoff)
+        if wd is None:
+            continue
+        rho = _strip_radii(*b, *k, cutoff)
+        p, q, u1, u2 = _lattice_sites(f, cl, x, wd)
+        keep, logs = _cutoff_window(u1, u2, b, spec.weight, cutoff)
+        in_strips = (np.abs(u1) <= rho[0]) | (np.abs(u2) <= rho[1])
+        assert in_strips[keep].all()
+        c1, c2, qlo, qhi = _q_ranges(cl, np.array([x[0]]),
+                                     np.array([x[1]]), wd, f.sqrt_disc)
+        _pt, pd, qd = _strip_sites(c1, c2, qlo, qhi, wd, rho,
+                                   f.omega_embeddings())[:3]
+        walked = set(zip(pd.tolist(), qd.tolist()))
+        box = list(zip(p.tolist(), q.tolist()))
+        # box sites only, each once, in box order
+        assert list(zip(pd.tolist(), qd.tolist())) == \
+            [site for site in box if site in walked]
+        skipped = np.array([site not in walked for site in box])
+        assert not in_strips[skipped].any()
+        rigorous += np.exp(-0.5 * logs[~skipped & ~keep]).sum()
+        _p, _q, v1, v2 = _lattice_sites(f, cl, x, (3 * wd[0], 3 * wd[1]))
+        corner = (np.abs(v1) > rho[0]) & (np.abs(v2) > rho[1])
+        bounds = ((v1[corner] ** 2 + b[0] ** 2) ** (-k[0] / 2)
+                  * (v2[corner] ** 2 + b[1] ** 2) ** (-k[1] / 2))
+        mass, largest = _corner_bound(*b, *k, rho)
+        assert bounds.sum() <= mass
+        assert bounds.max() <= largest <= cutoff * (1 + 1e-12)
+        rigorous += mass
+        corner_max = max(corner_max, bounds.max())
+        checked += 1
+    assert checked
+    res = evaluate(spec, z, policy)
+    assert rigorous <= res.tail_estimate * (1 + 1e-12)
+    assert corner_max <= res.largest_dropped
 
 
 def test_evaluate_translations_only_matches_coset_sum(field5, nu5,
