@@ -25,7 +25,6 @@ from .hpoincare import (
     CosetRep,
     EvalResult,
     EvaluationError,
-    GammaInfConvention,
     PoincareSpec,
     TruncationLimitExceeded,
     TruncationPolicy,

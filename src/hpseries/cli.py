@@ -27,7 +27,6 @@ from .fourier import (
 )
 from .hpoincare import (
     EvaluationError,
-    GammaInfConvention,
     PoincareSpec,
     TruncationLimitExceeded,
     TruncationPolicy,
@@ -84,7 +83,7 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 # policy keys that only a config file sets (no flag)
-_CONFIG_ONLY_KEYS = ("max_terms", "unit_cap")
+_CONFIG_ONLY_KEYS = ("max_terms",)
 
 
 def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
@@ -148,7 +147,6 @@ def _policy_from(cfg: dict) -> TruncationPolicy:
         gamma_height_max=float(cfg.get("height", 12.0)),
         term_cutoff=float(cfg.get("cutoff", 3e-12)),
         max_terms=int(cfg.get("max_terms", 50_000_000)),
-        unit_cap=int(cfg.get("unit_cap", 6)),
     )
 
 
@@ -156,10 +154,6 @@ def _domain_from(field, cfg: dict) -> SamplingDomain:
     y1, y2 = _pair_of_floats(cfg.get("y", "1.1,1.0"))
     return SamplingDomain(field=field, y1=y1, y2=y2,
                           grid_n=int(cfg.get("grid", 32)))
-
-
-def _convention_from(cfg: dict) -> GammaInfConvention:
-    return GammaInfConvention(cfg.get("convention", "unit_extended"))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -221,8 +215,7 @@ def cmd_sweep(args) -> int:
     keys = ["d", "ks", "level"] if by_weight else ["d", "k", "levels"]
     try:  # the parse order decides which fault a bad config reports first
         cfg = _merged(args, keys + ["nu", "mu", "y", "grid", "height",
-                                    "cutoff", "convention", "final_dev",
-                                    "format", "out"])
+                                    "cutoff", "final_dev", "format", "out"])
         field = make_field(int(cfg["d"]))
         if by_weight:
             params = _int_list(cfg["ks"])
@@ -237,7 +230,6 @@ def cmd_sweep(args) -> int:
             fixed = _parse_levels(field, cfg.get("level", "1"))[0]
         domain = _domain_from(field, cfg)
         policy = _policy_from(cfg)
-        convention = _convention_from(cfg)
         thresholds = exp.TrendThresholds(
             final_deviation=float(cfg.get("final_dev", 0.05)))
         if not by_weight:
@@ -247,7 +239,7 @@ def cmd_sweep(args) -> int:
         return EXIT_CONFIG
     run = exp.sweep_weight if by_weight else exp.sweep_level
     try:
-        report = run(field, nu, mu, fixed, params, domain, policy, convention)
+        report = run(field, nu, mu, fixed, params, domain, policy)
     except (EvaluationError, QFieldError, AliasingError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -268,7 +260,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_certify(args) -> int:
     keys = ["d", "k", "level", "nu", "y", "grid", "height", "cutoff",
-            "convention", "safety", "out"]
+            "safety", "out"]
     try:
         cfg = _merged(args, keys)
         field = make_field(int(cfg["d"]))
@@ -278,7 +270,7 @@ def cmd_certify(args) -> int:
         domain = _domain_from(field, cfg)
         policy = _policy_from(cfg)
         spec = PoincareSpec(field=field, weight=Weight(k1, k2), nu=nu,
-                            level=level, convention=_convention_from(cfg))
+                            level=level)
         safety = exp.check_safety_factor(float(cfg.get("safety", 10.0)))
     except (KeyError, ValueError, QFieldError, EvaluationError) as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -426,7 +418,6 @@ def _add_run_flags(p: argparse.ArgumentParser, axis_flags: tuple[str, ...],
     p.add_argument("--grid", type=int)
     p.add_argument("--height", type=float)
     p.add_argument("--cutoff", type=float)
-    p.add_argument("--convention")
     if sweep:
         p.add_argument("--final-dev", dest="final_dev", type=float)
         p.add_argument("--format", choices=("csv", "json"))

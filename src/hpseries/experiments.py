@@ -26,7 +26,6 @@ from .fourier import (
     extract_many,
 )
 from .hpoincare import (
-    GammaInfConvention,
     PoincareSpec,
     TruncationLimitExceeded,
     TruncationPolicy,
@@ -137,28 +136,25 @@ def sweep(axis: SweepAxis, specs: list[tuple[int, PoincareSpec]],
 
 def sweep_weight(field: RealQuadraticField, nu: DualIndex, mu: DualIndex,
                  level: IdealHNF, k_list: list[int], domain: SamplingDomain,
-                 policy: TruncationPolicy,
-                 convention: GammaInfConvention = GammaInfConvention.UNIT_EXTENDED
-                 ) -> SweepReport:
+                 policy: TruncationPolicy) -> SweepReport:
     """One row per parallel weight k, ascending."""
     if sorted(k_list) != list(k_list):
         raise ValueError("k_list must be ascending")
     return sweep(SweepAxis.WEIGHT,
                  [(k, PoincareSpec(field=field, weight=Weight(k, k), nu=nu,
-                                   level=level, convention=convention))
+                                   level=level))
                   for k in k_list], mu, domain, policy)
 
 
 def sweep_level(field: RealQuadraticField, nu: DualIndex, mu: DualIndex,
                 weight: Weight, level_list: list[IdealHNF],
-                domain: SamplingDomain, policy: TruncationPolicy,
-                convention: GammaInfConvention = GammaInfConvention.UNIT_EXTENDED
+                domain: SamplingDomain, policy: TruncationPolicy
                 ) -> SweepReport:
     """One row per level ideal, ascending norm; param is N(I)."""
     levels = sorted(level_list, key=lambda ideal: ideal.norm)
     return sweep(SweepAxis.LEVEL,
                  [(level.norm, PoincareSpec(field=field, weight=weight, nu=nu,
-                                            level=level, convention=convention))
+                                            level=level))
                   for level in levels], mu, domain, policy)
 
 

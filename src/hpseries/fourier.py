@@ -108,12 +108,12 @@ class PoincareEvaluand:
     conj(w_1^{-k_1} w_2^{-k_2}) with k_1 + k_2 even (a Weight invariant);
     the residue phase e^{2 pi i tr(nu a/gamma)} and the factor
     e^{-2 pi i sum_j nu_j/(gamma_j w_j)} go to their conjugates, as does
-    every gamma = 0 term e^{2 pi i tr(nu a^2 z)}.  So each term maps to its
-    conjugate, under both Gamma_inf conventions and at any level.  Grid
-    index (u, v) pairs with ((-u) mod n, (-v) mod n), which is -x up to a
-    translation by O_F; the truncated sum is O_F-periodic because the delta
-    box at x + lambda is the box at x shifted by gamma*lambda, with the
-    residue of a and every w_j unchanged.  Mirror tails are the representative's tail.
+    the gamma = 0 term e^{2 pi i tr(nu z)}.  So each term maps to its
+    conjugate, at any level.  Grid index (u, v) pairs with
+    ((-u) mod n, (-v) mod n), which is -x up to a translation by O_F; the
+    truncated sum is O_F-periodic because the delta box at x + lambda is
+    the box at x shifted by gamma*lambda, with the residue of a and every
+    w_j unchanged.  Mirror tails are the representative's tail.
     """
 
     def __init__(self, spec: PoincareSpec, policy: TruncationPolicy):

@@ -2,18 +2,12 @@
 quadratic field.
 
 A coset of the stabilizer of infinity in the level subgroup is a unimodular
-bottom row (gamma, delta) with gamma in the level ideal.  Under the default
-UnitExtended convention the stabilizer includes the unit-diagonal matrices,
-so exactly one representative per unit orbit (gamma, delta) ~ (u*gamma,
-u*delta) is summed, chosen by an exact window on the embedding ratio of
-gamma; the gamma = 0 class is then the single identity term
-e^{2 pi i tr(nu z)}.  TranslationsOnly (the literal translations-only
-stabilizer) is available behind a flag: it sums all unit multiples up to a
-cap and is kept for comparison runs, not production (its gamma = 0 class
-alone contributes one term per unit).  Under both conventions the gamma = 0
-class is one compensated sum over its rows (0, u), vectorised over all
-points: the single row u = 1, or the rows u = +-eps^m with |m| <= cap plus
-a remainder bound for the rows beyond the cap.
+bottom row (gamma, delta) with gamma in the level ideal.  The stabilizer
+includes the unit-diagonal matrices (the UnitExtended convention, under
+which the coefficient limits are the Kronecker delta), so exactly one
+representative per unit orbit (gamma, delta) ~ (u*gamma, u*delta) is
+summed, chosen by an exact window on the embedding ratio of gamma; the
+gamma = 0 class is then the single identity term e^{2 pi i tr(nu z)}.
 
 Terms are evaluated as
 
@@ -38,7 +32,6 @@ lattice sites per unit square (`_corner_bound`).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -87,11 +80,6 @@ class TruncationLimitExceeded(RuntimeError):
         super().__init__(message or f"term budget exhausted after {terms} terms")
 
 
-class GammaInfConvention(enum.Enum):
-    UNIT_EXTENDED = "unit_extended"
-    TRANSLATIONS_ONLY = "translations_only"
-
-
 @dataclass(frozen=True)
 class Weight:
     k1: int
@@ -117,19 +105,17 @@ class PoincareSpec:
     weight: Weight
     nu: DualIndex
     level: IdealHNF
-    convention: GammaInfConvention = GammaInfConvention.UNIT_EXTENDED
 
     def __post_init__(self):
         if not self.nu.is_totally_positive():
             raise EvaluationError("nu must be totally positive")
         if self.nu.field != self.field or self.level.field != self.field:
             raise EvaluationError("spec components from different fields")
-        if self.convention is GammaInfConvention.UNIT_EXTENDED:
-            eps = fundamental_unit(self.field)
-            if eps.norm() == -1 and not self.weight.parallel:
-                raise EvaluationError(
-                    "UnitExtended with a norm -1 fundamental unit requires "
-                    "parallel (even) weight")
+        if fundamental_unit(self.field).norm() == -1 \
+                and not self.weight.parallel:
+            raise EvaluationError(
+                "UnitExtended with a norm -1 fundamental unit requires "
+                "parallel (even) weight")
 
     def snapshot(self) -> dict:
         return {
@@ -139,7 +125,8 @@ class PoincareSpec:
             "nu_freq": list(self.nu.freq),
             "level_hnf": [self.level.m00, self.level.m01, self.level.m11],
             "level_norm": self.level.norm,
-            "convention": self.convention.value,
+            # the one Gamma_inf convention; the payload digests cover it
+            "convention": "unit_extended",
         }
 
 
@@ -148,7 +135,6 @@ class TruncationPolicy:
     gamma_height_max: float = 10.0
     term_cutoff: float = 1e-12
     max_terms: int = 50_000_000
-    unit_cap: int = 6       # TranslationsOnly only
 
     def __post_init__(self):
         # NaN passes every <= test: ask for finiteness first
@@ -278,17 +264,14 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
     nu_emb = spec.nu.embeddings()
-    eps_inv = None
-    if spec.convention is GammaInfConvention.UNIT_EXTENDED:
-        eps = fundamental_unit(f)
-        eps_inv = _unit_inverse_int(f, eps.int_coords())
+    eps_inv = _unit_inverse_int(f, fundamental_unit(f).int_coords())
     kept = []
     skip_mass = 0.0
     largest_skipped = 0.0
     for pq in sorted(_gamma_box(f, policy.gamma_height_max)):
         if not spec.level._contains_int(pq):
             continue
-        if eps_inv is not None and not is_canonical_gamma(f, pq, eps_inv):
+        if not is_canonical_gamma(f, pq, eps_inv):
             continue
         g1, g2 = _embed(f, pq)
         b1, b2 = abs(g1) * y[0], abs(g2) * y[1]
@@ -323,22 +306,6 @@ def _beyond_box_mass(spec: PoincareSpec, y: tuple[float, float],
     floor_norm = max(h * h / (eps1 * eps1), float(spec.level.norm))
     ny = y[0] * y[1]
     return (floor_norm * ny) ** (1 - kmin) / (kmin - 1)
-
-
-def _unit_rows(f: RealQuadraticField, cap: int):
-    """Bottom rows (0, u) of the gamma = 0 class under TranslationsOnly,
-    u = +-eps^m with |m| <= cap, sorted; and the first dropped units
-    eps^{cap+1}, eps^{-(cap+1)}, one step further along the same walk."""
-    eps = fundamental_unit(f).int_coords()
-    eps_inv = _unit_inverse_int(f, eps)
-    up = un = (1, 0)
-    powers = [up]
-    for _ in range(cap):
-        up = _mul(f, up, eps)
-        un = _mul(f, un, eps_inv)
-        powers.extend([up, un])
-    rows = sorted(v for u in powers for v in (u, (-u[0], -u[1])))
-    return rows, (_mul(f, up, eps), _mul(f, un, eps_inv))
 
 
 # -- delta boxes ------------------------------------------------------------
@@ -479,7 +446,7 @@ def _cutoff_window(u1: np.ndarray, u2: np.ndarray, b: tuple[float, float],
     return logs <= -2.0 * math.log(cutoff), logs
 
 
-# -- identity class ----------------------------------------------------------
+# -- lattice sum --------------------------------------------------------------
 
 def _kahan(s: np.ndarray, c: np.ndarray, x: np.ndarray):
     """One compensated-summation step: (sum, compensation) after adding x."""
@@ -487,45 +454,6 @@ def _kahan(s: np.ndarray, c: np.ndarray, x: np.ndarray):
     t = s + yv
     return t, (t - s) - yv
 
-
-def _unit_row_factors(spec: PoincareSpec, units):
-    """(u_1^{-k_1} u_2^{-k_2}, a_1, a_2) for each row (0, u), a = u^{-1}:
-    the factors of the gamma = 0 term u_1^{-k_1} u_2^{-k_2}
-    e^{2 pi i tr(nu a^2 z)}."""
-    f = spec.field
-    k1, k2 = spec.weight.as_tuple()
-    for u in units:
-        u1, u2 = _embed(f, u)
-        yield (u1 ** (-k1) * u2 ** (-k2),) + _embed(f, _unit_inverse_int(f, u))
-
-
-def _identity_sum(spec: PoincareSpec, xs: np.ndarray, y: tuple[float, float],
-                  rows: list[tuple[int, int]]) -> np.ndarray:
-    """Compensated sum of the gamma = 0 terms over the rows (0, u), at
-    every point z = x + iy for x in xs at once."""
-    nu1, nu2 = spec.nu.embeddings()
-    z1 = xs[:, 0] + 1j * y[0]
-    z2 = xs[:, 1] + 1j * y[1]
-    ident = comp = np.zeros(len(xs), dtype=np.complex128)
-    for scale, ui1, ui2 in _unit_row_factors(spec, rows):
-        ident, comp = _kahan(ident, comp, scale * np.exp(
-            2j * math.pi * (nu1 * ui1 * ui1 * z1 + nu2 * ui2 * ui2 * z2)))
-    return ident
-
-
-def _unit_remainder(spec: PoincareSpec, y: tuple[float, float],
-                    dropped) -> float:
-    """TranslationsOnly unit-cap remainder: the term magnitudes of the
-    first dropped rows (0, +-u), u = eps^{+-(cap + 1)}."""
-    nu1, nu2 = spec.nu.embeddings()
-    rem = 0.0
-    for scale, ui1, ui2 in _unit_row_factors(spec, dropped):
-        rem += 2.0 * abs(scale) * math.exp(
-            -TWO_PI * (nu1 * ui1 * ui1 * y[0] + nu2 * ui2 * ui2 * y[1]))
-    return rem
-
-
-# -- lattice sum --------------------------------------------------------------
 
 def _check_y(y: tuple[float, float]):
     if min(y) < _MIN_IM:
@@ -564,7 +492,7 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     outside both strips are not visited: the closed-form 4 S_1 S_2 of
     `_corner_bound` bounds their summed bounds and is added to every
     point's tail.  The tail also holds the boundary-shell, box-perimeter,
-    skipped-class, beyond-box and unit-cap parts.
+    skipped-class and beyond-box parts.
 
     Deterministic: fixed class and lattice ordering, per-point bincount
     reductions in that order.  xs must be a non-empty (npts, 2) array
@@ -585,16 +513,13 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
         spec, y, policy)
     perimeter_sites = 0.0
 
-    # identity class; UnitExtended folds the units into the stabilizer and
-    # keeps the row (0, 1) alone
-    if spec.convention is GammaInfConvention.UNIT_EXTENDED:
-        rows, unit_rem = [(1, 0)], 0.0
-    else:
-        rows, dropped = _unit_rows(f, policy.unit_cap)
-        unit_rem = _unit_remainder(spec, y, dropped)
-    values = comp = np.zeros(npts, dtype=np.complex128)  # Kahan per point
-    values, comp = _kahan(values, comp, _identity_sum(spec, xs_arr, y, rows))
-    terms_used = npts * len(rows)
+    # the gamma = 0 class is the identity row (0, 1) alone: the units sit
+    # in the stabilizer.  + 0.0 turns the -0.0 parts of an underflowed term
+    # into +0.0, as a compensated sum started from zero would
+    values = np.exp(2j * math.pi * (nu1 * (x1 + 1j * y[0])
+                                    + nu2 * (x2 + 1j * y[1]))) + 0.0
+    comp = np.zeros(npts, dtype=np.complex128)  # Kahan per point
+    terms_used = npts
 
     shell_height = _SHELL_FRAC * policy.gamma_height_max
     for cl in classes:
@@ -667,8 +592,7 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     beyond = _beyond_box_mass(spec, y, policy,
                               bool(classes) or skip_mass > 0.0)
     tails = shell_mass * geom / (1.0 - geom) + cut_mass + corner_mass \
-        + policy.term_cutoff * perimeter_sites / npts + skip_mass \
-        + beyond + unit_rem
+        + policy.term_cutoff * perimeter_sites / npts + skip_mass + beyond
     # a cut or corner site's bound is below the cutoff; e^{-logs/2} and
     # f_1(rho_1) f_2(rho_2) may round above it
     return values, tails, terms_used, min(largest_dropped, policy.term_cutoff)
@@ -691,8 +615,8 @@ def tail_bound(spec: PoincareSpec, z: tuple[complex, complex],
     sites outside both strips, which are bounded, not visited (both
     rigorous), plus heuristic parts (boundary-shell magnitudes times a
     geometric factor, cutoff mass for the box perimeters, skipped classes,
-    the classes beyond the height box, the unit cap).  Reported separately
-    from the value, never added to it."""
+    the classes beyond the height box).  Reported separately from the
+    value, never added to it."""
     return evaluate(spec, z, policy).tail_estimate
 
 
@@ -713,14 +637,7 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
     _check_y(y)
     x1, x2 = np.array([z[0].real]), np.array([z[1].real])
     k1, k2 = spec.weight.as_tuple()
-    reps: list[CosetRep] = []
-    if spec.convention is GammaInfConvention.UNIT_EXTENDED:
-        reps.append(CosetRep(gamma=f.zero, delta=f.one, a=f.one, b=f.zero))
-    else:
-        for u in _unit_rows(f, policy.unit_cap)[0]:
-            ui = _unit_inverse_int(f, u)
-            reps.append(CosetRep(gamma=f.zero, delta=f.element(*u),
-                                 a=f.element(*ui), b=f.zero))
+    reps = [CosetRep(gamma=f.zero, delta=f.one, a=f.one, b=f.zero)]
     count = len(reps)
     for cl in enumerate_gamma_classes(spec, y, policy):
         b1, b2 = abs(cl.emb[0]) * y[0], abs(cl.emb[1]) * y[1]

@@ -197,6 +197,8 @@ def test_config_file_flags_win(command, file_entries, key, flag_value, capsys,
     ("cutof=1e-3", "unknown config key 'cutof'"),
     ("margin=1.0", "unknown config key 'margin'"),
     ("cutoff", "bad config line: 'cutoff'"),
+    ("unit_cap=6", "unknown config key 'unit_cap'"),
+    ("convention=unit_extended", "unknown config key 'convention'"),
 ])
 def test_config_file_fault_exits_2(command, line, message, capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -206,6 +208,18 @@ def test_config_file_fault_exits_2(command, line, message, capsys, tmp_path):
     assert code == 2
     assert err == f"config error: {message}\n"
     assert out == ""
+
+
+def test_convention_flag_is_a_usage_error(capsys):
+    # the engine has one Gamma_inf convention, so no flag selects one
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--d", "7", "--k", "8,8", "--level", "1",
+              "--grid", "32", "--height", "8",
+              "--convention", "translations_only"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --convention" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["sweep-weight", "certify"])

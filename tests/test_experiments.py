@@ -6,6 +6,7 @@ from hpseries.experiments import (
     SweepAxis,
     TrendThresholds,
     Verdict,
+    certificate_to_json,
     certify_nonvanishing,
     sweep_level,
     sweep_to_csv,
@@ -152,6 +153,18 @@ def test_json_embeds_spec_snapshot(field5, nu5, mu5, unit_ideal5, dom,
     assert doc["spec"]["d"] == 5
     assert doc["config"] == {"d": "5"}
     assert doc["rows"][0]["param"] == 10
+
+
+def test_json_payloads_name_the_convention(field5, nu5, mu5, unit_ideal5,
+                                           dom, policy):
+    # the payload digests cover this key, although the engine has one
+    # Gamma_inf convention and no option selects it
+    report = sweep_weight(field5, nu5, mu5, unit_ideal5, [10], dom, policy)
+    cert = certify_nonvanishing(
+        PoincareSpec(field=field5, weight=Weight(12, 12), nu=nu5,
+                     level=unit_ideal5), dom, policy)
+    for text in (sweep_to_json(report), certificate_to_json(cert)):
+        assert json.loads(text)["spec"]["convention"] == "unit_extended"
 
 
 @pytest.mark.parametrize("d", EUCLIDEAN_D)

@@ -138,8 +138,7 @@ def test_sample_grid_matches_full_grid(symmetry_spec):
     the lattice sum evaluated at every grid point.  Per-point bits depend
     on where a point sits in the batch, so the comparison is by tolerance."""
     spec = symmetry_spec
-    policy = TruncationPolicy(gamma_height_max=8.0, term_cutoff=1e-11,
-                              unit_cap=3)
+    policy = TruncationPolicy(gamma_height_max=8.0, term_cutoff=1e-11)
     dom = SamplingDomain(field=spec.field, y1=1.1, y2=1.0, grid_n=16)
     values, tails = PoincareEvaluand(spec, policy).sample_grid(dom)
     full_values, full_tails = evaluate_grid(spec, dom.lattice_points(),

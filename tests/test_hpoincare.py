@@ -8,7 +8,6 @@ import pytest
 from hpseries.hpoincare import (
     CosetRep,
     EvaluationError,
-    GammaInfConvention,
     PoincareSpec,
     TruncationLimitExceeded,
     TruncationPolicy,
@@ -34,6 +33,7 @@ from hpseries.qfield import (
     EUCLIDEAN_D,
     DualIndex,
     complete_pair,
+    fundamental_unit,
     ideal_from_gen,
     is_unimodular_pair,
     make_field,
@@ -78,18 +78,21 @@ def test_spec_rejects_non_totally_positive(field5, unit_ideal5):
                      level=unit_ideal5)
 
 
-def test_spec_rejects_nonparallel_with_norm_minus_one_unit(field5, nu5,
-                                                           unit_ideal5):
-    # d=5 has a norm -1 fundamental unit: UnitExtended demands parallel
-    with pytest.raises(EvaluationError):
-        PoincareSpec(field=field5, weight=Weight(4, 6), nu=nu5,
-                     level=unit_ideal5)
-    # fine over d=3 (norm +1 unit)
-    f3 = make_field(3)
-    nu3 = DualIndex.from_numerator(f3, f3.element(1, 1))
-    assert nu3.is_totally_positive()
-    PoincareSpec(field=f3, weight=Weight(4, 6), nu=nu3,
-                 level=ideal_from_gen(f3.one))
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_spec_rejects_nonparallel_with_norm_minus_one_unit(d):
+    # a norm -1 fundamental unit (d = 2, 5, 13) demands parallel weight;
+    # a norm +1 one (d = 3, 6, 7) accepts any weight
+    f = make_field(d)
+    kwargs = dict(field=f, weight=Weight(4, 6),
+                  nu=trace_one_totally_positive(f, 8)[-1],
+                  level=ideal_from_gen(f.one))
+    if fundamental_unit(f).norm() == -1:
+        assert d in (2, 5, 13)
+        with pytest.raises(EvaluationError):
+            PoincareSpec(**kwargs)
+    else:
+        assert d in (3, 6, 7)
+        PoincareSpec(**kwargs)
 
 
 def test_evaluate_rejects_low_im(spec8, policy_small):
@@ -256,8 +259,7 @@ def test_reflection_through_explicit_cosets(symmetry_spec):
     coset representatives, at a point x off every sampling grid: the
     identity behind filling half of a sampling grid by conjugation."""
     spec = symmetry_spec
-    policy = TruncationPolicy(gamma_height_max=5.0, term_cutoff=1e-9,
-                              unit_cap=3)
+    policy = TruncationPolicy(gamma_height_max=5.0, term_cutoff=1e-9)
     x, y = (0.2718, -0.1414), (1.15, 1.05)
     z = (complex(x[0], y[0]), complex(x[1], y[1]))
     zm = (complex(-x[0], y[0]), complex(-x[1], y[1]))
@@ -435,20 +437,6 @@ def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
     assert corner_max <= res.largest_dropped
 
 
-def test_evaluate_translations_only_matches_coset_sum(field5, nu5,
-                                                      unit_ideal5):
-    spec = PoincareSpec(field=field5, weight=Weight(8, 8), nu=nu5,
-                        level=unit_ideal5,
-                        convention=GammaInfConvention.TRANSLATIONS_ONLY)
-    policy = TruncationPolicy(gamma_height_max=5.0, term_cutoff=1e-9,
-                              unit_cap=4)
-    res = evaluate(spec, Z0, policy)
-    reps = enumerate_cosets(spec, Z0, policy)
-    direct = sum(term(M, Z0, spec) for M in reps)
-    assert res.value == pytest.approx(direct, abs=1e-13)
-    assert res.terms_used == len(reps)
-
-
 def test_pointwise_weight_limit(field5, nu5, unit_ideal5):
     """P(z) -> e^{2 pi i tr(nu z)} as the parallel weight grows."""
     z = Z0
@@ -506,20 +494,16 @@ def test_largest_dropped_below_cutoff(spec8):
     assert res.largest_dropped <= policy.term_cutoff
 
 
-def test_evaluate_grid_matches_pointwise(field5, nu5, unit_ideal5,
-                                         policy_small):
+def test_evaluate_grid_matches_pointwise(spec8, policy_small):
     xs = [(Z0[0].real, Z0[1].real), (0.41, -0.07), (0.0, 0.0)]
     y = (Z0[0].imag, Z0[1].imag)
-    for convention in GammaInfConvention:  # both identity-class row sets
-        spec = PoincareSpec(field=field5, weight=Weight(8, 8), nu=nu5,
-                            level=unit_ideal5, convention=convention)
-        vals, tails = evaluate_grid(spec, xs, y, policy_small)[:2]
-        for x, v in zip(xs, vals):
-            r = evaluate(spec, (complex(x[0], y[0]), complex(x[1], y[1])),
-                         policy_small)
-            # evaluate is the one-point grid: same terms, same per-point order
-            assert v == pytest.approx(r.value, abs=1e-14), convention
-        assert (tails >= 0).all()
+    vals, tails = evaluate_grid(spec8, xs, y, policy_small)[:2]
+    for x, v in zip(xs, vals):
+        r = evaluate(spec8, (complex(x[0], y[0]), complex(x[1], y[1])),
+                     policy_small)
+        # evaluate is the one-point grid: same terms, same per-point order
+        assert v == pytest.approx(r.value, abs=1e-14)
+    assert (tails >= 0).all()
 
 
 # -- tail bound --------------------------------------------------------------------
