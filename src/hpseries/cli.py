@@ -175,7 +175,7 @@ def cmd_field_info(args) -> int:
             "omega": "(1+sqrt(d))/2" if field.omega_is_half else "sqrt(d)",
             "euclidean": field.euclidean,
             "fundamental_unit": list(eps.int_coords()),
-            "fundamental_unit_norm": int(eps.norm()),
+            "fundamental_unit_norm": eps.norm(),
             "codifferent_gen": [str(gen.a), str(gen.b)],
             "trace_one_totally_positive": [
                 {"numerator": list(nu.numerator.int_coords()),
@@ -190,7 +190,7 @@ def cmd_field_info(args) -> int:
             f"omega = {'(1+sqrt(d))/2' if field.omega_is_half else 'sqrt(d)'}",
             f"norm-Euclidean: {field.euclidean}",
             f"fundamental unit = {eps.int_coords()} over [1, w], "
-            f"norm {int(eps.norm())}, embeddings {eps.embeddings()}",
+            f"norm {eps.norm()}, embeddings {eps.embeddings()}",
             f"codifferent generator 1/sqrt({field.disc}) = "
             f"({gen.a}) + ({gen.b}) w",
             f"trace-1 totally positive dual indices "

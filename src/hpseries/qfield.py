@@ -1,12 +1,12 @@
 """Exact arithmetic in a real quadratic field F = Q(sqrt(d)).
 
-Elements are stored as exact rational coordinates over the integral basis
-[1, w], where w = (1+sqrt(d))/2 when d = 1 mod 4 and w = sqrt(d) otherwise.
+Elements are stored as exact coordinates over the integral basis [1, w],
+where w = (1+sqrt(d))/2 when d = 1 mod 4 and w = sqrt(d) otherwise: a
+coordinate is a Python int when it is integral and a Fraction otherwise.
 Everything here (trace, norm, total positivity, ideal membership, unimodular
 completion) is decided exactly; floating point only enters through the
 embeddings.  One pair core (`_mul`, `_conj`, `_norm`, `_embed`) serves the
-integer coordinate pairs of the hot paths and the `Fraction` coordinates of
-`FieldElement` alike.
+integer coordinate pairs of the hot paths and `FieldElement` alike.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class RealQuadraticField:
 
     # -- element constructors --------------------------------------------
     def element(self, a, b=0) -> FieldElement:
-        return FieldElement(self, Fraction(a), Fraction(b))
+        return FieldElement(self, a, b)
 
     @property
     def zero(self) -> FieldElement:
@@ -118,13 +118,29 @@ def make_field(d: int, strict: bool = True) -> RealQuadraticField:
         omega_trace=0, omega_norm=-d, omega_sq_const=d, omega_sq_lin=0)
 
 
+def _coord(x) -> int | Fraction:
+    """The stored form of a coordinate: a Python int when x is integral
+    (bools and numpy integers included), else an exact Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    n, d = int(x.numerator), int(x.denominator)
+    return n if d == 1 else Fraction(n, d)
+
+
 @dataclass(frozen=True, slots=True)
 class FieldElement:
-    """a + b*w with exact rational a, b."""
+    """a + b*w with exact rational a, b: each is an int when integral and a
+    Fraction with denominator > 1 otherwise (normalised on construction)."""
 
     field: RealQuadraticField
-    a: Fraction
-    b: Fraction
+    a: int | Fraction
+    b: int | Fraction
+
+    def __post_init__(self):
+        if type(self.a) is not int or type(self.b) is not int:
+            object.__setattr__(self, "a", _coord(self.a))
+            object.__setattr__(self, "b", _coord(self.b))
 
     def _check(self, other: FieldElement) -> None:
         if self.field != other.field:
@@ -158,7 +174,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, Fraction(other), Fraction(0))
+            return FieldElement(self.field, other, 0)
         return NotImplemented
 
     def __mul__(self, other):
@@ -192,7 +208,7 @@ class FieldElement:
         if n == 0:
             raise ZeroDivisionError("zero field element")
         c = self.conjugate()
-        return FieldElement(self.field, c.a / n, c.b / n)
+        return FieldElement(self.field, Fraction(c.a, n), Fraction(c.b, n))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -218,10 +234,10 @@ class FieldElement:
     def conjugate(self) -> FieldElement:
         return FieldElement(self.field, *_conj(self.field, (self.a, self.b)))
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int | Fraction:
         return 2 * self.a + self.b * self.field.omega_trace
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         return _norm(self.field, (self.a, self.b))
 
     def is_zero(self) -> bool:
@@ -231,9 +247,9 @@ class FieldElement:
         return self.a.denominator == 1 and self.b.denominator == 1
 
     def int_coords(self) -> tuple[int, int]:
-        if not self.is_integral():
-            raise QFieldError(f"{self} is not integral")
-        return (self.a.numerator, self.b.numerator)
+        if type(self.a) is int and type(self.b) is int:
+            return (self.a, self.b)
+        raise QFieldError(f"{self} is not integral")
 
     def embeddings(self) -> tuple[float, float]:
         return _embed(self.field, (self.a, self.b))
@@ -260,11 +276,11 @@ def embed(x: FieldElement) -> tuple[float, float]:
     return (float(x.a + x.b * w1), float(x.a + x.b * w2))
 
 
-def trace(x: FieldElement) -> Fraction:
+def trace(x: FieldElement) -> int | Fraction:
     return x.trace()
 
 
-def norm(x: FieldElement) -> Fraction:
+def norm(x: FieldElement) -> int | Fraction:
     return x.norm()
 
 
@@ -281,7 +297,7 @@ def codifferent_gen(field: RealQuadraticField) -> FieldElement:
     """
     if field.omega_is_half:
         return FieldElement(field, Fraction(-1, field.d), Fraction(2, field.d))
-    return FieldElement(field, Fraction(0), Fraction(1, 2 * field.d))
+    return FieldElement(field, 0, Fraction(1, 2 * field.d))
 
 
 @dataclass(frozen=True)
@@ -588,8 +604,7 @@ def complete_pair(gamma: FieldElement,
     ad, bg = _mul(f, a, dc), _mul(f, b, gc)
     if (ad[0] - bg[0], ad[1] - bg[1]) != (1, 0):
         raise QFieldError("completion determinant check failed")
-    return (FieldElement(f, Fraction(a[0]), Fraction(a[1])),
-            FieldElement(f, Fraction(b[0]), Fraction(b[1])))
+    return FieldElement(f, *a), FieldElement(f, *b)
 
 
 def fundamental_unit(field: RealQuadraticField) -> FieldElement:

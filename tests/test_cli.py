@@ -29,6 +29,70 @@ def test_field_info_json(capsys):
         [[-1, 1], [0, 1]]
 
 
+# Byte-exact field-info output for one field of each basis shape:
+# w = (1+sqrt d)/2 (d = 5) and w = sqrt d (d = 7).
+_FIELD_INFO_TEXT = {
+    5: (
+        '# config: d=5 height_bound=8\n'
+        'field Q(sqrt(5)), disc = 5\n'
+        'omega = (1+sqrt(d))/2\n'
+        'norm-Euclidean: True\n'
+        'fundamental unit = (0, 1) over [1, w], norm -1, '
+        'embeddings (1.618033988749895, -0.6180339887498949)\n'
+        'codifferent generator 1/sqrt(5) = (-1/5) + (2/5) w\n'
+        'trace-1 totally positive dual indices (numerator height <= 8):\n'
+        '  (-1+1w)/sqrt(5)  freq=(1, 0)  '
+        'embeddings=(0.27639320225002095, 0.7236067977499789)\n'
+        '  (0+1w)/sqrt(5)  freq=(1, 1)  '
+        'embeddings=(0.723606797749979, 0.27639320225002106)\n'),
+    7: (
+        '# config: d=7 height_bound=8\n'
+        'field Q(sqrt(7)), disc = 28\n'
+        'omega = sqrt(d)\n'
+        'norm-Euclidean: True\n'
+        'fundamental unit = (8, 3) over [1, w], norm 1, '
+        'embeddings (15.937253933193773, 0.06274606680622785)\n'
+        'codifferent generator 1/sqrt(28) = (0) + (1/14) w\n'
+        'trace-1 totally positive dual indices (numerator height <= 8):\n'
+        '  (-2+1w)/sqrt(28)  freq=(1, -2)  '
+        'embeddings=(0.1220355269907728, 0.8779644730092272)\n'
+        '  (-1+1w)/sqrt(28)  freq=(1, -1)  '
+        'embeddings=(0.3110177634953864, 0.6889822365046137)\n'
+        '  (0+1w)/sqrt(28)  freq=(1, 0)  embeddings=(0.5, 0.5)\n'
+        '  (1+1w)/sqrt(28)  freq=(1, 1)  '
+        'embeddings=(0.6889822365046137, 0.3110177634953864)\n'
+        '  (2+1w)/sqrt(28)  freq=(1, 2)  '
+        'embeddings=(0.8779644730092272, 0.1220355269907728)\n'),
+}
+
+_FIELD_INFO_JSON = {
+    5: {"codifferent_gen": ["-1/5", "2/5"],
+        "config": {"d": 5, "height_bound": 8},
+        "d": 5, "disc": 5, "euclidean": True,
+        "fundamental_unit": [0, 1], "fundamental_unit_norm": -1,
+        "omega": "(1+sqrt(d))/2",
+        "trace_one_totally_positive": [
+            {"freq": [1, 0], "numerator": [-1, 1]},
+            {"freq": [1, 1], "numerator": [0, 1]}]},
+    7: {"codifferent_gen": ["0", "1/14"],
+        "config": {"d": 7, "height_bound": 8},
+        "d": 7, "disc": 28, "euclidean": True,
+        "fundamental_unit": [8, 3], "fundamental_unit_norm": 1,
+        "omega": "sqrt(d)",
+        "trace_one_totally_positive": [
+            {"freq": [1, p], "numerator": [p, 1]} for p in range(-2, 3)]},
+}
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_field_info_output_is_pinned(d, capsys):
+    code, out, _ = run_cli(["field-info", "--d", str(d)], capsys)
+    assert (code, out) == (0, _FIELD_INFO_TEXT[d])
+    code, out, _ = run_cli(["field-info", "--d", str(d), "--json"], capsys)
+    expected = json.dumps(_FIELD_INFO_JSON[d], indent=2, sort_keys=True)
+    assert (code, out) == (0, expected + "\n")
+
+
 def test_field_info_rejects_bad_d(capsys):
     code, _out, err = run_cli(["field-info", "--d", "12"], capsys)
     assert code == 2

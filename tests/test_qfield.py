@@ -3,6 +3,7 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -280,8 +281,8 @@ def test_ideal_membership_vs_rational_solve(f, p, q, r, s):
     a11, a21 = b1.a, b1.b
     a12, a22 = b2.a, b2.b
     det = a11 * a22 - a12 * a21
-    c1 = (x.a * a22 - x.b * a12) / det
-    c2 = (x.b * a11 - x.a * a21) / det
+    c1 = Fraction(x.a * a22 - x.b * a12, det)
+    c2 = Fraction(x.b * a11 - x.a * a21, det)
     expected = c1.denominator == 1 and c2.denominator == 1
     assert ideal.contains(x) == expected
 
@@ -504,3 +505,120 @@ def test_ideal_from_gens_two_generators(field5):
     # (2, omega) generate the unit ideal
     ideal = ideal_from_gens(field5, [field5.element(2, 0), field5.omega])
     assert ideal.norm == 1
+
+
+# -- coordinate normal form ------------------------------------------------------
+# An integral coordinate is stored as a Python int (never a bool, a numpy
+# integer or an integral Fraction), any other one as a Fraction with
+# denominator > 1.  Observable behaviour is that of the same element with
+# Fraction coordinates.
+
+rationals = st.one_of(small_coords,
+                      st.fractions(-50, 50, max_denominator=12))
+raw_coords = st.one_of(rationals, st.booleans(), small_coords.map(np.int64))
+raw_pairs = st.tuples(raw_coords, raw_coords)
+
+
+def _assert_normal(x):
+    for c in (x.a, x.b):
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), \
+            (type(c), c)
+
+
+def _exact(v):
+    """v as a Fraction of Python ints (Fraction(numpy.int64(3)) would keep
+    the numpy integer as its numerator)."""
+    return Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v)
+
+
+def _fraction_built(f, a, b):
+    """The element with coordinates _exact(a), _exact(b), built around the
+    constructor so that they stay Fractions."""
+    ref = object.__new__(FieldElement)
+    for name, value in (("field", f), ("a", _exact(a)), ("b", _exact(b))):
+        object.__setattr__(ref, name, value)
+    return ref
+
+
+def _assert_as_fraction_built(x, a, b):
+    """x has normal coordinates, and ==, hash and repr agree with the
+    Fraction-built element with exact coordinates (a, b)."""
+    _assert_normal(x)
+    ref = _fraction_built(x.field, a, b)
+    assert x == ref and ref == x
+    assert hash(x) == hash(ref)
+    assert repr(x) == repr(ref)
+
+
+def _fraction_inverse(f, x):
+    n = qfield._norm(f, x)
+    c = qfield._conj(f, x)
+    return (c[0] / n, c[1] / n)
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+@given(a=raw_coords, b=raw_coords)
+def test_element_stores_normal_coordinates(d, a, b):
+    _assert_as_fraction_built(make_field(d).element(a, b), a, b)
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+@given(x=raw_pairs, y=raw_pairs, r=rationals, n=st.integers(-4, 4))
+def test_arithmetic_keeps_normal_coordinates(d, x, y, r, n):
+    """+ - * / ** (negative powers too), conjugate and inverse against the
+    pair core run on Fraction coordinates."""
+    f = make_field(d)
+    X, Y = f.element(*x), f.element(*y)
+    xf, yf = tuple(map(_exact, x)), tuple(map(_exact, y))
+    assert (X == Y) == (xf == yf)
+    cases = [
+        (X + Y, (xf[0] + yf[0], xf[1] + yf[1])),
+        (X - Y, (xf[0] - yf[0], xf[1] - yf[1])),
+        (X * Y, qfield._mul(f, xf, yf)),
+        (-X, (-xf[0], -xf[1])),
+        (X.conjugate(), qfield._conj(f, xf)),
+        (X + r, (xf[0] + r, xf[1])),
+        (r - X, (r - xf[0], -xf[1])),
+        (r * X, (r * xf[0], r * xf[1])),
+    ]
+    if r:
+        cases.append((X / r, (xf[0] / Fraction(r), xf[1] / Fraction(r))))
+    if not Y.is_zero():
+        cases.append((X / Y, qfield._mul(f, xf, _fraction_inverse(f, yf))))
+    if not X.is_zero():
+        inv = _fraction_inverse(f, xf)
+        assert X * X.inverse() == 1
+        cases += [(X.inverse(), inv), (r / X, (r * inv[0], r * inv[1]))]
+    if n >= 0 or not X.is_zero():
+        power, base = (Fraction(1), Fraction(0)), xf if n >= 0 else inv
+        for _ in range(abs(n)):
+            power = qfield._mul(f, power, base)
+        cases.append((X ** n, power))
+    for got, (a, b) in cases:
+        _assert_as_fraction_built(got, a, b)
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+@given(p=small_coords, q=small_coords, r=st.integers(-9, 9),
+       s=st.integers(-9, 9))
+def test_library_paths_keep_normal_coordinates(d, p, q, r, s):
+    """codifferent_gen, DualIndex.elem, fundamental_unit, IdealHNF.basis
+    and complete_pair, fed elements built from numpy integers: integral
+    results carry Python ints, so none reaches _ext_gcd_int."""
+    f = make_field(d)
+    gen = codifferent_gen(f)
+    _assert_normal(gen)
+    assert all(type(c) is int for c in fundamental_unit(f).int_coords())
+    gamma = f.element(np.int64(p), np.int64(q))
+    assert all(type(c) is int for c in gamma.int_coords())
+    beta = gamma if not gamma.is_zero() else f.one
+    nu = DualIndex.from_numerator(f, beta)
+    _assert_normal(nu.elem)
+    assert nu.elem == beta * gen
+    for e in ideal_from_gen(beta).basis():
+        assert all(type(c) is int for c in e.int_coords())
+    # (gamma, 1 + gamma*t) generates O_F for every t
+    delta = f.one + gamma * f.element(np.int64(r), np.int64(s))
+    a, b = complete_pair(gamma, delta)
+    assert all(type(c) is int for c in a.int_coords() + b.int_coords())
+    assert a * delta - b * gamma == 1
