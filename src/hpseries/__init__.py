@@ -10,15 +10,12 @@ from .qfield import (
     RealQuadraticField,
     codifferent_gen,
     complete_pair,
-    embed,
     fundamental_unit,
     ideal_from_gen,
     ideal_from_gens,
     is_totally_positive,
     is_unimodular_pair,
     make_field,
-    norm,
-    trace,
     trace_one_totally_positive,
 )
 from .hpoincare import (

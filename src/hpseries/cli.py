@@ -104,8 +104,6 @@ def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
 
 
 def _pair_of_ints(text) -> tuple[int, int]:
-    if isinstance(text, tuple):
-        return text
     parts = [int(p) for p in str(text).split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected 'a,b', got {text!r}")
@@ -159,11 +157,7 @@ def _domain_from(field, cfg: dict) -> SamplingDomain:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_field_info(args) -> int:
-    try:
-        field = make_field(args.d)
-    except QFieldError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    field = make_field(args.d)
     bound = args.height_bound
     eps = fundamental_unit(field)
     gen = codifferent_gen(field)
@@ -234,15 +228,11 @@ def cmd_sweep(args) -> int:
             final_deviation=float(cfg.get("final_dev", 0.05)))
         if not by_weight:
             fixed = Weight(k1, k2)
-    except (KeyError, ValueError, QFieldError, EvaluationError) as err:
+    except (KeyError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     run = exp.sweep_weight if by_weight else exp.sweep_level
-    try:
-        report = run(field, nu, mu, fixed, params, domain, policy)
-    except (EvaluationError, QFieldError, AliasingError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = run(field, nu, mu, fixed, params, domain, policy)
     if cfg.get("format", "csv") == "json":
         text = exp.sweep_to_json(report, {k: str(v) for k, v in cfg.items()})
     else:
@@ -272,17 +262,10 @@ def cmd_certify(args) -> int:
         spec = PoincareSpec(field=field, weight=Weight(k1, k2), nu=nu,
                             level=level)
         safety = exp.check_safety_factor(float(cfg.get("safety", 10.0)))
-    except (KeyError, ValueError, QFieldError, EvaluationError) as err:
+    except (KeyError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        cert = exp.certify_nonvanishing(spec, domain, policy, safety)
-    except TruncationLimitExceeded as err:
-        print(f"truncation failure: {err}", file=sys.stderr)
-        return EXIT_TRUNCATION
-    except AliasingError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    cert = exp.certify_nonvanishing(spec, domain, policy, safety)
     text = exp.certificate_to_json(cert, {k: str(v) for k, v in cfg.items()})
     _write_out(text, cfg.get("out"))
     return EXIT_OK if cert.verdict is exp.Verdict.NONZERO_CERTIFIED \
@@ -291,43 +274,36 @@ def cmd_certify(args) -> int:
 
 def cmd_classical(args) -> int:
     rows = []
-    try:
-        if args.mode == "petersson":
-            params = cla.ClassicalParams(m=args.m, n=args.n, k=args.k,
-                                         q=args.q)
-            res = cla.petersson_coefficient(params, args.cmax)
-            rows.append(dict(m=args.m, n=args.n, k=args.k, q=args.q,
-                             value=res.value, tail_bound=res.tail_bound,
-                             method="petersson"))
-        elif args.mode == "quadrature":
-            params = cla.ClassicalParams(m=args.m, n=args.n, k=args.k,
-                                         q=args.q)
-            if args.grid is not None or args.y is not None:
-                policy = cla.QuadraturePolicy.auto(
-                    params, y=1.1 if args.y is None else args.y,
-                    grid_n=64 if args.grid is None else args.grid)
-            else:
-                policy = None
-            val = cla.classical_poincare_coefficient_by_quadrature(
-                params, policy)
-            rows.append(dict(m=args.m, n=args.n, k=args.k, q=args.q,
-                             value=val, tail_bound=0.0, method="quadrature"))
-        elif args.mode == "tau":
-            taus = cla.delta_coefficients(args.nmax)
-            lines = [f"# config: nmax={args.nmax}", "n,tau"]
-            lines += [f"{i + 1},{t}" for i, t in enumerate(taus)]
-            _write_out("\n".join(lines) + "\n", args.out)
-            return EXIT_OK
-        elif args.mode == "scan":
-            scan = cla.nonvanishing_range_scan(args.k, args.mmax, args.cmax)
-            lines = [f"# config: k={args.k} mmax={args.mmax} "
-                     f"cmax={args.cmax}", "m,certified"]
-            lines += [f"{m},{cert}" for m, cert in scan]
-            _write_out("\n".join(lines) + "\n", args.out)
-            return EXIT_OK if all(c for _m, c in scan) else EXIT_ASSERT
-    except cla.ClassicalError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.mode == "petersson":
+        params = cla.ClassicalParams(m=args.m, n=args.n, k=args.k, q=args.q)
+        res = cla.petersson_coefficient(params, args.cmax)
+        rows.append(dict(m=args.m, n=args.n, k=args.k, q=args.q,
+                         value=res.value, tail_bound=res.tail_bound,
+                         method="petersson"))
+    elif args.mode == "quadrature":
+        params = cla.ClassicalParams(m=args.m, n=args.n, k=args.k, q=args.q)
+        if args.grid is not None or args.y is not None:
+            policy = cla.QuadraturePolicy.auto(
+                params, y=1.1 if args.y is None else args.y,
+                grid_n=64 if args.grid is None else args.grid)
+        else:
+            policy = None
+        val = cla.classical_poincare_coefficient_by_quadrature(params, policy)
+        rows.append(dict(m=args.m, n=args.n, k=args.k, q=args.q,
+                         value=val, tail_bound=0.0, method="quadrature"))
+    elif args.mode == "tau":
+        taus = cla.delta_coefficients(args.nmax)
+        lines = [f"# config: nmax={args.nmax}", "n,tau"]
+        lines += [f"{i + 1},{t}" for i, t in enumerate(taus)]
+        _write_out("\n".join(lines) + "\n", args.out)
+        return EXIT_OK
+    elif args.mode == "scan":
+        scan = cla.nonvanishing_range_scan(args.k, args.mmax, args.cmax)
+        lines = [f"# config: k={args.k} mmax={args.mmax} "
+                 f"cmax={args.cmax}", "m,certified"]
+        lines += [f"{m},{cert}" for m, cert in scan]
+        _write_out("\n".join(lines) + "\n", args.out)
+        return EXIT_OK if all(c for _m, c in scan) else EXIT_ASSERT
     cfg_line = (f"# config: mode={args.mode} m={args.m} n={args.n} "
                 f"k={args.k} q={args.q} cmax={args.cmax}")
     for key in ("grid", "y"):  # echoed only when given: defaults unchanged
@@ -484,6 +460,10 @@ def main(argv: list[str] | None = None) -> int:
     except TruncationLimitExceeded as err:
         print(f"truncation failure: {err}", file=sys.stderr)
         return EXIT_TRUNCATION
+    except (EvaluationError, QFieldError, AliasingError,
+            cla.ClassicalError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -49,7 +49,6 @@ class TrendThresholds:
     """Empirical finite-sample surrogates for the qualitative limits."""
 
     final_deviation: float = 0.05
-    max_component_error: float = 1e-3
 
     def __post_init__(self):
         # NaN fails every comparison, so a NaN threshold fails every sweep
@@ -88,14 +87,6 @@ class SweepReport:
     def final_deviations(self) -> tuple[float, float]:
         last = self.ok_rows()[-1]
         return (abs(last.p_nu.value - 1), abs(last.p_mu.value))
-
-    def monotone_report(self) -> tuple[bool, bool]:
-        """Strict monotonicity across all rows (reported, not asserted)."""
-        rows = self.ok_rows()
-        nu_dev = [abs(r.p_nu.value - 1) for r in rows]
-        mu_dev = [abs(r.p_mu.value) for r in rows]
-        return (all(a > b for a, b in zip(nu_dev, nu_dev[1:])),
-                all(a > b for a, b in zip(mu_dev, mu_dev[1:])))
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,9 @@ class SamplingDomain:
     def y(self) -> tuple[float, float]:
         return (self.y1, self.y2)
 
-    def lattice_points(self, n: int | None = None) -> np.ndarray:
-        """Embeddings of x(u, v) = (u/n) + (v/n) w, row-major over (u, v)."""
-        n = n or self.grid_n
+    def lattice_points(self) -> np.ndarray:
+        """Embeddings of x(u, v) = (u + v w)/grid_n, row-major over (u, v)."""
+        n = self.grid_n
         u, v = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         return np.stack(_embed(self.field, (u.ravel() / n, v.ravel() / n)),
                         axis=1)

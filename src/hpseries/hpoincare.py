@@ -28,6 +28,11 @@ every kept site are walked; the bounds of the walked sites below the
 cutoff are summed into the tail estimate, and the corner sites outside
 both strips are not visited but bounded in closed form by counting
 lattice sites per unit square (`_corner_bound`).
+
+Whether a gamma class is summed is decided in one place,
+`_classes_with_skip_info`, and each kept class carries its geometry on its
+`_GammaClass` record: b_j = |gamma_j| y_j, the delta box and the strip
+radii, which `evaluate_grid` and `enumerate_cosets` read as they are.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from .qfield import (
     IdealHNF,
     RealQuadraticField,
     _conj,
+    _complete_int,
     _embed,
-    _ext_gcd_int,
     _ideal_hnf,
     _mul,
     _norm,
@@ -201,45 +206,48 @@ def is_canonical_gamma(f: RealQuadraticField, pq: tuple[int, int],
 # -- gamma classes ----------------------------------------------------------
 
 class _GammaClass:
-    """One bottom-row class: fixed gamma, all valid delta.
+    """One kept bottom-row class at a fibre y: fixed gamma, all valid delta.
 
-    Carries embeddings, the HNF of gamma*O_F for residue reduction, and the
+    Carries the embeddings of gamma, b_j = |gamma_j| y_j, the delta-box
+    half-widths `wd` (`_delta_windows`) and the cutoff strip radii `rho`
+    (`_strip_radii`), the HNF of gamma*O_F for residue reduction, and the
     exact completion phase e^{2 pi i tr(nu a/gamma)} per invertible residue.
+    Built only by `_classes_with_skip_info`, which decides the classes kept.
     """
 
-    __slots__ = ("pq", "emb", "hnf", "phase_table", "height", "abs_norm")
+    __slots__ = ("pq", "emb", "height", "b", "wd", "rho", "hnf",
+                 "phase_table")
 
     def __init__(self, f: RealQuadraticField, pq: tuple[int, int],
+                 emb: tuple[float, float], b: tuple[float, float],
+                 wd: tuple[float, float], rho: tuple[float, float],
                  nu_emb: tuple[float, float]):
-        self.pq = pq
-        self.emb = _embed(f, pq)
-        self.height = max(abs(self.emb[0]), abs(self.emb[1]))
-        n = _norm(f, pq)
-        self.abs_norm = abs(n)
-        self.hnf = A, B, C = _ideal_hnf(f, [pq])
-        table = np.zeros((A, C), dtype=np.complex128)
-        gconj = _conj(f, pq)
-        for j in range(C):
-            for i in range(A):
-                a_res = _completion_residue(f, pq, (i, j))
-                if a_res is None:
-                    continue
-                # a/gamma = a * conj(gamma) / N(gamma), embeddings in float
-                e1, e2 = _embed(f, _mul(f, a_res, gconj))
-                theta = TWO_PI * (nu_emb[0] * (e1 / n) + nu_emb[1] * (e2 / n))
-                table[i, j] = complex(math.cos(theta), math.sin(theta))
-        self.phase_table = table
+        self.pq, self.emb, self.b, self.wd, self.rho = pq, emb, b, wd, rho
+        self.height = max(abs(emb[0]), abs(emb[1]))
+        self.hnf = _ideal_hnf(f, [pq])
+        self.phase_table = _phase_table(f, pq, self.hnf, nu_emb)
 
 
-def _completion_residue(f: RealQuadraticField, gamma: tuple[int, int],
-                        delta: tuple[int, int]):
-    """a with a*delta = 1 mod gamma*O_F, or None if (gamma, delta) is not
-    unimodular.  delta = 0 is fine: the pair is unimodular iff gamma is a
-    unit (e.g. the inversion row (1, 0))."""
-    g, x, _y = _ext_gcd_int(f, delta, gamma)
-    if abs(_norm(f, g)) != 1:
-        return None
-    return _mul(f, _unit_inverse_int(f, g), x)
+def _phase_table(f: RealQuadraticField, pq: tuple[int, int],
+                 hnf: tuple[int, int, int],
+                 nu_emb: tuple[float, float]) -> np.ndarray:
+    """e^{2 pi i tr(nu a/gamma)} at index (i, j) of the residue delta =
+    i + j w mod gamma*O_F (HNF (A, B, C)), with a the completion residue of
+    `_complete_int`; 0 where (gamma, delta) is not unimodular."""
+    A, _B, C = hnf
+    n = _norm(f, pq)
+    table = np.zeros((A, C), dtype=np.complex128)
+    gconj = _conj(f, pq)
+    for j in range(C):
+        for i in range(A):
+            ab = _complete_int(f, pq, (i, j))
+            if ab is None:
+                continue
+            # a/gamma = a * conj(gamma) / N(gamma), embeddings in float
+            e1, e2 = _embed(f, _mul(f, ab[0], gconj))
+            theta = TWO_PI * (nu_emb[0] * (e1 / n) + nu_emb[1] * (e2 / n))
+            table[i, j] = complex(math.cos(theta), math.sin(theta))
+    return table
 
 
 def _gamma_box(f: RealQuadraticField, height: float) -> Iterable[tuple[int, int]]:
@@ -258,11 +266,15 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
                             policy: TruncationPolicy):
     """(kept classes, skipped-class mass bound, largest skipped term bound).
 
-    A class whose largest possible term prod (|gamma_j| y_j)^{-k_j} falls
-    below the cutoff is dropped wholesale; its bound feeds the tail
-    estimate instead of the sum."""
+    The one place that decides whether a gamma class is summed.  A class
+    is dropped wholesale when its largest possible term prod b_j^{-k_j},
+    b_j = |gamma_j| y_j, falls below the cutoff or its delta box is empty
+    (`_delta_windows` is None, which only rounding gives above the
+    cutoff); its bound feeds the tail estimate instead of the sum.  A kept
+    class carries b, its delta box and its strip radii."""
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
+    cutoff = policy.term_cutoff
     nu_emb = spec.nu.embeddings()
     eps_inv = _unit_inverse_int(f, fundamental_unit(f).int_coords())
     kept = []
@@ -273,21 +285,25 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
             continue
         if not is_canonical_gamma(f, pq, eps_inv):
             continue
-        g1, g2 = _embed(f, pq)
-        b1, b2 = abs(g1) * y[0], abs(g2) * y[1]
+        emb = _embed(f, pq)
+        b1, b2 = abs(emb[0]) * y[0], abs(emb[1]) * y[1]
         bound = b1 ** (-k1) * b2 ** (-k2)
-        if bound < policy.term_cutoff:
+        wd = None if bound < cutoff \
+            else _delta_windows(b1, b2, k1, k2, cutoff)
+        if wd is None:
             skip_mass += bound
             largest_skipped = max(largest_skipped, bound)
             continue
-        kept.append(_GammaClass(f, pq, nu_emb))
+        rho = _strip_radii(b1, b2, k1, k2, cutoff)
+        kept.append(_GammaClass(f, pq, emb, (b1, b2), wd, rho, nu_emb))
     return kept, skip_mass, largest_skipped
 
 
 def enumerate_gamma_classes(spec: PoincareSpec, y: tuple[float, float],
                             policy: TruncationPolicy) -> list[_GammaClass]:
     """Nonzero-gamma classes surviving the height box and the per-class
-    cutoff test at fiber y, in deterministic coordinate order."""
+    cutoff test at fiber y (`_classes_with_skip_info`), in deterministic
+    coordinate order."""
     return _classes_with_skip_info(spec, y, policy)[0]
 
 
@@ -325,10 +341,10 @@ def _delta_windows(b1: float, b2: float, k1: int, k2: int, cutoff: float):
     return wd1, wd2
 
 
-def _q_ranges(cl: _GammaClass, x1, x2, wd: tuple[float, float],
-              sq_disc: float):
+def _q_ranges(cl: _GammaClass, x1, x2, sq_disc: float):
     """(c1, c2, qlo, qhi): the box centres -gamma_j x_j and the q-range of
-    the delta box at points with real parts x1, x2 (arrays)."""
+    the class's delta box at points with real parts x1, x2 (arrays)."""
+    wd = cl.wd
     c1 = -cl.emb[0] * x1
     c2 = -cl.emb[1] * x2
     qlo = np.ceil(((c1 - wd[0]) - (c2 + wd[1])) / sq_disc).astype(np.int64)
@@ -456,12 +472,16 @@ def _kahan(s: np.ndarray, c: np.ndarray, x: np.ndarray):
 
 
 def _check_y(y: tuple[float, float]):
+    # NaN passes every < test: ask for finiteness first
+    if not all(map(math.isfinite, y)):
+        raise EvaluationError(f"Im(z) must be finite, got {y}")
     if min(y) < _MIN_IM:
         raise EvaluationError(f"Im(z) below the quality guard {_MIN_IM}")
 
 
 def _points_array(xs) -> np.ndarray:
-    """xs as a float (npts, 2) array with npts >= 1, else EvaluationError."""
+    """xs as a finite float (npts, 2) array with npts >= 1, else
+    EvaluationError."""
     try:
         arr = np.asarray(xs, dtype=np.float64)
     except (TypeError, ValueError) as err:
@@ -469,6 +489,8 @@ def _points_array(xs) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != 2:
         raise EvaluationError(f"xs must be a non-empty (npts, 2) array of "
                               f"embedding pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise EvaluationError("xs must hold finite real parts")
     return arr
 
 
@@ -524,21 +546,14 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     shell_height = _SHELL_FRAC * policy.gamma_height_max
     for cl in classes:
         g1, g2 = cl.emb
-        b1, b2 = abs(g1) * y[0], abs(g2) * y[1]
-        wd = _delta_windows(b1, b2, k1, k2, policy.term_cutoff)
-        if wd is None:
-            bound = b1 ** (-k1) * b2 ** (-k2)
-            skip_mass += bound
-            largest_dropped = max(largest_dropped, bound)
-            continue
+        wd, rho = cl.wd, cl.rho
         perimeter_sites += (2.0 * (wd[0] + wd[1]) / sq_disc + 4.0) * npts
-        rho = _strip_radii(b1, b2, k1, k2, policy.term_cutoff)
-        mass, largest = _corner_bound(b1, b2, k1, k2, rho)
+        mass, largest = _corner_bound(*cl.b, k1, k2, rho)
         corner_mass += mass
         largest_dropped = max(largest_dropped, largest)
         A, B, C = cl.hnf
         tab_flat = cl.phase_table.reshape(-1)
-        c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, wd, sq_disc)
+        c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, sq_disc)
         per_point = float(np.maximum(qhi - qlo + 1, 0).mean()) \
             * (2 * wd[0] + 1) or 1.0
         chunk = max(1, int(_CHUNK_ELEMENTS / max(per_point, 1.0)))
@@ -555,7 +570,7 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
                                               qhi[sl], wd, rho, omega_emb)
             if len(pt) == 0:
                 continue
-            keep, logs = _cutoff_window(u1, u2, (b1, b2), spec.weight,
+            keep, logs = _cutoff_window(u1, u2, cl.b, spec.weight,
                                         policy.term_cutoff)
             cut = np.flatnonzero(~keep)
             if len(cut):
@@ -635,21 +650,15 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
     f = spec.field
     y = (z[0].imag, z[1].imag)
     _check_y(y)
-    x1, x2 = np.array([z[0].real]), np.array([z[1].real])
-    k1, k2 = spec.weight.as_tuple()
+    x1, x2 = _points_array([(z[0].real, z[1].real)]).T
     reps = [CosetRep(gamma=f.zero, delta=f.one, a=f.one, b=f.zero)]
     count = len(reps)
     for cl in enumerate_gamma_classes(spec, y, policy):
-        b1, b2 = abs(cl.emb[0]) * y[0], abs(cl.emb[1]) * y[1]
-        wd = _delta_windows(b1, b2, k1, k2, policy.term_cutoff)
-        if wd is None:
-            continue
         gamma = f.element(*cl.pq)
-        rho = _strip_radii(b1, b2, k1, k2, policy.term_cutoff)
-        c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, wd, f.sqrt_disc)
-        _pt, pd, qd, u1, u2 = _strip_sites(c1, c2, qlo, qhi, wd, rho,
+        c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, f.sqrt_disc)
+        _pt, pd, qd, u1, u2 = _strip_sites(c1, c2, qlo, qhi, cl.wd, cl.rho,
                                            f.omega_embeddings())
-        keep = _cutoff_window(u1, u2, (b1, b2), spec.weight,
+        keep = _cutoff_window(u1, u2, cl.b, spec.weight,
                               policy.term_cutoff)[0]
         for p, q in zip(pd[keep].tolist(), qd[keep].tolist()):
             delta = f.element(p, q)

@@ -7,6 +7,12 @@ Everything here (trace, norm, total positivity, ideal membership, unimodular
 completion) is decided exactly; floating point only enters through the
 embeddings.  One pair core (`_mul`, `_conj`, `_norm`, `_embed`) serves the
 integer coordinate pairs of the hot paths and `FieldElement` alike.
+
+Float embeddings take one path: `_embed` on a coordinate pair, which
+`FieldElement.embeddings()` calls; `FieldElement.trace()` and `.norm()` are
+the exact trace and norm.  Unimodular completion has one integer core,
+`_complete_int`, under both `complete_pair` and the residue phase tables
+of `hpoincare`.
 """
 
 from __future__ import annotations
@@ -260,30 +266,6 @@ class FieldElement:
 
 # -- spec-level operations ------------------------------------------------
 
-def embed(x: FieldElement) -> tuple[float, float]:
-    """Real embeddings (sigma_1(x), sigma_2(x)); sigma_1(sqrt d) > 0.
-
-    Taken exactly from a 53-bit rational approximation of sqrt(d), then
-    rounded once to double.
-    """
-    scale = 1 << 53
-    r = Fraction(math.isqrt(x.field.d * scale * scale), scale)
-    if x.field.omega_is_half:
-        w1 = (1 + r) / 2
-        w2 = (1 - r) / 2
-    else:
-        w1, w2 = r, -r
-    return (float(x.a + x.b * w1), float(x.a + x.b * w2))
-
-
-def trace(x: FieldElement) -> int | Fraction:
-    return x.trace()
-
-
-def norm(x: FieldElement) -> int | Fraction:
-    return x.norm()
-
-
 def is_totally_positive(x: FieldElement) -> bool:
     """Exact: both embeddings positive iff trace > 0 and norm > 0."""
     return x.trace() > 0 and x.norm() > 0
@@ -528,9 +510,9 @@ def _ext_gcd_int(f: RealQuadraticField, a: tuple[int, int],
     When it does not (d in {6, 7}), the offsets q + (dp, dq) are tried in
     the order (0, 0), then _QUOTIENT_CORRECTIONS, and the first with the
     smallest |N(r)| wins.  Neither rule may change: the quotient sequence
-    fixes x, hence the residue a mod gamma that complete_pair and every
-    _GammaClass phase table are built from, and with them the float bits
-    of every series value.
+    fixes x, hence the residue a mod gamma that `_complete_int` gives
+    complete_pair and every _GammaClass phase table, and with them the
+    float bits of every series value.
     """
     # w^2 = c0 + c1 w, N(p + q w) = p^2 + t p q + n q^2
     c0, c1 = f.omega_sq_const, f.omega_sq_lin
@@ -584,23 +566,33 @@ def _unit_inverse_int(f: RealQuadraticField,
     raise QFieldError(f"{u} is not a unit")
 
 
+def _complete_int(f: RealQuadraticField, gamma: tuple[int, int],
+                  delta: tuple[int, int]):
+    """(a, b) with a*delta - b*gamma = 1 in integer coordinates, or None if
+    (gamma, delta) is not unimodular.  The pair generates the unit ideal iff
+    the gcd of the extended Euclidean algorithm is a unit; delta = 0 is fine
+    (the pair is then unimodular iff gamma is a unit, e.g. the inversion
+    row (1, 0))."""
+    g, x, y = _ext_gcd_int(f, delta, gamma)
+    if abs(_norm(f, g)) != 1:
+        return None
+    gi = _unit_inverse_int(f, g)
+    return _mul(f, gi, x), _mul(f, gi, (-y[0], -y[1]))
+
+
 def complete_pair(gamma: FieldElement,
                   delta: FieldElement) -> tuple[FieldElement, FieldElement]:
-    """(a, b) with a*delta - b*gamma = 1, by norm-Euclidean extended gcd.
-
-    Unimodularity is certified by the gcd itself: the pair generates the
-    unit ideal iff the gcd is a unit."""
+    """(a, b) with a*delta - b*gamma = 1, by norm-Euclidean extended gcd
+    (`_complete_int`), checked by the determinant."""
     f = gamma.field
     if not f.euclidean:
         raise QFieldError(f"d={f.d} is not in the supported Euclidean set")
     dc = delta.int_coords()
     gc = gamma.int_coords()
-    g, x, y = _ext_gcd_int(f, dc, gc)
-    if abs(_norm(f, g)) != 1:
+    ab = _complete_int(f, gc, dc)
+    if ab is None:
         raise QFieldError("pair is not unimodular")
-    gi = _unit_inverse_int(f, g)
-    a = _mul(f, gi, x)
-    b = _mul(f, gi, (-y[0], -y[1]))
+    a, b = ab
     ad, bg = _mul(f, a, dc), _mul(f, b, gc)
     if (ad[0] - bg[0], ad[1] - bg[1]) != (1, 0):
         raise QFieldError("completion determinant check failed")

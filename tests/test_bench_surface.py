@@ -1,0 +1,51 @@
+"""The library names the benchmark reaches by attribute.
+
+perfbench/tracing.py wraps library calls through `owner.__dict__[attr]`
+and perfbench/run.py reads `classical._kloosterman_cached.cache_info()` and
+`hpoincare.enumerate_gamma_classes`, so a rename there breaks only a traced
+benchmark run.  This loads tracing.py from its file without writing
+bytecode next to it, and installs and removes its wrappers."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import hpseries
+from hpseries import classical, hpoincare
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_wraps_and_restores_library_names(monkeypatch):
+    """install() raises KeyError on a name the library no longer has."""
+    tracing = _load_tracing(monkeypatch)
+    inst = tracing.Instrumentation(hpseries)
+    inst.install()
+    try:
+        saved = list(inst._saved)
+        assert saved
+        for owner, attr, original in saved:
+            assert owner.__dict__[attr] is not original
+    finally:
+        inst.uninstall()
+    for owner, attr, original in saved:
+        assert owner.__dict__[attr] is original
+
+
+def test_run_reads_library_names(field5, nu5, unit_ideal5):
+    info = classical._kloosterman_cached.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+    spec = hpoincare.PoincareSpec(field=field5, weight=hpoincare.Weight(8, 8),
+                                  nu=nu5, level=unit_ideal5)
+    policy = hpoincare.TruncationPolicy(gamma_height_max=6.0,
+                                        term_cutoff=1e-10)
+    classes = hpoincare.enumerate_gamma_classes(spec, (1.1, 1.0), policy)
+    assert classes and all(cl.pq != (0, 0) for cl in classes)

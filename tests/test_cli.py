@@ -96,7 +96,14 @@ def test_field_info_output_is_pinned(d, capsys):
 def test_field_info_rejects_bad_d(capsys):
     code, _out, err = run_cli(["field-info", "--d", "12"], capsys)
     assert code == 2
-    assert "squarefree" in err
+    assert err.startswith("config error: ") and "squarefree" in err
+
+
+def test_selftest_passes(capsys):
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert out.endswith("selftest: 0 failure(s)\n")
 
 
 def test_classical_petersson_and_quadrature_agree(capsys):

@@ -95,14 +95,23 @@ def test_spec_rejects_nonparallel_with_norm_minus_one_unit(d):
         PoincareSpec(**kwargs)
 
 
-def test_evaluate_rejects_low_im(spec8, policy_small):
+@pytest.mark.parametrize("z", [(0.1 + 1e-5j, 0.2 + 1.0j),
+                               (complex(0.1, math.nan), 0.2 + 1.0j),
+                               (0.1 + 1.1j, complex(0.2, math.inf)),
+                               (complex(math.nan, 1.1), 0.2 + 1.0j),
+                               (0.1 + 1.1j, complex(-math.inf, 1.0))],
+                         ids=["low-im", "nan-im", "inf-im", "nan-re",
+                              "inf-re"])
+def test_evaluate_rejects_low_im(spec8, policy_small, z):
+    """Im(z) below the guard, NaN or inf, and NaN or inf real parts."""
     with pytest.raises(EvaluationError):
-        evaluate(spec8, (0.1 + 1e-5j, 0.2 + 1.0j), policy_small)
+        evaluate(spec8, z, policy_small)
 
 
 @pytest.mark.parametrize("xs", ([], [[]], [0.1, 0.2], [(0.1, 0.2, 0.3)],
                                 [[(0.1, 0.2)]], [(0.1, 0.2), (0.3,)],
-                                [("a", "b")]))
+                                [("a", "b")], [(0.1, 0.2), (math.nan, 0.3)],
+                                [(0.1, math.inf)], [(-math.inf, 0.2)]))
 def test_evaluate_grid_rejects_malformed_points(spec8, policy_small, xs):
     with pytest.raises(EvaluationError):
         evaluate_grid(spec8, xs, (1.1, 1.0), policy_small)
@@ -276,16 +285,12 @@ def _full_box_rows(spec, z, policy):
     """(gamma, delta) of every unimodular site of the full delta box of
     each kept class: the rows a box-only window would sum at z."""
     f = spec.field
-    k1, k2 = spec.weight.as_tuple()
     w1e, w2e = f.omega_embeddings()
     x, y = (z[0].real, z[1].real), (z[0].imag, z[1].imag)
     rows = []
     for cl in enumerate_gamma_classes(spec, y, policy):
         g1, g2 = cl.emb
-        wd = _delta_windows(abs(g1) * y[0], abs(g2) * y[1], k1, k2,
-                            policy.term_cutoff)
-        if wd is None:
-            continue
+        wd = cl.wd
         gamma = f.element(*cl.pq)
         c1, c2 = -g1 * x[0], -g2 * x[1]
         qlo = math.ceil(((c1 - wd[0]) - (c2 + wd[1])) / f.sqrt_disc)
@@ -400,17 +405,18 @@ def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
     rigorous = corner_max = 0.0
     checked = 0
     for cl in enumerate_gamma_classes(spec, y, policy):
+        # the class record carries the geometry the engine walks
         b = (abs(cl.emb[0]) * y[0], abs(cl.emb[1]) * y[1])
-        wd = _delta_windows(*b, *k, cutoff)
-        if wd is None:
-            continue
-        rho = _strip_radii(*b, *k, cutoff)
+        wd, rho = cl.wd, cl.rho
+        assert cl.b == b
+        assert wd == _delta_windows(*b, *k, cutoff)
+        assert rho == _strip_radii(*b, *k, cutoff)
         p, q, u1, u2 = _lattice_sites(f, cl, x, wd)
         keep, logs = _cutoff_window(u1, u2, b, spec.weight, cutoff)
         in_strips = (np.abs(u1) <= rho[0]) | (np.abs(u2) <= rho[1])
         assert in_strips[keep].all()
         c1, c2, qlo, qhi = _q_ranges(cl, np.array([x[0]]),
-                                     np.array([x[1]]), wd, f.sqrt_disc)
+                                     np.array([x[1]]), f.sqrt_disc)
         _pt, pd, qd = _strip_sites(c1, c2, qlo, qhi, wd, rho,
                                    f.omega_embeddings())[:3]
         walked = set(zip(pd.tolist(), qd.tolist()))

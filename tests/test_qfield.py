@@ -15,15 +15,12 @@ from hpseries.qfield import (
     QFieldError,
     codifferent_gen,
     complete_pair,
-    embed,
     fundamental_unit,
     ideal_from_gen,
     ideal_from_gens,
     is_totally_positive,
     is_unimodular_pair,
     make_field,
-    norm,
-    trace,
     trace_one_totally_positive,
 )
 
@@ -42,7 +39,7 @@ def elements(coords=small_coords):
 def test_make_field_d5():
     f = make_field(5)
     assert f.disc == 5 and f.omega_is_half and f.euclidean
-    w1, w2 = embed(f.omega)
+    w1, w2 = f.omega.embeddings()
     assert abs(w1 - (1 + math.sqrt(5)) / 2) < 1e-14
     assert abs(w2 - (1 - math.sqrt(5)) / 2) < 1e-14
 
@@ -50,7 +47,7 @@ def test_make_field_d5():
 def test_make_field_d2():
     f = make_field(2)
     assert f.disc == 8 and not f.omega_is_half and f.euclidean
-    assert embed(f.omega)[0] == pytest.approx(math.sqrt(2), abs=1e-14)
+    assert f.omega.embeddings()[0] == pytest.approx(math.sqrt(2), abs=1e-14)
 
 
 @pytest.mark.parametrize("bad", [12, 1, 0, -5, 50, 4])
@@ -95,45 +92,45 @@ def test_arithmetic_with_rational_on_the_left(field5, op, left):
 # -- embeddings, trace, norm ---------------------------------------------------
 
 def test_embed_identity(field5):
-    assert embed(field5.one) == (1.0, 1.0)
+    assert field5.one.embeddings() == (1.0, 1.0)
 
 
 def test_embed_one_plus_sqrt2():
     f = make_field(2)
     x = f.element(1, 1)
-    e1, e2 = embed(x)
+    e1, e2 = x.embeddings()
     assert e1 == pytest.approx(2.414213562373095, abs=1e-14)
     assert e2 == pytest.approx(-0.414213562373095, abs=1e-14)
 
 
 def test_trace_norm_examples(field5):
     w = field5.omega
-    assert trace(w) == 1 and norm(w) == -1
-    assert trace(field5.zero) == 0 and norm(field5.zero) == 0
+    assert w.trace() == 1 and w.norm() == -1
+    assert field5.zero.trace() == 0 and field5.zero.norm() == 0
     f2 = make_field(2)
     x = f2.element(1, 1)
-    assert trace(x) == 2 and norm(x) == -1
+    assert x.trace() == 2 and x.norm() == -1
 
 
 @given(elements(), elements())
 def test_trace_additive_norm_multiplicative(x, y):
     if x.field != y.field:
         y = x.field.element(y.a, y.b)
-    assert trace(x + y) == trace(x) + trace(y)
-    assert norm(x * y) == norm(x) * norm(y)
+    assert (x + y).trace() == x.trace() + y.trace()
+    assert (x * y).norm() == x.norm() * y.norm()
 
 
 @given(elements(big_coords))
 def test_embed_agrees_with_trace_norm(x):
-    e1, e2 = embed(x)
+    e1, e2 = x.embeddings()
     scale = max(1.0, abs(e1) + abs(e2))
-    assert abs(float(trace(x)) - (e1 + e2)) < 1e-9 * scale
-    assert abs(float(norm(x)) - e1 * e2) < 1e-9 * scale * scale
+    assert abs(float(x.trace()) - (e1 + e2)) < 1e-9 * scale
+    assert abs(float(x.norm()) - e1 * e2) < 1e-9 * scale * scale
 
 
 @given(elements(big_coords))
 def test_totally_positive_matches_embeddings(x):
-    e1, e2 = embed(x)
+    e1, e2 = x.embeddings()
     if min(abs(e1), abs(e2)) > 1e-6:  # stay away from the float boundary
         assert is_totally_positive(x) == (e1 > 0 and e2 > 0)
 
@@ -148,16 +145,16 @@ def test_totally_positive_examples(field5):
 
 def test_codifferent_d5(field5):
     g = codifferent_gen(field5)
-    assert trace(g) == 0
-    assert trace(g * field5.omega) == 1
-    assert trace(g * field5.zero) == 0
+    assert g.trace() == 0
+    assert (g * field5.omega).trace() == 1
+    assert (g * field5.zero).trace() == 0
 
 
 def test_codifferent_d2():
     f = make_field(2)
     g = codifferent_gen(f)
     assert g.a == 0 and g.b == Fraction(1, 4)  # 1/(2 sqrt 2) = w/4
-    assert trace(g * f.sqrt_d_elem()) == 1
+    assert (g * f.sqrt_d_elem()).trace() == 1
 
 
 @given(fields, small_coords, small_coords, small_coords, small_coords)
@@ -167,9 +164,10 @@ def test_dual_pairing_integrality(f, p, q, r, s):
     if beta.is_zero():
         beta = f.one
     nu = DualIndex.from_numerator(f, beta)
-    assert trace(nu.elem * lam).denominator == 1
+    assert (nu.elem * lam).trace().denominator == 1
     # stored frequency matches recomputation
-    assert nu.freq == (int(trace(nu.elem)), int(trace(nu.elem * f.omega)))
+    assert nu.freq == (int(nu.elem.trace()),
+                       int((nu.elem * f.omega).trace()))
 
 
 def _dual_by_fraction(field, beta):
@@ -264,7 +262,7 @@ def test_ideal_contains_multiples_of_generators(f, p, q, r, s):
     x = f.element(r, s)
     for basis_elem in ideal.basis():
         assert ideal.contains(x * basis_elem)
-    assert ideal.norm == abs(norm(g))  # principal ideal
+    assert ideal.norm == abs(g.norm())  # principal ideal
 
 
 @given(fields, st.integers(-9, 9), st.integers(-9, 9),
@@ -474,12 +472,15 @@ def test_phase_table_matches_step_oracle(d, monkeypatch):
     f = make_field(d)
     nu_emb = (0.7, 0.3)
     classes = [(3, 1), (2, 5), (7, -3), (4, 0)]
-    new = [hpoincare._GammaClass(f, pq, nu_emb).phase_table
-           for pq in classes]
-    monkeypatch.setattr(hpoincare, "_ext_gcd_int",
+    hnfs = [qfield._ideal_hnf(f, [pq]) for pq in classes]
+    new = [hpoincare._phase_table(f, pq, hnf, nu_emb)
+           for pq, hnf in zip(classes, hnfs)]
+    # the table completes through qfield._complete_int, which looks the
+    # gcd up in qfield
+    monkeypatch.setattr(qfield, "_ext_gcd_int",
                         lambda f, a, b: _ext_gcd_by_steps(f, a, b, [0]))
-    for pq, table in zip(classes, new):
-        expected = hpoincare._GammaClass(f, pq, nu_emb).phase_table
+    for pq, hnf, table in zip(classes, hnfs, new):
+        expected = hpoincare._phase_table(f, pq, hnf, nu_emb)
         assert table.tobytes() == expected.tobytes(), pq
 
 
@@ -497,8 +498,8 @@ def test_fundamental_units(d, coords, unit_norm):
     f = make_field(d)
     eps = fundamental_unit(f)
     assert eps.int_coords() == coords
-    assert norm(eps) == unit_norm
-    assert embed(eps)[0] > 1.0
+    assert eps.norm() == unit_norm
+    assert eps.embeddings()[0] > 1.0
 
 
 def test_ideal_from_gens_two_generators(field5):
