@@ -14,8 +14,12 @@ k >= 4 and level q is computed two independent ways:
   ascending series runs in exact integer arithmetic;
 
 * direct coset summation of the series over bottom rows (c, d), c > 0,
-  q | c, gcd(c, d) = 1 (plus the single identity row), followed by
-  equispaced quadrature on the circle at a fiber y > 1.
+  q | c, gcd(c, d) = 1 in the disc |cz + d| <= R (plus the single
+  identity row), followed by equispaced quadrature on the circle at a
+  fiber y > 1.  The disc is the term cutoff |cz + d|^{-k} >= R^{-k};
+  `QuadraturePolicy.auto` picks R from a closed-form bound on the cut
+  mass (`_disc_tail_log_bound`), and each row c is walked for all grid
+  points as one flat array.
 
 Their agreement pins the normalization; it is the raw coefficient of
 e^{2 pi i n z}.  The orthogonality propositions are cleanest for the
@@ -37,10 +41,15 @@ TWO_PI = 2.0 * pi
 
 _BESSEL_SERIES_XMAX = 50.0
 _KLOOSTERMAN_CMAX = 10_000
-# QuadraturePolicy.auto refuses a run whose estimated lattice-term count
-# sum_c 2 W c y grid_n exceeds this; the largest criterion-1 configuration,
-# (m, n, k, q) = (3, 3, 12, 1), needs about 5.0e6
+# QuadraturePolicy.auto refuses a run whose disc would walk more than this
+# many lattice sites over the grid (`_radius_cap`); the largest
+# criterion-1 configuration, (m, n, k, q) = (3, 3, 12, 1), walks about 2.1e5
 _QUADRATURE_MAX_TERMS = 10 ** 8
+_ROW_TERMS = 16  # explicit terms of each row series before its integral tail
+_ROW_MARGIN = 1e-9  # widening of each walked chord, relative to the radius,
+                    # far above the rounding of its ends
+_RADIUS_STEPS = 4  # Newton steps of QuadraturePolicy.auto on log R
+_RADIUS_STEP_UP = 1e-3  # then steps of log R until the bound holds
 _SERIES_TOL_INV = 10 ** 16  # the series stops once its tail is < 1e-16
 _TAU_NMAX = 10_000
 
@@ -75,54 +84,158 @@ def _check_fiber(y: float):
         raise ClassicalError("quadrature fiber needs a finite y > 1")
 
 
+def _check_grid(grid_n: int):
+    if grid_n < 4 or grid_n % 2:
+        raise ClassicalError("grid_n must be even and >= 4")
+
+
 @dataclass(frozen=True)
 class QuadraturePolicy:
+    """The circle grid (grid_n points at height y) and the disc
+    |cz + d| <= radius of bottom rows that the coset sum keeps."""
+    radius: float
     grid_n: int = 64
     y: float = 1.1
-    c_max: int = 40
-    d_window: float = 8.0  # half-width of the d box in units of c*y
 
     def __post_init__(self):
         _check_fiber(self.y)
-        if self.grid_n < 4 or self.grid_n % 2:
-            raise ClassicalError("grid_n must be even and >= 4")
+        _check_grid(self.grid_n)
+        if not math.isfinite(self.radius) or self.radius <= 0.0:
+            raise ClassicalError("quadrature radius must be finite and > 0")
 
     @classmethod
     def auto(cls, params: ClassicalParams, tol: float = 1e-8,
              y: float = 1.1, grid_n: int = 64) -> QuadraturePolicy:
-        """Window and cutoff sized so the coefficient error after the
-        e^{2 pi n y} unfolding stays below tol.
+        """The disc whose cut sites move the coefficient by less than
+        tol / 2.
 
-        d-tail:  sum_c 2 (W c y)^{1-k}/(k-1) <= 4 (W y q)^{1-k}/(k-1);
-        c-tail:  2 y^{1-k} C^{2-k} / ((k-2) q).
+        Every coset term has |term| = |cz + d|^{-k} e^{-2 pi m Im(Mz)}
+        <= |cz + d|^{-k}, so at each grid point the terms left out sum to
+        at most the cut mass T(x) that `_disc_tail_log_bound` bounds,
+        uniformly in x.  The readout averages the grid values against unit
+        phases and multiplies by e^{2 pi n y}, so the coefficient moves by
+        at most e^{2 pi n y} max_x T(x).  The radius R is chosen with
 
-        Raises ClassicalError when the run would sum more than
-        _QUADRATURE_MAX_TERMS lattice terms, sum_{q | c <= C} 2 W c y grid_n
-        (k = 4 at n = 1 asks for about 1.6e17).
+            log bound(R) <= log(tol / 2) - 2 pi n y;
+
+        the other half of tol is headroom for rounding and for the aliased
+        coefficients n + j grid_n, which this bound does not cover.
+
+        The bound falls about like R^{2-k}: the mass of |w|^{-k} outside
+        the disc, pi R^{2-k} / (k - 2), over the area q y of one row cell.
+        R starts where that estimate meets the target, takes
+        _RADIUS_STEPS Newton steps on log R with slope 2 - k, and then
+        rises in steps of _RADIUS_STEP_UP until the bound holds, so the
+        returned R satisfies it whatever the steps did.  No lattice site
+        is visited.
+
+        Raises ClassicalError unless tol is finite and > 0, and when the
+        bound is still above target at the radius `_radius_cap` allows
+        (k = 4 at n = 1 would need R about 5e5, some 2.6e13 sites).
         """
-        _check_fiber(y)  # before any arithmetic: y^{1-k} needs y > 0
-        n, k, q = params.n, params.k, params.q
-        half_tol = tol / 2.0
-        try:
-            unfold = math.exp(TWO_PI * n * y)
-            w = (8.0 * unfold / ((k - 1) * half_tol)) ** (1.0 / (k - 1)) \
-                / (y * q)
-            c = (4.0 * y ** (1 - k) * unfold
-                 / ((k - 2) * q * half_tol)) ** (1.0 / (k - 2))
-            c_max = max(int(math.ceil(c)) + q, 2 * q)
-        except OverflowError:
-            raise ClassicalError(
-                f"quadrature sizing overflows at n = {n}, y = {y}: far "
-                f"more than {_QUADRATURE_MAX_TERMS:.0e} lattice terms") from None
-        d_window = max(w, 4.0)
-        rows = c_max // q  # c = q, 2q, ..., rows q
-        terms = d_window * y * grid_n * q * rows * (rows + 1)
-        if terms > _QUADRATURE_MAX_TERMS:
-            raise ClassicalError(
-                f"quadrature needs about {terms:.2e} lattice terms "
-                f"(c_max {c_max}, d_window {d_window:.1f}), more than "
-                f"{_QUADRATURE_MAX_TERMS:.0e}")
-        return cls(grid_n=grid_n, y=y, c_max=c_max, d_window=d_window)
+        _check_fiber(y)  # before any arithmetic: the bound needs y > 0
+        _check_grid(grid_n)  # _radius_cap divides by grid_n
+        if not math.isfinite(tol) or tol <= 0.0:
+            raise ClassicalError("quadrature tol must be finite and > 0")
+        k, q = params.k, params.q
+        log_target = math.log(tol / 2.0) - TWO_PI * params.n * y
+        log_cap = math.log(_radius_cap(q, y, grid_n))
+        log_r = min((math.log(pi / ((k - 2) * q * y)) - log_target)
+                    / (k - 2), log_cap)
+        for _ in range(_RADIUS_STEPS):
+            excess = _disc_tail_log_bound(math.exp(log_r), k, q, y) \
+                - log_target
+            log_r = min(log_r + excess / (k - 2), log_cap)
+        while _disc_tail_log_bound(math.exp(log_r), k, q, y) > log_target:
+            if log_r == log_cap:
+                raise ClassicalError(
+                    f"quadrature needs more than {_QUADRATURE_MAX_TERMS:.0e}"
+                    f" lattice terms: the disc tail bound at radius "
+                    f"{math.exp(log_cap):.1f} is still above tol / 2")
+            log_r = min(log_r + _RADIUS_STEP_UP, log_cap)
+        return cls(radius=math.exp(log_r), grid_n=grid_n, y=y)
+
+
+def _radius_cap(q: int, y: float, grid_n: int) -> float:
+    """The radius whose disc holds about _QUADRATURE_MAX_TERMS walked sites
+    over the grid.  Row c = j q walks at most 2 rho_c + 1 sites per grid
+    point, and sum_j 2 rho_c q y <= pi R^2 / 2 (a right Riemann sum of the
+    decreasing half-chord 2 sqrt(R^2 - b^2) over 0 <= b <= R), so a disc
+    walks at most about grid_n (pi R^2 / 2 + R) / (q y) sites; this solves
+    that count = _QUADRATURE_MAX_TERMS for R."""
+    return (math.sqrt(1.0 + 2.0 * pi * _QUADRATURE_MAX_TERMS * q * y
+                      / grid_n) - 1.0) / pi
+
+
+def _disc_rows(radius: float, q: int, y: float):
+    """(c, rho): the rows c = q, 2q, ... with c y <= radius, as an int64
+    array, and the half-widths rho_c = sqrt(radius^2 - (c y)^2) of their
+    chords, so that a site of row c lies in the disc iff |c x + d| <= rho_c.
+    The one source of the walked rows for `_eval_series_grid` and
+    `_disc_tail_log_bound`."""
+    cs = q * np.arange(1, int(radius / (q * y)) + 2, dtype=np.int64)
+    cs = cs[cs * y <= radius]
+    b = cs * y
+    return cs, np.sqrt(np.maximum(radius * radius - b * b, 0.0))
+
+
+def _disc_tail_log_bound(radius: float, k: int, q: int, y: float) -> float:
+    """log of a bound, uniform in x, on the cut mass T(x): the sum of
+    |cz + d|^{-k} over the sites (c, d), c > 0, q | c, d in Z, that
+    `_eval_series_grid` does not walk at z = x + iy.  Coprimality is
+    dropped, so the bound covers every such site.
+
+    On row c the sites are u = c x + d, one per point of the coset
+    c x + Z, and |cz + d|^{-k} = f_c(u) = (u^2 + b_c^2)^{-k/2} with
+    b_c = c y; f_c is even and decreases in |u|.
+
+    Walked rows (c y <= R, chord half-width rho_c, `_disc_rows`): the
+    walk widens each chord by _ROW_MARGIN R, more than the rounding of
+    its ends, so every site left out has |u| > rho_c.  Tile u > rho_c by
+    the unit intervals [rho_c + i, rho_c + i + 1), i >= 0.  Each holds
+    exactly one site, and its term is at most f_c(rho_c + i), so the side
+    u > rho_c has mass at most S_c = sum_{i >= 0} f_c(rho_c + i), and by
+    symmetry the row at most 2 S_c.  S_c is summed explicitly over its
+    first N = _ROW_TERMS terms.  Each later term f_c(rho_c + i) is at
+    most the integral of f_c over [rho_c + i - 1, rho_c + i], so the rest
+    is at most the integral of f_c from a = rho_c + N - 1 on, and that is
+    at most (a^2 + b_c^2)^{1 - k/2} / (a (k - 1)) by the argument in
+    `hpoincare._corner_bound`.
+
+    Rows past the disc (c = j q for j >= j0, b_c > R, none walked): the
+    tiles [i, i + 1) and [-i - 1, -i), i >= 0, hold every site of the
+    row, one each, so the row is at most 2 sum_{i >= 0} f_c(i)
+    <= h(b_c) = 2 (b_c^{-k} + B_k b_c^{1-k}): the first term plus the
+    integral from 0, where B_k = int_0^inf (1 + s^2)^{-k/2} ds
+    = sqrt(pi) Gamma((k - 1)/2) / (2 Gamma(k/2)).  h decreases in b, so
+    the rows j >= j0 sum to at most h(b_0) plus the integral of h(j q y)
+    over j >= j0, which is
+
+        h(b_0) + 2 (b_0^{1-k} / (k - 1) + B_k b_0^{2-k} / (k - 2)) / (q y)
+
+    with b_0 = j0 q y.  So the rows with c y > R need no tail of their
+    own.
+
+    Every term is scaled by L^k, L = max(R, q y), before it is summed: a
+    walked term is then at most 1 (rho_c^2 + b_c^2 = R^2) and
+    b_0 / L <= 2, so nothing underflows at large k; log L^{-k} is added
+    back at the end."""
+    cs, rho = _disc_rows(radius, q, y)
+    scale = max(radius, q * y)
+    b = cs * y / scale
+    u = (rho[:, None] + np.arange(_ROW_TERMS)) / scale
+    a = (rho + (_ROW_TERMS - 1)) / scale
+    tail = (a * a + b * b) ** (1.0 - 0.5 * k) * scale / (a * (k - 1))
+    walked = 2.0 * float(((u * u + b[:, None] ** 2) ** (-0.5 * k)).sum()
+                         + tail.sum())
+    b0 = (len(cs) + 1) * q * y / scale
+    big_b = 0.5 * math.exp(0.5 * math.log(pi) + math.lgamma((k - 1) / 2)
+                           - math.lgamma(k / 2))
+    past = 2.0 * (b0 ** -k + big_b * scale * b0 ** (1.0 - k)) \
+        + 2.0 * (scale * b0 ** (1.0 - k) / (k - 1)
+                 + big_b * scale * scale * b0 ** (2.0 - k) / (k - 2)) \
+        / (q * y)
+    return math.log(walked + past) - k * math.log(scale)
 
 
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,37 +432,46 @@ def normalized_coefficient(params: ClassicalParams,
 def _eval_series_grid(m: int, k: int, q: int,
                       policy: QuadraturePolicy) -> np.ndarray:
     """P_{m,k,q}(x + iy) on the equispaced circle grid, by direct coset
-    summation over bottom rows (c, d), c > 0, q | c, gcd(c, d) = 1 plus
-    the identity row, using M z = a/c - 1/(c(cz+d)) with a d = 1 mod c.
+    summation over the bottom rows (c, d), c > 0, q | c, gcd(c, d) = 1 in
+    the disc |cz + d| <= radius, plus the identity row, using
+    M z = a/c - 1/(c(cz+d)) with a d = 1 mod c.
 
-    Per c, the inverse table (-1 off the units) and the phase table
-    e(m a / c) over a mod c are built once and gathered by d; each entry
-    is the double the per-term expression gives.  Neither table outlives
-    its c."""
+    Row c (`_disc_rows`) walks the d with |c x + d| <= rho_c, widened by
+    _ROW_MARGIN radius so that rounding drops no site of the chord, for
+    all grid points as one flat array ordered by point, then d.  The
+    inverse table (-1 off the units) and the phase table e(m a / c) over
+    a mod c are built once per c and gathered by d; each term is the
+    double the per-term expression gives.  One bincount over the
+    interleaved real and imaginary parts adds each point's terms in
+    order, left to right."""
     n_grid = policy.grid_n
     y = policy.y
     xs = np.arange(n_grid) / n_grid
     z = xs + 1j * y
     vals = np.exp(2j * pi * m * z)
-    for c in range(q, policy.c_max + 1, q):
-        halfw = policy.d_window * c * y
+    points = np.arange(n_grid)
+    margin = _ROW_MARGIN * policy.radius
+    for c, rho in zip(*_disc_rows(policy.radius, q, y)):
+        c = int(c)
+        halfw = float(rho) + margin
+        lo = np.ceil(-c * xs - halfw).astype(np.int64)
+        hi = np.floor(-c * xs + halfw).astype(np.int64)
+        counts = hi - lo + 1
+        point = np.repeat(points, counts)
+        d = np.arange(len(point)) \
+            + np.repeat(lo - (np.cumsum(counts) - counts), counts)
         units, inverses = _unit_inverses(c)
         inv = np.full(c, -1, dtype=np.int64)
         inv[units] = inverses
+        a = inv[d % c]
+        live = a >= 0
+        point, d, a = point[live], d[live], a[live]
         phase = np.exp(2j * pi * (m * np.arange(c) / c))
-        for i, x in enumerate(xs):
-            lo = math.ceil(-c * x - halfw)
-            hi = math.floor(-c * x + halfw)
-            d = np.arange(lo, hi + 1)
-            a = inv[d % c]
-            live = a >= 0
-            if not live.any():
-                continue
-            d = d[live]
-            a = a[live]
-            w = c * z[i] + d
-            t = w ** (-k) * phase[a] * np.exp(-2j * pi * m / (c * w))
-            vals[i] += t.sum()
+        w = c * z[point] + d
+        t = w ** (-k) * phase[a] * np.exp(-2j * pi * m / (c * w))
+        slots = (2 * point[:, None] + np.arange(2)).ravel()
+        vals += np.bincount(slots, weights=t.view(np.float64),
+                            minlength=2 * n_grid).view(np.complex128)
     return vals
 
 

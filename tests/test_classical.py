@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,7 +173,8 @@ def test_delta_dominance_large_weight():
 
 
 def test_identity_only_at_huge_level():
-    policy = QuadraturePolicy(grid_n=32, y=1.2, c_max=30, d_window=6.0)
+    # the first row, c = 37, has c y = 44.4 > 40: no row is walked
+    policy = QuadraturePolicy(radius=40.0, grid_n=32, y=1.2)
     same = classical_poincare_coefficient_by_quadrature(
         ClassicalParams(2, 2, 12, 37), policy)
     diff = classical_poincare_coefficient_by_quadrature(
@@ -182,6 +187,30 @@ def test_identity_only_at_huge_level():
 def test_quadrature_auto_rejects_low_fiber(y):
     with pytest.raises(ClassicalError, match="y > 1"):
         QuadraturePolicy.auto(ClassicalParams(1, 2, 12, 1), y=y)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_quadrature_policy_rejects_bad_radius(radius):
+    with pytest.raises(ClassicalError, match="radius must be finite"):
+        QuadraturePolicy(radius=radius)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_quadrature_auto_rejects_bad_tol(tol):
+    with pytest.raises(ClassicalError, match="tol must be finite"):
+        QuadraturePolicy.auto(ClassicalParams(1, 2, 12, 1), tol=tol)
+
+
+@pytest.mark.parametrize("m,n,k,q", [
+    (3, 3, 12, 1), (1, 1, 12, 1), (2, 3, 16, 2), (1, 1, 40, 1),
+    (2, 2, 12, 37),
+])
+def test_quadrature_auto_radius_meets_its_bound(m, n, k, q):
+    """The cut mass bound, unfolded by e^{2 pi n y}, is below tol / 2."""
+    tol = 1e-8
+    policy = QuadraturePolicy.auto(ClassicalParams(m, n, k, q), tol=tol)
+    log_bound = cla._disc_tail_log_bound(policy.radius, k, q, policy.y)
+    assert log_bound + TWO_PI * n * policy.y <= math.log(tol / 2)
 
 
 def test_petersson_requires_cmax_at_least_q():
@@ -269,13 +298,21 @@ def _reference_kloosterman(m, n, c):
 
 
 def _reference_eval_series_grid(m, k, q, policy):
+    """Per point and per row: the d of the chord |c x + d| <= rho_c of the
+    disc |cz + d| <= radius (widened as the walk widens it), one term per
+    coprime d, added left to right."""
     n_grid = policy.grid_n
     y = policy.y
+    radius = policy.radius
     xs = np.arange(n_grid) / n_grid
     z = xs + 1j * y
     vals = np.exp(2j * pi * m * z)
-    for c in range(q, policy.c_max + 1, q):
-        halfw = policy.d_window * c * y
+    for c in range(q, int(radius / y) + 1, q):
+        b = c * y
+        if b > radius:
+            break
+        halfw = math.sqrt(max(radius * radius - b * b, 0.0)) \
+            + cla._ROW_MARGIN * radius
         inv = np.array([pow(d, -1, c) if gcd(d, c) == 1 else -1
                         for d in range(c)]) if c > 1 else np.zeros(1, dtype=int)
         for i, x in enumerate(xs):
@@ -284,14 +321,15 @@ def _reference_eval_series_grid(m, k, q, policy):
             d = np.arange(lo, hi + 1)
             a = inv[d % c] if c > 1 else np.zeros(len(d), dtype=int)
             live = a >= 0
-            if not live.any():
-                continue
             d = d[live]
             a = a[live]
             w = c * z[i] + d
             t = w ** (-k) * np.exp(2j * pi * (m * a / c)) \
                 * np.exp(-2j * pi * m / (c * w))
-            vals[i] += t.sum()
+            row_sum = 0j
+            for term in t.tolist():
+                row_sum += term
+            vals[i] += row_sum
     return vals
 
 
@@ -353,8 +391,8 @@ def test_kloosterman_wide_arguments_bits(m, n, c):
 
 
 @pytest.mark.parametrize("m,k,q,policy", [
-    (1, 12, 1, QuadraturePolicy(grid_n=16, y=1.1, c_max=13, d_window=6.0)),
-    (2, 16, 3, QuadraturePolicy(grid_n=8, y=1.2, c_max=30, d_window=5.0)),
+    (1, 12, 1, QuadraturePolicy(radius=15.0, grid_n=16, y=1.1)),  # c <= 13
+    (2, 16, 3, QuadraturePolicy(radius=36.0, grid_n=8, y=1.2)),   # c <= 30
 ])
 def test_series_grid_matches_per_term_grid_bits(m, k, q, policy):
     got = cla._eval_series_grid(m, k, q, policy)
@@ -384,11 +422,78 @@ def test_petersson_refuses_cmax_past_kloosterman_cap(monkeypatch):
 
 def test_quadrature_auto_refuses_unbounded_work():
     for params in (ClassicalParams(1, 1, 4, 1), ClassicalParams(1, 30, 12, 1),
-                   ClassicalParams(1, 200, 12, 1)):  # e^{2 pi n y} overflows
+                   ClassicalParams(1, 200, 12, 1)):  # e^{2 pi n y} > 1e308
         with pytest.raises(ClassicalError, match="lattice terms"):
             QuadraturePolicy.auto(params)
-    # the largest criterion-1 configuration stays well inside the limit
-    policy = QuadraturePolicy.auto(ClassicalParams(3, 3, 12, 1))
-    rows = policy.c_max
-    assert policy.d_window * policy.y * policy.grid_n * rows * (rows + 1) \
-        < cla._QUADRATURE_MAX_TERMS / 10
+    # the largest criterion-1 configuration stays well inside the limit:
+    # count the window sites its disc walks, and check the site estimate
+    # behind the refusal radius against that count
+    q, policy = 1, QuadraturePolicy.auto(ClassicalParams(3, 3, 12, 1))
+    y, radius = policy.y, policy.radius
+    xs = np.arange(policy.grid_n) / policy.grid_n
+    cs, rho = cla._disc_rows(radius, q, y)
+    halfw = rho + cla._ROW_MARGIN * radius
+    walked = sum(int((np.floor(-c * xs + h) - np.ceil(-c * xs - h) + 1).sum())
+                 for c, h in zip(cs, halfw))
+    assert walked < cla._QUADRATURE_MAX_TERMS / 10
+    assert walked <= policy.grid_n * (pi * radius ** 2 / 2 + radius) / (q * y)
+    cap = cla._radius_cap(q, y, policy.grid_n)
+    assert policy.grid_n * (pi * cap ** 2 / 2 + cap) / (q * y) \
+        == pytest.approx(cla._QUADRATURE_MAX_TERMS)
+
+
+# -- the disc tail bound of the quadrature ----------------------------------------
+
+def _brute_cut_mass(radius, k, q, y, x):
+    """Sum of |cz + d|^{-k} over the sites (c, d), q | c, c > 0, outside
+    the disc |cz + d| <= radius, in the box c y <= 3 radius,
+    |c x + d| <= 3 radius, coprime or not."""
+    total = 0.0
+    for c in range(q, int(3 * radius / y) + 1, q):
+        d = np.arange(math.floor(-c * x - 3 * radius),
+                      math.ceil(-c * x + 3 * radius) + 1)
+        w2 = (c * x + d) ** 2.0 + (c * y) ** 2
+        total += float((w2[w2 > radius * radius] ** (-0.5 * k)).sum())
+    return total
+
+
+_X_ON_GRID = [i / 64 for i in (0, 1, 5, 16, 32, 47, 63)]
+_X_OFF_GRID = [0.0371, 0.2468, 0.5 + 1e-7, 0.7501, 0.99]
+
+
+@pytest.mark.parametrize("k,q,y,radius", [
+    (12, 1, 1.1, 47.9),   # the (3, 3, 12, 1) radius: 43 walked rows
+    (12, 1, 1.1, 6.0),
+    (12, 2, 1.2, 10.0),
+    (12, 37, 1.1, 50.0),  # one walked row, c = 37
+    (12, 37, 1.2, 90.0),
+    (40, 1, 1.1, 3.0),
+    (40, 2, 1.5, 5.0),
+    (40, 37, 1.1, 50.0),
+    (40, 37, 1.1, 30.0),  # no walked row: only the rows past the disc
+])
+def test_disc_tail_bound_dominates_brute_force(k, q, y, radius):
+    bound = math.exp(cla._disc_tail_log_bound(radius, k, q, y))
+    for x in _X_ON_GRID + _X_OFF_GRID:
+        brute = _brute_cut_mass(radius, k, q, y, x)
+        assert 0.0 < brute <= bound, (x, brute, bound)
+
+
+# -- tooling ------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_run_classical_oracles_script_smoke(tmp_path):
+    out = tmp_path / "oracles.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_classical_oracles.py"),
+         "--mn-max", "1", "--ks", "12", "--qs", "1", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert lines[1] == "m,n,k,q,value,tail_bound,method"
+    assert [line.split(",")[-1] for line in lines[2:]] == \
+        ["petersson", "quadrature"]
+    assert "worst |petersson - quadrature| = " in proc.stdout

@@ -129,8 +129,9 @@ def test_classical_quadrature_rejects_bad_flags(flag, capsys):
 
 
 def test_classical_fails_fast_on_unbounded_work(capsys):
-    # k = 4 asks the auto quadrature for ~1.6e17 lattice terms, and c_max
-    # past the Kloosterman cap used to be refused only after the full sum
+    # k = 4 asks the auto quadrature for a disc of radius ~5e5 (~2.6e13
+    # lattice sites), and c_max past the Kloosterman cap used to be refused
+    # only after the full sum
     for argv in (["quadrature", "--m", "1", "--n", "1", "--k", "4"],
                  ["petersson", "--k", "12", "--cmax", "20000"]):
         code, out, err = run_cli(["classical", *argv], capsys)
