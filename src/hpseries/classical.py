@@ -10,8 +10,9 @@ k >= 4 and level q is computed two independent ways:
             sum_{c > 0, q | c} S(m,n;c)/c * J_{k-1}(4 pi sqrt(mn) / c)
 
   with Kloosterman sums summed term by term over the units mod c (one
-  vectorised inverse table per c) and a self-validating Bessel J whose
-  ascending series runs in exact integer arithmetic;
+  vectorised inverse table per modulus, built once and shared by every
+  (m, n) and by the quadrature rows below) and a self-validating Bessel
+  J whose ascending series runs in exact integer arithmetic;
 
 * direct coset summation of the series over bottom rows (c, d), c > 0,
   q | c, gcd(c, d) = 1 in the disc |cz + d| <= R (plus the single
@@ -31,8 +32,9 @@ Kloosterman/Bessel sum with no power prefactor), exposed here as
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import pi
 
 import numpy as np
@@ -41,6 +43,7 @@ TWO_PI = 2.0 * pi
 
 _BESSEL_SERIES_XMAX = 50.0
 _KLOOSTERMAN_CMAX = 10_000
+_INVERSE_TABLE_ENTRIES = 320_000  # units kept over all stored moduli
 # QuadraturePolicy.auto refuses a run whose disc would walk more than this
 # many lattice sites over the grid (`_radius_cap`); the largest
 # criterion-1 configuration, (m, n, k, q) = (3, 3, 12, 1), walks about 2.1e5
@@ -238,11 +241,71 @@ def _disc_tail_log_bound(radius: float, k: int, q: int, y: float) -> float:
     return math.log(walked + past) - k * math.log(scale)
 
 
+_TableCacheInfo = namedtuple("_TableCacheInfo",
+                             "hits misses budget entries currsize")
+
+
+def _entry_bounded_cache(budget: int):
+    """Memoize a table builder f(c) -> (units, inverses), bounded by the
+    total length of the tables kept, not by their number: one
+    modulus-10000 table weighs as much as the 115 smallest.  A table that
+    would take the store past its budget is returned but not stored, and
+    nothing is evicted, so a scan in increasing c (as in
+    `petersson_coefficient`) keeps its smallest moduli, the ones every
+    smaller c_max shares; an LRU store would drop each table of a scan
+    longer than the budget before its next use.  The wrapper has
+    cache_info and cache_clear, as functools.lru_cache gives."""
+    def decorate(build):
+        store: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        hits = misses = entries = 0
+
+        @wraps(build)
+        def cached(c: int) -> tuple[np.ndarray, np.ndarray]:
+            nonlocal hits, misses, entries
+            tables = store.get(c)
+            if tables is not None:
+                hits += 1
+                return tables
+            misses += 1
+            tables = build(c)
+            if entries + len(tables[0]) <= budget:
+                store[c] = tables
+                entries += len(tables[0])
+            return tables
+
+        def cache_info() -> _TableCacheInfo:
+            return _TableCacheInfo(hits, misses, budget, entries, len(store))
+
+        def cache_clear():
+            nonlocal hits, misses, entries
+            store.clear()
+            hits = misses = entries = 0
+
+        cached.cache_info = cache_info
+        cached.cache_clear = cache_clear
+        return cached
+    return decorate
+
+
+@_entry_bounded_cache(_INVERSE_TABLE_ENTRIES)
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units x of Z/c in increasing order and their inverses mod c, as
-    int64 arrays (c = 1 has the single unit 0, its own inverse).  The
-    inverse is x^(phi(c) - 1) mod c by square-and-multiply; every product
-    is below c^2, so int64 is exact for c < 3e9."""
+    """The units x of Z/c in increasing order and their inverses mod c
+    (c = 1 has the single unit 0, its own inverse): the one table that
+    every Kloosterman sum and every quadrature row of modulus c reads.
+
+    The inverse is x^(phi(c) - 1) mod c by square-and-multiply in int64;
+    every product is below c^2, so that is exact for c < 3e9.  The tables
+    are returned in the narrowest signed dtype that holds c - 1 (int8 up
+    to c = 128, int16 up to 32768, so int16 for every Kloosterman
+    modulus), read-only, because one table object serves every later call
+    with the same c; widen before multiplying.
+
+    Stored: one table pair per modulus, while the stored moduli hold at
+    most _INVERSE_TABLE_ENTRIES = 320,000 units in total (the c <= 1000
+    of a criterion-1 pass hold 304,192).  At 2 bytes per unit and per
+    inverse that is at most 1.28 MB of int16 tables (2.56 MB if int32
+    tables of moduli above 32768 took the whole budget), plus about
+    0.4 kB of array and dict overhead per stored modulus."""
     xs = np.arange(c, dtype=np.int64)
     units = xs[np.gcd(xs, c) == 1]
     inverses = np.ones_like(units)
@@ -253,7 +316,11 @@ def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
             inverses = inverses * base % c
         base = base * base % c
         power >>= 1
-    return units, inverses % c
+    dtype = np.min_scalar_type(-c)  # signed, and holds -c, so also c - 1
+    tables = units.astype(dtype), (inverses % c).astype(dtype)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _check_kloosterman_modulus(c: int):
@@ -268,16 +335,19 @@ def kloosterman(m: int, n: int, c: int) -> float:
     """S(m, n; c) = sum over invertible x mod c of e((m x + n xbar)/c).
     Real by conjugate symmetry; returned as the cosine sum.
 
-    The residues and the arguments 2 pi r / c are formed in numpy, in the
-    same IEEE operations (and so the same doubles) as a Python loop over
-    x; m and n are reduced mod c first, so int64 cannot overflow.  The
-    cosines come from math.cos, not np.cos, whose SIMD kernels may round
-    differently, and they are added strictly left to right in increasing
-    x by np.add.accumulate (np.sum adds pairwise), so the sum has the bits
-    of the plain loop `total += cos(...)`."""
+    The units and inverses come from the shared, compact table of
+    `_unit_inverses` and are widened to int64 here.  The residues and the
+    arguments 2 pi r / c are formed in numpy, in the same IEEE operations
+    (and so the same doubles) as a Python loop over x; m and n are reduced
+    mod c first, so int64 cannot overflow.  The cosines come from
+    math.cos, not np.cos, whose SIMD kernels may round differently, and
+    they are added strictly left to right in increasing x by
+    np.add.accumulate (np.sum adds pairwise), so the sum has the bits of
+    the plain loop `total += cos(...)`."""
     _check_kloosterman_modulus(c)
     units, inverses = _unit_inverses(c)
-    residues = ((m % c) * units + (n % c) * inverses) % c
+    residues = ((m % c) * units.astype(np.int64)
+                + (n % c) * inverses.astype(np.int64)) % c
     cosines = list(map(math.cos, (TWO_PI * residues / c).tolist()))
     return float(np.add.accumulate(cosines)[-1])
 
@@ -439,8 +509,9 @@ def _eval_series_grid(m: int, k: int, q: int,
     Row c (`_disc_rows`) walks the d with |c x + d| <= rho_c, widened by
     _ROW_MARGIN radius so that rounding drops no site of the chord, for
     all grid points as one flat array ordered by point, then d.  The
-    inverse table (-1 off the units) and the phase table e(m a / c) over
-    a mod c are built once per c and gathered by d; each term is the
+    inverse map (-1 off the units, spread from the shared
+    `_unit_inverses` table) and the phase table e(m a / c) over a mod c
+    are built once per row and gathered by d; each term is the
     double the per-term expression gives.  One bincount over the
     interleaved real and imaginary parts adds each point's terms in
     order, left to right."""

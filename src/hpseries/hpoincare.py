@@ -55,9 +55,7 @@ from .qfield import (
     _mul,
     _norm,
     _unit_inverse_int,
-    complete_pair,
     fundamental_unit,
-    is_unimodular_pair,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -644,9 +642,10 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
     walks the same strips of the same delta boxes (`_strip_sites`; the
     corner sites outside both strips are bounded in the tail, not visited)
     and keeps a site by the same `_cutoff_window` decision as
-    `evaluate_grid`, so both sum exactly the same rows; it then tests
-    unimodularity and completes each pair exactly instead of reading
-    residue tables."""
+    `evaluate_grid`, so both sum exactly the same rows; it then completes
+    each pair exactly (`_complete_int`, which also decides unimodularity:
+    it gives None off the unimodular pairs) instead of reading residue
+    tables, and `CosetRep` checks each determinant."""
     f = spec.field
     y = (z[0].imag, z[1].imag)
     _check_y(y)
@@ -661,11 +660,12 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
         keep = _cutoff_window(u1, u2, cl.b, spec.weight,
                               policy.term_cutoff)[0]
         for p, q in zip(pd[keep].tolist(), qd[keep].tolist()):
-            delta = f.element(p, q)
-            if not is_unimodular_pair(gamma, delta):
+            ab = _complete_int(f, cl.pq, (p, q))
+            if ab is None:
                 continue
-            a, b = complete_pair(gamma, delta)
-            reps.append(CosetRep(gamma=gamma, delta=delta, a=a, b=b))
+            reps.append(CosetRep(gamma=gamma, delta=f.element(p, q),
+                                 a=FieldElement(f, *ab[0]),
+                                 b=FieldElement(f, *ab[1])))
             count += 1
             if count > policy.max_terms:
                 raise TruncationLimitExceeded(count)

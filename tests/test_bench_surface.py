@@ -4,7 +4,10 @@ perfbench/tracing.py wraps library calls through `owner.__dict__[attr]`
 and perfbench/run.py reads `classical._kloosterman_cached.cache_info()` and
 `hpoincare.enumerate_gamma_classes`, so a rename there breaks only a traced
 benchmark run.  This loads tracing.py from its file without writing
-bytecode next to it, and installs and removes its wrappers."""
+bytecode next to it, and installs and removes its wrappers.  run.py also
+starts every pass by calling `cache_clear` on each module-level object
+that has one; a cache it cannot reach that way would make later passes
+warm, and read as a false gain."""
 
 import importlib.util
 import sys
@@ -49,3 +52,19 @@ def test_run_reads_library_names(field5, nu5, unit_ideal5):
                                         term_cutoff=1e-10)
     classes = hpoincare.enumerate_gamma_classes(spec, (1.1, 1.0), policy)
     assert classes and all(cl.pq != (0, 0) for cl in classes)
+
+
+def _clear_like_the_runner(module):
+    for obj in list(vars(module).values()):
+        clear = getattr(obj, "cache_clear", None)
+        if callable(clear):
+            clear()
+
+
+def test_runner_sweep_empties_the_inverse_tables():
+    classical.petersson_coefficient(classical.ClassicalParams(1, 2, 12, 1),
+                                    50)
+    assert classical._unit_inverses.cache_info().currsize > 0
+    _clear_like_the_runner(classical)
+    assert classical._unit_inverses.cache_info().currsize == 0
+    assert classical._kloosterman_cached.cache_info().currsize == 0

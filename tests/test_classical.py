@@ -366,8 +366,55 @@ _KLOOSTERMAN_MODULI = [*range(1, 201), 211, 997, 1009, 7919, 9973,
 def test_unit_inverses():
     for c in _KLOOSTERMAN_MODULI:
         units, inverses = cla._unit_inverses(c)
+        # the narrowest signed dtype holding c - 1, read-only
+        assert units.dtype == inverses.dtype == \
+            (np.int8 if c <= 128 else np.int16)
+        assert not units.flags.writeable and not inverses.flags.writeable
         assert units.tolist() == [x for x in range(c) if gcd(x, c) == 1]
-        assert ((units * inverses) % c == 1 % c).all()
+        # widened first: an int16 product overflows
+        wide = units.astype(np.int64) * inverses.astype(np.int64)
+        assert (wide % c == 1 % c).all()
+
+
+def test_unit_inverse_tables_are_shared_and_read_only():
+    cla._unit_inverses.cache_clear()
+    units, inverses = cla._unit_inverses(97)
+    assert cla._unit_inverses(97)[0] is units  # one table per modulus
+    with pytest.raises(ValueError):
+        units[0] = 5
+    with pytest.raises(ValueError):
+        inverses[:] = 0
+    assert kloosterman(1, 2, 97).hex() == \
+        _reference_kloosterman(1, 2, 97).hex()
+
+
+def test_unit_inverses_past_the_budget_are_not_stored():
+    c = 320_009  # a prime, so its table has c - 1 units
+    assert c - 1 > cla._INVERSE_TABLE_ENTRIES
+    before = cla._unit_inverses.cache_info()
+    units, inverses = cla._unit_inverses(c)
+    assert units.dtype == np.int32
+    assert np.array_equal(units, np.arange(1, c))
+    wide = units.astype(np.int64) * inverses.astype(np.int64)
+    assert (wide % c == 1).all()
+    after = cla._unit_inverses.cache_info()
+    assert after.misses == before.misses + 1
+    assert (after.currsize, after.entries) == (before.currsize,
+                                               before.entries)
+
+
+def test_entry_bounded_cache_keeps_what_fits_and_evicts_nothing():
+    tables = cla._entry_bounded_cache(10)(cla._unit_inverses.__wrapped__)
+    tables(7)   # 6 units: stored
+    tables(11)  # 10 units: 16 would pass the budget, so not stored
+    tables(5)   # 4 units: stored, 10 in all
+    tables(7)
+    info = tables.cache_info()
+    assert (info.hits, info.misses, info.entries, info.currsize) == \
+        (1, 3, 10, 2)
+    assert tables(11)[0].tolist() == list(range(1, 11))
+    tables.cache_clear()
+    assert tables.cache_info() == (0, 0, 10, 0, 0)
 
 
 def test_kloosterman_matches_pow_loop_bits():
