@@ -32,9 +32,10 @@ Kloosterman/Bessel sum with no power prefactor), exposed here as
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 from math import pi
 
 import numpy as np
@@ -341,15 +342,16 @@ def kloosterman(m: int, n: int, c: int) -> float:
     (and so the same doubles) as a Python loop over x; m and n are reduced
     mod c first, so int64 cannot overflow.  The cosines come from
     math.cos, not np.cos, whose SIMD kernels may round differently, and
-    they are added strictly left to right in increasing x by
-    np.add.accumulate (np.sum adds pairwise), so the sum has the bits of
-    the plain loop `total += cos(...)`."""
+    they are added strictly left to right in increasing x by a reduce over
+    operator.add (np.sum adds pairwise, and the builtin sum compensates
+    from Python 3.12 on), so the sum has the bits of the plain loop
+    `total += cos(...)`."""
     _check_kloosterman_modulus(c)
     units, inverses = _unit_inverses(c)
     residues = ((m % c) * units.astype(np.int64)
                 + (n % c) * inverses.astype(np.int64)) % c
-    cosines = list(map(math.cos, (TWO_PI * residues / c).tolist()))
-    return float(np.add.accumulate(cosines)[-1])
+    return reduce(operator.add,
+                  map(math.cos, (TWO_PI * residues / c).tolist()))
 
 
 def _bessel_series_rational(order: int, x: float) -> tuple[float, float]:
@@ -457,9 +459,8 @@ def bessel_j_with_bound(order: int, x: float) -> tuple[float, float]:
 
 @lru_cache(maxsize=200_000)
 def _kloosterman_cached(m: int, n: int, c: int) -> float:
-    a, b = min(m, n), max(m, n)  # S is symmetric in (m, n)
-    if (a, b) != (m, n):
-        return _kloosterman_cached(a, b, c)
+    """kloosterman(m, n, c), stored; callers pass m <= n, since S is
+    symmetric in (m, n), so a miss is one sum evaluated."""
     return kloosterman(m, n, c)
 
 
@@ -475,7 +476,7 @@ def petersson_coefficient(params: ClassicalParams,
     ik = (-1) ** (k // 2)  # i^{-k} for even k
     total = 0.0
     for c in range(q, c_max + 1, q):
-        s = _kloosterman_cached(m, n, c)
+        s = _kloosterman_cached(min(m, n), max(m, n), c)
         if s != 0.0:
             total += s / c * bessel_j(k - 1, arg / c)
     delta = 1.0 if m == n else 0.0

@@ -282,12 +282,10 @@ def cmd_classical(args) -> int:
                          method="petersson"))
     elif args.mode == "quadrature":
         params = cla.ClassicalParams(m=args.m, n=args.n, k=args.k, q=args.q)
-        if args.grid is not None or args.y is not None:
-            policy = cla.QuadraturePolicy.auto(
-                params, y=1.1 if args.y is None else args.y,
-                grid_n=64 if args.grid is None else args.grid)
-        else:
-            policy = None
+        # QuadraturePolicy.auto keeps its own defaults for the flags not given
+        flags = {"y": args.y, "grid_n": args.grid}
+        policy = cla.QuadraturePolicy.auto(
+            params, **{key: v for key, v in flags.items() if v is not None})
         val = cla.classical_poincare_coefficient_by_quadrature(params, policy)
         rows.append(dict(m=args.m, n=args.n, k=args.k, q=args.q,
                          value=val, tail_bound=0.0, method="quadrature"))

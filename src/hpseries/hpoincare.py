@@ -24,10 +24,12 @@ iff its bound prod_j |w_j|^{-k_j} is at least the cutoff, i.e.
 
 Per class, a delta box sized from the same bound only limits the walk.
 Inside it only the two strips |u_1| <= rho_1 and |u_2| <= rho_2 that hold
-every kept site are walked; the bounds of the walked sites below the
-cutoff are summed into the tail estimate, and the corner sites outside
-both strips are not visited but bounded in closed form by counting
-lattice sites per unit square (`_corner_bound`).
+every kept site are walked.  The tail estimate has four parts, one per
+left-out region: the walked sites below the cutoff (their summed bounds),
+the unvisited sites (corners outside both strips, strip ends beyond the
+box) and the classes skipped wholesale (both bounded in closed form by
+counting lattice sites per unit square, `_corner_bound`), and the classes
+beyond the height box (`_beyond_box_mass`, the one heuristic part).
 
 Whether a gamma class is summed is decided in one place,
 `_classes_with_skip_info`, and each kept class carries its geometry on its
@@ -59,8 +61,6 @@ from .qfield import (
 )
 
 TWO_PI = 2.0 * math.pi
-_SHELL_FRAC = 0.75  # classes with height above this fraction of the box
-                    # feed the tail estimate
 _DELTA_BOX_MARGIN = 1.0  # added to each delta-box half-width
 _MIN_IM = 1e-3  # quality guard: smallest Im(z_j) accepted
 _CHUNK_ELEMENTS = 200_000  # lattice sites per evaluate_grid chunk: keeps
@@ -213,15 +213,13 @@ class _GammaClass:
     Built only by `_classes_with_skip_info`, which decides the classes kept.
     """
 
-    __slots__ = ("pq", "emb", "height", "b", "wd", "rho", "hnf",
-                 "phase_table")
+    __slots__ = ("pq", "emb", "b", "wd", "rho", "hnf", "phase_table")
 
     def __init__(self, f: RealQuadraticField, pq: tuple[int, int],
                  emb: tuple[float, float], b: tuple[float, float],
                  wd: tuple[float, float], rho: tuple[float, float],
                  nu_emb: tuple[float, float]):
         self.pq, self.emb, self.b, self.wd, self.rho = pq, emb, b, wd, rho
-        self.height = max(abs(emb[0]), abs(emb[1]))
         self.hnf = _ideal_hnf(f, [pq])
         self.phase_table = _phase_table(f, pq, self.hnf, nu_emb)
 
@@ -268,8 +266,10 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
     is dropped wholesale when its largest possible term prod b_j^{-k_j},
     b_j = |gamma_j| y_j, falls below the cutoff or its delta box is empty
     (`_delta_windows` is None, which only rounding gives above the
-    cutoff); its bound feeds the tail estimate instead of the sum.  A kept
-    class carries b, its delta box and its strip radii."""
+    cutoff).  A dropped class is charged the bound `_corner_bound(b_1, b_2,
+    k_1, k_2, (0, 0))` on the summed term bounds of all its sites, and its
+    largest term bound goes into the largest skipped term.  A kept class
+    carries b, its delta box and its strip radii."""
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
     cutoff = policy.term_cutoff
@@ -289,7 +289,7 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
         wd = None if bound < cutoff \
             else _delta_windows(b1, b2, k1, k2, cutoff)
         if wd is None:
-            skip_mass += bound
+            skip_mass += _corner_bound(b1, b2, k1, k2, (0.0, 0.0))[0]
             largest_skipped = max(largest_skipped, bound)
             continue
         rho = _strip_radii(b1, b2, k1, k2, cutoff)
@@ -370,20 +370,25 @@ def _corner_bound(b1: float, b2: float, k1: int, k2: int,
                   rho: tuple[float, float]):
     """(mass, largest): a bound on the summed term bounds
     f_1(u_1) f_2(u_2), f_j(t) = (t^2 + b_j^2)^{-k_j/2}, of all lattice sites
-    in the four corners |u_1| > rho_1, |u_2| > rho_2 (the sites the strip
-    walk does not visit, whether inside the delta box or not), and the
-    largest such bound f_1(rho_1) f_2(rho_2), which is the cutoff up to
-    rounding.
+    in the four corners |u_1| >= rho_1, |u_2| >= rho_2, and the largest
+    such bound f_1(rho_1) f_2(rho_2).  It bounds every site the walk does
+    not visit: at the strip radii the corner sites outside both strips,
+    inside the delta box or not (`largest` is the cutoff up to rounding);
+    at (0, a_2) and (a_1, 0), a_j = W_j - _DELTA_BOX_MARGIN, the strip
+    ends beyond the box, overlapping the corners (`largest` is then no
+    site bound); at (0, 0) every site of a class skipped wholesale.
 
-    A half-open unit square [s, s+1) x [t, t+1) of the embedding plane
-    holds at most one site u = (gamma_j x_j + delta_j)_j: two would differ
-    by a nonzero delta in O_F with |N(delta)| = |delta_1 delta_2| < 1.  Tile
-    the corner u_1 > rho_1, u_2 > rho_2 by the squares with lower-left
-    corner (rho_1 + i, rho_2 + j), i, j >= 0; f_j decreases in |t|, so the
-    site in square (i, j) has bound at most f_1(rho_1 + i) f_2(rho_2 + j).
-    The corner mass is therefore at most S_1 S_2, S_j = sum_{i>=0}
-    f_j(rho_j + i), and the four corners (the signs of u_1, u_2) at most
-    4 S_1 S_2.
+    A half-open unit square [s, s+1) x [t, t+1), or (s-1, s] x [t, t+1)
+    and the other mirror images, holds at most one site u = (gamma_j x_j +
+    delta_j)_j: two would differ by a nonzero delta in O_F with |N(delta)|
+    = |delta_1 delta_2| < 1.  Tile the corner u_1 >= rho_1, u_2 >= rho_2
+    by the squares with lower-left corner (rho_1 + i, rho_2 + j), i, j >=
+    0, and the corners u_j <= -rho_j by their mirror images; f_j decreases
+    in |t|, so the site in square (i, j) has bound at most f_1(rho_1 + i)
+    f_2(rho_2 + j).  The corner mass is therefore at most S_1 S_2, S_j =
+    sum_{i>=0} f_j(rho_j + i), and the four corners (the signs of u_1,
+    u_2) at most 4 S_1 S_2.  At rho_j = 0 the squares on both sides hold
+    the sites with u_j = 0, so those are covered too.
 
     S_j is summed explicitly over its first N = _CORNER_TERMS terms.  Each
     later term f_j(rho_j + i), i >= N, is at most the integral of f_j over
@@ -508,11 +513,11 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     for kept sites only.  The bounds of the walked sites below the cutoff
     are added to the tail per point; |e^{2 pi i tr(nu Mz)}| <= 1, so that
     sum bounds what they would have contributed (sites with no completion
-    residue are counted too, which only over-bounds it).  The corner sites
-    outside both strips are not visited: the closed-form 4 S_1 S_2 of
-    `_corner_bound` bounds their summed bounds and is added to every
-    point's tail.  The tail also holds the boundary-shell, box-perimeter,
-    skipped-class and beyond-box parts.
+    residue are counted too, which only over-bounds it).  That is the
+    first of the tail's four parts; the unvisited sites (corners outside
+    both strips, strip ends beyond the box: three `_corner_bound` calls
+    per class, added to every point) and the skipped classes are bounds
+    too, and `_beyond_box_mass` is the one heuristic part.
 
     Deterministic: fixed class and lattice ordering, per-point bincount
     reductions in that order.  xs must be a non-empty (npts, 2) array
@@ -526,12 +531,10 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     xs_arr = _points_array(xs)
     npts = xs_arr.shape[0]
     x1, x2 = np.ascontiguousarray(xs_arr.T)
-    shell_mass = np.zeros(npts, dtype=np.float64)
     cut_mass = np.zeros(npts, dtype=np.float64)
-    corner_mass = 0.0
+    unvisited_mass = 0.0
     classes, skip_mass, largest_dropped = _classes_with_skip_info(
         spec, y, policy)
-    perimeter_sites = 0.0
 
     # the gamma = 0 class is the identity row (0, 1) alone: the units sit
     # in the stabilizer.  + 0.0 turns the -0.0 parts of an underflowed term
@@ -541,21 +544,24 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     comp = np.zeros(npts, dtype=np.complex128)  # Kahan per point
     terms_used = npts
 
-    shell_height = _SHELL_FRAC * policy.gamma_height_max
     for cl in classes:
         g1, g2 = cl.emb
         wd, rho = cl.wd, cl.rho
-        perimeter_sites += (2.0 * (wd[0] + wd[1]) / sq_disc + 4.0) * npts
         mass, largest = _corner_bound(*cl.b, k1, k2, rho)
-        corner_mass += mass
         largest_dropped = max(largest_dropped, largest)
+        # the strip ends beyond the box have |u_2| > W_2 or |u_1| > W_1;
+        # bound every site with |u_j| >= a_j, a full unit inside the box
+        # edge, so rounding at that edge cannot drop a site from both the
+        # walk and the bound
+        a1, a2 = wd[0] - _DELTA_BOX_MARGIN, wd[1] - _DELTA_BOX_MARGIN
+        unvisited_mass += mass + _corner_bound(*cl.b, k1, k2, (0.0, a2))[0] \
+            + _corner_bound(*cl.b, k1, k2, (a1, 0.0))[0]
         A, B, C = cl.hnf
         tab_flat = cl.phase_table.reshape(-1)
         c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, sq_disc)
         per_point = float(np.maximum(qhi - qlo + 1, 0).mean()) \
             * (2 * wd[0] + 1) or 1.0
         chunk = max(1, int(_CHUNK_ELEMENTS / max(per_point, 1.0)))
-        is_shell = cl.height >= shell_height
         # a chunk is a run of whole points and pt indexes into it.  The
         # values still depend on the chunking in the last bits: a chunk
         # with live terms takes a Kahan step at each of its points, with a
@@ -597,15 +603,9 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
             sums = (np.bincount(pt, weights=t.real, minlength=n)
                     + 1j * np.bincount(pt, weights=t.imag, minlength=n))
             values[sl], comp[sl] = _kahan(values[sl], comp[sl], sums)
-            if is_shell:
-                shell_mass[sl] += np.bincount(pt, weights=np.abs(t),
-                                              minlength=n)
-    h = policy.gamma_height_max
-    geom = (h / (h + 1.0)) ** (2 * (min(k1, k2) - 1))
     beyond = _beyond_box_mass(spec, y, policy,
                               bool(classes) or skip_mass > 0.0)
-    tails = shell_mass * geom / (1.0 - geom) + cut_mass + corner_mass \
-        + policy.term_cutoff * perimeter_sites / npts + skip_mass + beyond
+    tails = cut_mass + unvisited_mass + skip_mass + beyond
     # a cut or corner site's bound is below the cutoff; e^{-logs/2} and
     # f_1(rho_1) f_2(rho_2) may round above it
     return values, tails, terms_used, min(largest_dropped, policy.term_cutoff)
@@ -623,13 +623,13 @@ def evaluate(spec: PoincareSpec, z: tuple[complex, complex],
 
 def tail_bound(spec: PoincareSpec, z: tuple[complex, complex],
                policy: TruncationPolicy) -> float:
-    """Estimate of the truncated mass at z: the summed bounds of the walked
-    strip sites below the cutoff and the closed-form bound on the corner
-    sites outside both strips, which are bounded, not visited (both
-    rigorous), plus heuristic parts (boundary-shell magnitudes times a
-    geometric factor, cutoff mass for the box perimeters, skipped classes,
-    the classes beyond the height box).  Reported separately from the
-    value, never added to it."""
+    """Estimate of the truncated mass at z, in four parts: the summed bounds
+    of the walked strip sites below the cutoff, the `_corner_bound` of the
+    unvisited sites (corners outside both strips and strip ends beyond the
+    delta box), the same bound on every site of each skipped class (these
+    three are rigorous), and the heuristic `_beyond_box_mass` of the
+    classes beyond the height box.  Reported separately from the value,
+    never added to it."""
     return evaluate(spec, z, policy).tail_estimate
 
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import hpseries
-from hpseries import classical, hpoincare
+from hpseries import classical, fourier, hpoincare
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,6 +41,28 @@ def test_tracing_wraps_and_restores_library_names(monkeypatch):
         inst.uninstall()
     for owner, attr, original in saved:
         assert owner.__dict__[attr] is original
+
+
+def test_tracing_counts_the_terms_evaluate_grid_returns(monkeypatch, field5,
+                                                       nu5, unit_ideal5):
+    """tracing.py adds `evaluate_grid(...)[2]` to its term count: the
+    result keeps the term count at index 2."""
+    tracing = _load_tracing(monkeypatch)
+    inst = tracing.Instrumentation(hpseries)
+    spec = hpoincare.PoincareSpec(field=field5, weight=hpoincare.Weight(8, 8),
+                                  nu=nu5, level=unit_ideal5)
+    policy = hpoincare.TruncationPolicy(gamma_height_max=6.0,
+                                        term_cutoff=1e-10)
+    inst.install()
+    try:
+        inst.start_pass()
+        result = fourier.evaluate_grid(spec, [(0.1, 0.2), (0.3, -0.4)],
+                                       (1.1, 1.0), policy)
+        inst.end_pass()
+    finally:
+        inst.uninstall()
+    assert isinstance(result[2], int) and result[2] > 2
+    assert inst.terms == result[2]
 
 
 def test_run_reads_library_names(field5, nu5, unit_ideal5):

@@ -447,6 +447,17 @@ def test_series_grid_matches_per_term_grid_bits(m, k, q, policy):
     assert got.tobytes() == want.tobytes()
 
 
+def test_kloosterman_cache_miss_is_one_sum():
+    """petersson_coefficient orders (m, n) before the lookup, so S(1, 2; c)
+    and S(2, 1; c) share one entry and every miss evaluates one sum."""
+    cla._kloosterman_cached.cache_clear()
+    for m, n in ((1, 2), (2, 1)):
+        petersson_coefficient(ClassicalParams(m, n, 12, 1), 50)
+    info = cla._kloosterman_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (50, 50, 50)
+    cla._kloosterman_cached.cache_clear()
+
+
 # -- refusing work that cannot finish ----------------------------------------------
 
 def test_petersson_refuses_cmax_past_kloosterman_cap(monkeypatch):

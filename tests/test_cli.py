@@ -152,6 +152,28 @@ def test_classical_quadrature_echoes_grid_and_y(capsys):
                           "cmax=500 grid=32 y=1.2\n")
 
 
+# Byte-exact quadrature output: a flag not given takes the default of
+# QuadraturePolicy.auto, and one path serves every flag combination
+_QUADRATURE_TEXT = {
+    (): ("", "2.8402873752443907"),
+    ("--grid", "32"): (" grid=32", "2.8402873752519686"),
+    ("--y", "1.2"): (" y=1.2", "2.8402873752995004"),
+    ("--grid", "16", "--y", "1.3"): (" grid=16 y=1.3", "2.8402873751933058"),
+}
+
+
+@pytest.mark.parametrize("flags", list(_QUADRATURE_TEXT),
+                         ids=["defaults", "grid", "y", "grid-and-y"])
+def test_classical_quadrature_output_bytes(flags, capsys):
+    echo, value = _QUADRATURE_TEXT[flags]
+    code, out, _ = run_cli(["classical", "quadrature", "--k", "12", *flags],
+                           capsys)
+    assert code == 0
+    assert out == ("# config: mode=quadrature m=1 n=1 k=12 q=1 cmax=500"
+                   f"{echo}\nm,n,k,q,value,tail_bound,method\n"
+                   f"1,1,12,1,{value},0.0,quadrature\n")
+
+
 def test_classical_tau(capsys):
     code, out, _ = run_cli(["classical", "tau", "--nmax", "3"], capsys)
     assert code == 0

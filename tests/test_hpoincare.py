@@ -21,6 +21,9 @@ from hpseries.hpoincare import (
     term,
 )
 from hpseries.hpoincare import (
+    _DELTA_BOX_MARGIN,
+    _beyond_box_mass,
+    _classes_with_skip_info,
     _corner_bound,
     _cutoff_window,
     _delta_windows,
@@ -377,6 +380,16 @@ def _lattice_sites(f, cl, x, half):
     return p, q, g1 * x[0] + (p + q * w1e), g2 * x[1] + (p + q * w2e)
 
 
+def _site_bounds(v1, v2, b, k):
+    """f_1(v_1) f_2(v_2), f_j(t) = (t^2 + b_j^2)^{-k_j/2}, per site."""
+    return ((v1 ** 2 + b[0] ** 2) ** (-k[0] / 2)
+            * (v2 ** 2 + b[1] ** 2) ** (-k[1] / 2))
+
+
+def _site_keys(p, q):
+    return np.asarray(p, dtype=np.int64) * (1 << 32) + q
+
+
 # at weight (4, 4), H 40, the rigorous tail parts (walked cut sites and
 # corner bounds) outweigh the heuristic ones, so the tail holds only if it
 # counts the corner bound
@@ -389,10 +402,13 @@ _STRIP_CASES = _WINDOW_CASES + [(5, (4, 4), 1, (40.0, 1e-9))]
 def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
                                                      truncation):
     """Every kept box site lies in the strips |u_j| <= rho_j, the walk
-    leaves out only box sites outside both strips, the corner bound covers
-    the corner sites of a box three times wider than the delta box, and
-    the tail and largest_dropped cover the walked cut sites and the
-    corners."""
+    leaves out only box sites outside both strips, and in a box three times
+    wider than the delta box the corner bound covers the corner sites and
+    the two strip-end bounds the strip sites outside the delta box.  The
+    tail is exactly its four parts (walked cut sites, the corner and
+    strip-end bounds, skipped classes, beyond-box classes), it covers
+    every unsummed site of the wider box, and largest_dropped covers the
+    walked cut sites and the corners."""
     f = make_field(d)
     spec = PoincareSpec(field=f, weight=Weight(*k),
                         nu=trace_one_totally_positive(f, 8)[-1],
@@ -402,7 +418,7 @@ def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
                               term_cutoff=cutoff)
     z = (0.2718 + 1.15j, -0.1414 + 1.05j)  # off every sampling grid
     x, y = (z[0].real, z[1].real), (z[0].imag, z[1].imag)
-    rigorous = corner_max = 0.0
+    rigorous = corner_max = unsummed = 0.0
     checked = 0
     for cl in enumerate_gamma_classes(spec, y, policy):
         # the class record carries the geometry the engine walks
@@ -427,20 +443,72 @@ def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
         skipped = np.array([site not in walked for site in box])
         assert not in_strips[skipped].any()
         rigorous += np.exp(-0.5 * logs[~skipped & ~keep]).sum()
-        _p, _q, v1, v2 = _lattice_sites(f, cl, x, (3 * wd[0], 3 * wd[1]))
+        wp, wq, v1, v2 = _lattice_sites(f, cl, x, (3 * wd[0], 3 * wd[1]))
+        wide = _site_bounds(v1, v2, b, k)
         corner = (np.abs(v1) > rho[0]) & (np.abs(v2) > rho[1])
-        bounds = ((v1[corner] ** 2 + b[0] ** 2) ** (-k[0] / 2)
-                  * (v2[corner] ** 2 + b[1] ** 2) ** (-k[1] / 2))
         mass, largest = _corner_bound(*b, *k, rho)
-        assert bounds.sum() <= mass
-        assert bounds.max() <= largest <= cutoff * (1 + 1e-12)
-        rigorous += mass
-        corner_max = max(corner_max, bounds.max())
+        assert wide[corner].sum() <= mass
+        assert wide[corner].max() <= largest <= cutoff * (1 + 1e-12)
+        # the strip ends: strip sites outside the delta box, each bound
+        # also checked over its whole region |u_j| >= a_j of the wider box
+        a1, a2 = wd[0] - _DELTA_BOX_MARGIN, wd[1] - _DELTA_BOX_MARGIN
+        end1 = _corner_bound(*b, *k, (0.0, a2))[0]
+        end2 = _corner_bound(*b, *k, (a1, 0.0))[0]
+        wide_keys = _site_keys(wp, wq)
+        ends = ~corner & ~np.isin(wide_keys, _site_keys(p, q))
+        assert ends.any()
+        assert wide[ends].sum() <= end1 + end2
+        assert wide[np.abs(v2) >= a2].sum() <= end1
+        assert wide[np.abs(v1) >= a1].sum() <= end2
+        rigorous += mass + end1 + end2
+        unsummed += wide[~np.isin(wide_keys, _site_keys(p[keep], q[keep]))
+                         ].sum()
+        corner_max = max(corner_max, wide[corner].max())
         checked += 1
     assert checked
     res = evaluate(spec, z, policy)
-    assert rigorous <= res.tail_estimate * (1 + 1e-12)
+    skip_mass = _classes_with_skip_info(spec, y, policy)[1]
+    beyond = _beyond_box_mass(spec, y, policy, True)
+    assert res.tail_estimate == pytest.approx(rigorous + skip_mass + beyond,
+                                              rel=1e-12, abs=0.0)
+    assert unsummed <= res.tail_estimate
     assert corner_max <= res.largest_dropped
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_skipped_class_charge_against_brute_force(d):
+    """A class the cutoff skips is charged `_corner_bound` at radius 0,
+    which lies above the brute-force sum of its site bounds over a box
+    three times wider than the delta box the class has at a cutoff low
+    enough to keep it; its largest term alone would fall below that sum."""
+    f = make_field(d)
+    k = (8, 8)
+    spec = PoincareSpec(field=f, weight=Weight(*k),
+                        nu=trace_one_totally_positive(f, 8)[-1],
+                        level=ideal_from_gen(f.one))
+    x, y = (0.2718, -0.1414), (1.15, 1.05)
+    coarse = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-8)
+    fine = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-15)
+    kept, skip_mass, largest_skipped = _classes_with_skip_info(spec, y,
+                                                               coarse)
+    every, none_skipped, _ = _classes_with_skip_info(spec, y, fine)
+    assert none_skipped == 0.0
+    kept_pq = {cl.pq for cl in kept}
+    skipped = [cl for cl in every if cl.pq not in kept_pq]
+    assert skipped
+    charges, largest_terms = [], []
+    for cl in skipped:
+        charge = _corner_bound(*cl.b, *k, (0.0, 0.0))[0]
+        _p, _q, v1, v2 = _lattice_sites(f, cl, x, (3 * cl.wd[0],
+                                                   3 * cl.wd[1]))
+        brute = _site_bounds(v1, v2, cl.b, k).sum()
+        largest_term = cl.b[0] ** -k[0] * cl.b[1] ** -k[1]
+        assert largest_term < coarse.term_cutoff
+        assert largest_term < brute <= charge
+        charges.append(charge)
+        largest_terms.append(largest_term)
+    assert skip_mass == pytest.approx(sum(charges), rel=1e-12)
+    assert largest_skipped == max(largest_terms)
 
 
 def test_pointwise_weight_limit(field5, nu5, unit_ideal5):
