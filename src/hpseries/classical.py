@@ -11,8 +11,13 @@ k >= 4 and level q is computed two independent ways:
 
   with Kloosterman sums summed term by term over the units mod c (one
   vectorised inverse table per modulus, built once and shared by every
-  (m, n) and by the quadrature rows below) and a self-validating Bessel
-  J whose ascending series runs in exact integer arithmetic;
+  (m, n) and by the quadrature rows below, and one cosine table
+  cos(2 pi r / c) per modulus c <= 1024 that every sum gathers from)
+  and a self-validating Bessel J whose ascending series runs in exact
+  integer arithmetic.  Each sum S(m, n; c) and each value
+  J_{k-1}(4 pi sqrt(mn) / c) is evaluated once and kept in a float64 row
+  indexed by c, one row per (m, n) and one per (k - 1, 4 pi sqrt(mn)),
+  so (m, n) and (n, m), and every level q, share them;
 
 * direct coset summation of the series over bottom rows (c, d), c > 0,
   q | c, gcd(c, d) = 1 in the disc |cz + d| <= R (plus the single
@@ -32,10 +37,9 @@ Kloosterman/Bessel sum with no power prefactor), exposed here as
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, wraps
 from math import pi
 
 import numpy as np
@@ -45,6 +49,8 @@ TWO_PI = 2.0 * pi
 _BESSEL_SERIES_XMAX = 50.0
 _KLOOSTERMAN_CMAX = 10_000
 _INVERSE_TABLE_ENTRIES = 320_000  # units kept over all stored moduli
+_COSINE_TABLE_CMAX = 1024  # largest modulus with a stored cosine table
+_ROW_ENTRIES = 200_000  # float64 slots kept over all rows of one row store
 # QuadraturePolicy.auto refuses a run whose disc would walk more than this
 # many lattice sites over the grid (`_radius_cap`); the largest
 # criterion-1 configuration, (m, n, k, q) = (3, 3, 12, 1), walks about 2.1e5
@@ -70,6 +76,10 @@ class ClassicalParams:
     q: int
 
     def __post_init__(self):
+        for name in ("m", "n", "k", "q"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ClassicalError(f"{name} must be an int, got {value!r}")
         if self.m < 1 or self.n < 1 or self.q < 1:
             raise ClassicalError("m, n, q must be >= 1")
         if self.k < 4 or self.k % 2:
@@ -288,6 +298,61 @@ def _entry_bounded_cache(budget: int):
     return decorate
 
 
+def _row_cache(budget: int):
+    """Memoize a scalar function f(a, b, c) -> float, c >= 0 an integer, in
+    one float64 row per key (a, b), indexed by c, NaN marking the c not yet
+    evaluated (f never returns NaN).  A row grows to the larger of c + 1
+    and twice its length when a c past its end is evaluated, and the store
+    is bounded by the total length of its rows: a value whose row would
+    take the store past its budget is returned but not stored, and nothing
+    is evicted, as in `_entry_bounded_cache`.  A hit costs a dict lookup
+    and one array read, and a row of 8-byte slots weighs a fraction of the
+    per-entry tuple keys and links of functools.lru_cache.  The wrapper
+    has cache_info (currsize counts the values stored, entries the slots
+    of all rows) and cache_clear."""
+    def decorate(f):
+        rows: dict[tuple, np.ndarray] = {}
+        hits = misses = entries = size = 0
+
+        @wraps(f)
+        def cached(a, b, c: int) -> float:
+            nonlocal hits, misses, entries, size
+            row = rows.get((a, b))
+            length = 0 if row is None else len(row)
+            if c < length:
+                value = row.item(c)
+                if value == value:
+                    hits += 1
+                    return value
+            misses += 1
+            value = f(a, b, c)
+            if c >= length:
+                grown = max(c + 1, 2 * length)
+                if entries + grown - length > budget:
+                    return value
+                longer = np.full(grown, np.nan)
+                if row is not None:
+                    longer[:length] = row
+                rows[(a, b)] = row = longer
+                entries += grown - length
+            row[c] = value
+            size += 1
+            return value
+
+        def cache_info() -> _TableCacheInfo:
+            return _TableCacheInfo(hits, misses, budget, entries, size)
+
+        def cache_clear():
+            nonlocal hits, misses, entries, size
+            rows.clear()
+            hits = misses = entries = size = 0
+
+        cached.cache_info = cache_info
+        cached.cache_clear = cache_clear
+        return cached
+    return decorate
+
+
 @_entry_bounded_cache(_INVERSE_TABLE_ENTRIES)
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     """The units x of Z/c in increasing order and their inverses mod c
@@ -306,7 +371,10 @@ def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     of a criterion-1 pass hold 304,192).  At 2 bytes per unit and per
     inverse that is at most 1.28 MB of int16 tables (2.56 MB if int32
     tables of moduli above 32768 took the whole budget), plus about
-    0.4 kB of array and dict overhead per stored modulus."""
+    0.4 kB of array and dict overhead per stored modulus.  The cosine
+    tables of `_cosines` beside them hold c doubles per modulus
+    c <= _COSINE_TABLE_CMAX: 4.0 MB for the c <= 1000 of a criterion-1
+    pass, at most 4.2 MB."""
     xs = np.arange(c, dtype=np.int64)
     units = xs[np.gcd(xs, c) == 1]
     inverses = np.ones_like(units)
@@ -324,6 +392,21 @@ def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@lru_cache(maxsize=_COSINE_TABLE_CMAX)
+def _cosines(c: int) -> np.ndarray:
+    """cos(2 pi r / c) for r = 0, ..., c - 1 as one read-only float64
+    table, shared by every Kloosterman sum of modulus c.  The arguments are
+    formed in numpy by the IEEE operations of the Python expression
+    TWO_PI * r / c, and each cosine is math.cos, not np.cos, whose SIMD
+    kernels may round differently, so entry r has the bits of
+    math.cos(TWO_PI * r / c).  Only moduli c <= _COSINE_TABLE_CMAX are
+    asked for, so the store never evicts."""
+    table = np.fromiter(map(math.cos, (TWO_PI * np.arange(c) / c).tolist()),
+                        dtype=np.float64, count=c)
+    table.flags.writeable = False
+    return table
+
+
 def _check_kloosterman_modulus(c: int):
     if c < 1:
         raise ClassicalError("c must be >= 1")
@@ -337,21 +420,27 @@ def kloosterman(m: int, n: int, c: int) -> float:
     Real by conjugate symmetry; returned as the cosine sum.
 
     The units and inverses come from the shared, compact table of
-    `_unit_inverses` and are widened to int64 here.  The residues and the
-    arguments 2 pi r / c are formed in numpy, in the same IEEE operations
-    (and so the same doubles) as a Python loop over x; m and n are reduced
-    mod c first, so int64 cannot overflow.  The cosines come from
-    math.cos, not np.cos, whose SIMD kernels may round differently, and
-    they are added strictly left to right in increasing x by a reduce over
-    operator.add (np.sum adds pairwise, and the builtin sum compensates
-    from Python 3.12 on), so the sum has the bits of the plain loop
-    `total += cos(...)`."""
+    `_unit_inverses` and are widened to int64 here; m and n are reduced
+    mod c first, so int64 cannot overflow.  For c <= _COSINE_TABLE_CMAX
+    the cosine of each residue r is gathered from the shared table of
+    `_cosines`, which holds math.cos(TWO_PI * r / c); above it (a table
+    of c doubles per sum would cost more than it saves) the arguments
+    2 pi r / c are formed in numpy, in the same IEEE operations, and
+    passed to math.cos.  Either way each cosine is the double a Python
+    loop over x computes.  np.add.accumulate adds them strictly left to
+    right in increasing x (np.sum adds pairwise, and the builtin sum
+    compensates from Python 3.12 on), so the last partial sum has the
+    bits of the plain loop `total += cos(...)`."""
     _check_kloosterman_modulus(c)
     units, inverses = _unit_inverses(c)
     residues = ((m % c) * units.astype(np.int64)
                 + (n % c) * inverses.astype(np.int64)) % c
-    return reduce(operator.add,
-                  map(math.cos, (TWO_PI * residues / c).tolist()))
+    if c <= _COSINE_TABLE_CMAX:
+        cosines = _cosines(c)[residues]
+    else:
+        cosines = np.fromiter(map(math.cos, (TWO_PI * residues / c).tolist()),
+                              dtype=np.float64, count=len(residues))
+    return np.add.accumulate(cosines).item(-1)
 
 
 def _bessel_series_rational(order: int, x: float) -> tuple[float, float]:
@@ -457,28 +546,44 @@ def bessel_j_with_bound(order: int, x: float) -> tuple[float, float]:
     return _bessel_series_rational(order, x)
 
 
-@lru_cache(maxsize=200_000)
+@_row_cache(_ROW_ENTRIES)
 def _kloosterman_cached(m: int, n: int, c: int) -> float:
-    """kloosterman(m, n, c), stored; callers pass m <= n, since S is
-    symmetric in (m, n), so a miss is one sum evaluated."""
+    """kloosterman(m, n, c), stored in the row of (m, n); callers pass
+    m <= n, since S is symmetric in (m, n), so a miss is one sum
+    evaluated."""
     return kloosterman(m, n, c)
+
+
+@_row_cache(_ROW_ENTRIES)
+def _bessel_cached(order: int, arg: float, c: int) -> float:
+    """bessel_j(order, arg / c), stored in the row of (order, arg)."""
+    return bessel_j(order, arg / c)
 
 
 def petersson_coefficient(params: ClassicalParams,
                           c_max: int) -> PeterssonResult:
     """Partial sum of the explicit formula over c <= c_max plus a tail
-    bound from |S(m,n;c)| <= c and J_{k-1}(x) <= (x/2)^{k-1}/(k-1)!."""
+    bound from |S(m,n;c)| <= c and J_{k-1}(x) <= (x/2)^{k-1}/(k-1)!.
+
+    The terms are added in increasing c.  S(m, n; c) is read from the
+    shared row of (min(m, n), max(m, n)), and J_{k-1}(4 pi sqrt(mn) / c)
+    from the shared row of (k - 1, 4 pi sqrt(mn)), both indexed by c and
+    filled on first use (`_row_cache`).  So (m, n) and (n, m) and every
+    level q share each sum and each Bessel value, every weight shares the
+    sums, and every pair with the same product mn shares the Bessel
+    values; a value read back has the bits it had when it was computed."""
     if c_max < params.q:
         raise ClassicalError("c_max must be at least q")
     m, n, k, q = params.m, params.n, params.k, params.q
     _check_kloosterman_modulus(c_max - c_max % q)  # the largest c, up front
     arg = 4 * pi * math.sqrt(m * n)
     ik = (-1) ** (k // 2)  # i^{-k} for even k
+    lo, hi = min(m, n), max(m, n)
     total = 0.0
     for c in range(q, c_max + 1, q):
-        s = _kloosterman_cached(min(m, n), max(m, n), c)
+        s = _kloosterman_cached(lo, hi, c)
         if s != 0.0:
-            total += s / c * bessel_j(k - 1, arg / c)
+            total += s / c * _bessel_cached(k - 1, arg, c)
     delta = 1.0 if m == n else 0.0
     scale = (n / m) ** ((k - 1) / 2)
     value = delta + 2 * pi * ik * scale * total

@@ -89,6 +89,10 @@ class Weight:
     k2: int
 
     def __post_init__(self):
+        for k in (self.k1, self.k2):
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise EvaluationError(
+                    f"weight components must be ints, got {k!r}")
         if self.k1 <= 2 or self.k2 <= 2:
             raise EvaluationError("weight components must exceed 2")
         if (self.k1 + self.k2) % 2:

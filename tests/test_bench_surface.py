@@ -83,10 +83,19 @@ def _clear_like_the_runner(module):
             clear()
 
 
-def test_runner_sweep_empties_the_inverse_tables():
+def test_runner_sweep_empties_every_classical_store():
+    """Every store in `classical` that reports cache_info is filled by a
+    Petersson and a quadrature call, and empty after the sweep."""
     classical.petersson_coefficient(classical.ClassicalParams(1, 2, 12, 1),
                                     50)
-    assert classical._unit_inverses.cache_info().currsize > 0
+    classical.classical_poincare_coefficient_by_quadrature(
+        classical.ClassicalParams(1, 1, 12, 1))
+    stores = {name: obj for name, obj in vars(classical).items()
+              if callable(getattr(obj, "cache_info", None))}
+    assert {"_unit_inverses", "_cosines", "_kloosterman_cached",
+            "_bessel_cached"} <= set(stores)
+    for name, store in stores.items():
+        assert store.cache_info().currsize > 0, name
     _clear_like_the_runner(classical)
-    assert classical._unit_inverses.cache_info().currsize == 0
-    assert classical._kloosterman_cached.cache_info().currsize == 0
+    for name, store in stores.items():
+        assert store.cache_info().currsize == 0, name

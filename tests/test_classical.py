@@ -35,6 +35,12 @@ def test_params_validation():
         ClassicalParams(m=1, n=1, k=11, q=1)  # odd weight
     with pytest.raises(ClassicalError):
         ClassicalParams(m=1, n=1, k=2, q=1)   # below 4
+    # non-integers, bool included: the shared Kloosterman and Bessel rows
+    # are keyed by these values
+    for bad in (dict(m=1.5), dict(k=12.0), dict(q=2.0), dict(m=True),
+                dict(n=np.int64(2)), dict(q="1")):
+        with pytest.raises(ClassicalError, match="must be an int"):
+            ClassicalParams(**{**dict(m=1, n=1, k=12, q=1), **bad})
 
 
 # -- Kloosterman sums ----------------------------------------------------------
@@ -417,6 +423,48 @@ def test_entry_bounded_cache_keeps_what_fits_and_evicts_nothing():
     assert tables.cache_info() == (0, 0, 10, 0, 0)
 
 
+def test_row_cache_grows_and_keeps_what_fits():
+    calls = []
+
+    def f(a, b, c):
+        calls.append((a, b, c))
+        return a + b * c + 0.5
+
+    rows = cla._row_cache(8)(f)
+    assert rows(1, 2, 3) == 7.5  # row (1, 2): 4 slots
+    assert rows(1, 2, 3) == 7.5  # hit
+    assert rows(1, 2, 5) == 11.5  # the row doubles to 8 slots
+    assert rows(0, 1, 0) == 0.5  # a new row would pass the budget
+    assert rows(0, 1, 0) == 0.5  # so it is evaluated again
+    info = rows.cache_info()
+    assert (info.hits, info.misses, info.entries, info.currsize) == \
+        (1, 4, 8, 2)
+    assert calls == [(1, 2, 3), (1, 2, 5), (0, 1, 0), (0, 1, 0)]
+    rows.cache_clear()
+    assert rows.cache_info() == (0, 0, 8, 0, 0)
+    assert rows(1, 2, 3) == 7.5 and len(calls) == 5
+
+
+def test_cosine_tables_are_shared_read_only_and_exact():
+    cla._cosines.cache_clear()
+    for c in (1, 2, 97, 360, 1000, cla._COSINE_TABLE_CMAX):
+        table = cla._cosines(c)
+        assert cla._cosines(c) is table  # one table per modulus
+        assert table.dtype == np.float64 and len(table) == c
+        assert not table.flags.writeable
+        assert [v.hex() for v in table.tolist()] == \
+            [math.cos(TWO_PI * r / c).hex() for r in range(c)]
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    # kloosterman reads the table up to the cap, and no table above it
+    cla._cosines.cache_clear()
+    kloosterman(1, 2, cla._COSINE_TABLE_CMAX + 1)
+    assert cla._cosines.cache_info().currsize == 0
+    kloosterman(1, 2, cla._COSINE_TABLE_CMAX)
+    assert cla._cosines.cache_info().currsize == 1
+    cla._cosines.cache_clear()
+
+
 def test_kloosterman_matches_pow_loop_bits():
     for m in (1, 2, 3):
         for n in (1, 2, 3):
@@ -456,6 +504,51 @@ def test_kloosterman_cache_miss_is_one_sum():
     info = cla._kloosterman_cached.cache_info()
     assert (info.misses, info.hits, info.currsize) == (50, 50, 50)
     cla._kloosterman_cached.cache_clear()
+
+
+def _reference_petersson(params, c_max, sums):
+    """The explicit formula as one loop over c, calling bessel_j per term;
+    sums memoizes S(m, n; c), whose bits `kloosterman` tests pin."""
+    m, n, k, q = params.m, params.n, params.k, params.q
+    arg = 4 * pi * math.sqrt(m * n)
+    total = 0.0
+    for c in range(q, c_max + 1, q):
+        key = (min(m, n), max(m, n), c)
+        if key not in sums:
+            sums[key] = kloosterman(*key)
+        if sums[key] != 0.0:
+            total += sums[key] / c * bessel_j(k - 1, arg / c)
+    delta = 1.0 if m == n else 0.0
+    scale = (n / m) ** ((k - 1) / 2)
+    return delta + 2 * pi * (-1) ** (k // 2) * scale * total
+
+
+def test_petersson_evaluates_each_bessel_value_once(monkeypatch):
+    """Over the criterion-1 grid, bessel_j runs once per distinct
+    (order, 4 pi sqrt(mn), c) with S(m, n; c) != 0, and every coefficient
+    has the bits of the loop that calls bessel_j per term."""
+    c_max = 1000
+    grid = [ClassicalParams(m, n, k, q) for m in (1, 2, 3) for n in (1, 2, 3)
+            for k in (12, 16) for q in (1, 2)]
+    sums = {}
+    want = [_reference_petersson(p, c_max, sums) for p in grid]
+    needed = {(p.k - 1, 4 * pi * math.sqrt(p.m * p.n), c) for p in grid
+              for c in range(p.q, c_max + 1, p.q)
+              if sums[min(p.m, p.n), max(p.m, p.n), c] != 0.0}
+    calls = []
+
+    def counting(order, x):
+        calls.append((order, x))
+        return bessel_j(order, x)
+
+    monkeypatch.setattr(cla, "bessel_j", counting)
+    cla._bessel_cached.cache_clear()
+    got = [petersson_coefficient(p, c_max).value for p in grid]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert sorted(calls) == sorted((o, a / c) for o, a, c in needed)
+    assert len(calls) <= 12_000  # the (m, n, k, q) loop makes 26,900
+    assert cla._bessel_cached.cache_info().currsize == len(needed)
+    cla._bessel_cached.cache_clear()
 
 
 # -- refusing work that cannot finish ----------------------------------------------

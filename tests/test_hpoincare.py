@@ -71,6 +71,9 @@ def test_weight_validation():
         Weight(3, 4)  # odd sum
     assert Weight(3, 5).parallel is False
     assert Weight(6, 6).parallel
+    for k1, k2 in ((6.5, 5.5), (6.0, 6.0), (6, 6.0), (True, 5), (6, "6")):
+        with pytest.raises(EvaluationError, match="must be ints"):
+            Weight(k1, k2)
 
 
 def test_spec_rejects_non_totally_positive(field5, unit_ideal5):
