@@ -30,7 +30,6 @@ from .hpoincare import (
     enumerate_cosets,
     evaluate,
     modularity_defect,
-    tail_bound,
     term,
 )
 from .fourier import (

@@ -99,6 +99,8 @@ def _check_fiber(y: float):
 
 
 def _check_grid(grid_n: int):
+    if not isinstance(grid_n, int) or isinstance(grid_n, bool):
+        raise ClassicalError(f"grid_n must be an int, got {grid_n!r}")
     if grid_n < 4 or grid_n % 2:
         raise ClassicalError("grid_n must be even and >= 4")
 

@@ -135,6 +135,13 @@ def _parse_levels(field, text) -> list:
     return out
 
 
+def _one_level(field, text):
+    levels = _parse_levels(field, text)
+    if len(levels) != 1:
+        raise ValueError(f"--level takes one level, got {text!r}")
+    return levels[0]
+
+
 def _dual(field, coords) -> DualIndex:
     p, q = _pair_of_ints(coords)
     return DualIndex.from_numerator(field, field.element(p, q))
@@ -221,7 +228,7 @@ def cmd_sweep(args) -> int:
         nu = _dual(field, cfg.get("nu", "0,1"))
         mu = _dual(field, cfg.get("mu", "-1,1"))
         if by_weight:
-            fixed = _parse_levels(field, cfg.get("level", "1"))[0]
+            fixed = _one_level(field, cfg.get("level", "1"))
         domain = _domain_from(field, cfg)
         policy = _policy_from(cfg)
         thresholds = exp.TrendThresholds(
@@ -256,7 +263,7 @@ def cmd_certify(args) -> int:
         field = make_field(int(cfg["d"]))
         k1, k2 = _pair_of_ints(cfg["k"])
         nu = _dual(field, cfg.get("nu", "0,1"))
-        level = _parse_levels(field, cfg.get("level", "1"))[0]
+        level = _one_level(field, cfg.get("level", "1"))
         domain = _domain_from(field, cfg)
         policy = _policy_from(cfg)
         spec = PoincareSpec(field=field, weight=Weight(k1, k2), nu=nu,

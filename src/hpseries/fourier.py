@@ -53,6 +53,8 @@ class SamplingDomain:
         if not (math.isfinite(self.y1) and math.isfinite(self.y2)) \
                 or self.y1 <= 0 or self.y2 <= 0 or self.y1 * self.y2 <= 1.0:
             raise ValueError("need finite y1, y2 > 0 with N(y) = y1*y2 > 1")
+        if not isinstance(self.grid_n, int) or isinstance(self.grid_n, bool):
+            raise ValueError(f"grid_n must be an int, got {self.grid_n!r}")
         if self.grid_n < 4 or self.grid_n % 2:
             raise ValueError("grid_n must be even and >= 4")
 
@@ -113,7 +115,7 @@ class PoincareEvaluand:
     ((-u) mod n, (-v) mod n), which is -x up to a translation by O_F; the
     truncated sum is O_F-periodic because the delta box at x + lambda is
     the box at x shifted by gamma*lambda, with the residue of a and every
-    w_j unchanged.  Mirror tails are the representative's tail.
+    w_j unchanged.  Mirror tails are the representative's `Tail.total()`.
     """
 
     def __init__(self, spec: PoincareSpec, policy: TruncationPolicy):
@@ -126,7 +128,7 @@ class PoincareEvaluand:
         u, v = np.divmod(idx, n)
         mirror = ((-u) % n) * n + (-v) % n  # row-major index of -x(u, v)
         reps = np.flatnonzero(idx <= mirror)  # one per orbit: n^2/2 + 2
-        rep_values, rep_tails = evaluate_grid(
+        rep_values, tail = evaluate_grid(
             self.spec, domain.lattice_points()[reps], domain.y, self.policy)[:2]
         values = np.empty(n * n, dtype=np.complex128)
         tails = np.empty(n * n, dtype=np.float64)
@@ -134,7 +136,7 @@ class PoincareEvaluand:
         # mirrors) keep their computed value
         values[mirror[reps]] = np.conj(rep_values)
         values[reps] = rep_values
-        tails[mirror[reps]] = tails[reps] = rep_tails
+        tails[mirror[reps]] = tails[reps] = tail.total()
         return values, tails
 
     def min_alias_trace(self, domain: SamplingDomain) -> float:

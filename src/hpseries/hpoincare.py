@@ -24,17 +24,18 @@ iff its bound prod_j |w_j|^{-k_j} is at least the cutoff, i.e.
 
 Per class, a delta box sized from the same bound only limits the walk.
 Inside it only the two strips |u_1| <= rho_1 and |u_2| <= rho_2 that hold
-every kept site are walked.  The tail estimate has four parts, one per
-left-out region: the walked sites below the cutoff (their summed bounds),
-the unvisited sites (corners outside both strips, strip ends beyond the
-box) and the classes skipped wholesale (both bounded in closed form by
-counting lattice sites per unit square, `_corner_bound`), and the classes
-beyond the height box (`_beyond_box_mass`, the one heuristic part).
+every kept site are walked.  The `Tail` has one part per left-out
+region: the walked sites below the cutoff (`cut`), the unvisited sites
+(`unvisited`: corners outside both strips, strip ends beyond the box) and
+the classes skipped wholesale (`skipped`, both bounded by counting lattice
+sites per unit square, `_corner_bound`), and the classes beyond the height
+box (`beyond`, `_beyond_box_mass`, the one heuristic part).
 
 Whether a gamma class is summed is decided in one place,
-`_classes_with_skip_info`, and each kept class carries its geometry on its
-`_GammaClass` record: b_j = |gamma_j| y_j, the delta box and the strip
-radii, which `evaluate_grid` and `enumerate_cosets` read as they are.
+`_classes_with_skip_info`, which also charges the whole-class tail parts;
+each kept class carries its geometry on its `_GammaClass` record: b_j =
+|gamma_j| y_j, the delta box and the strip radii.  The lattice loop of
+`evaluate_grid` only walks sites.
 """
 
 from __future__ import annotations
@@ -144,6 +145,10 @@ class TruncationPolicy:
     max_terms: int = 50_000_000
 
     def __post_init__(self):
+        if not isinstance(self.max_terms, int) \
+                or isinstance(self.max_terms, bool):
+            raise EvaluationError(
+                f"max_terms must be an int, got {self.max_terms!r}")
         # NaN passes every <= test: ask for finiteness first
         if not all(map(math.isfinite, (self.gamma_height_max,
                                        self.term_cutoff))) \
@@ -174,7 +179,20 @@ class EvalResult:
     value: complex
     tail_estimate: float
     terms_used: int
-    largest_dropped: float
+
+
+@dataclass(frozen=True, eq=False)  # no field-wise == on the cut array
+class Tail:
+    """The truncation tail of one `evaluate_grid` call by left-out region;
+    only `cut`, the summed bounds of the walked cut sites, is per point."""
+    cut: np.ndarray
+    unvisited: float
+    skipped: float
+    beyond: float
+
+    def total(self) -> np.ndarray:
+        """The tail estimate per point: the parts added in field order."""
+        return self.cut + self.unvisited + self.skipped + self.beyond
 
 
 # -- unit-orbit canonicalization (exact) -----------------------------------
@@ -264,24 +282,25 @@ def _gamma_box(f: RealQuadraticField, height: float) -> Iterable[tuple[int, int]
 
 def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
                             policy: TruncationPolicy):
-    """(kept classes, skipped-class mass bound, largest skipped term bound).
+    """(kept classes, unvisited, skipped, beyond): the classes summed and
+    the whole-class parts of the `Tail`, each charged in class order.
 
     The one place that decides whether a gamma class is summed.  A class
     is dropped wholesale when its largest possible term prod b_j^{-k_j},
     b_j = |gamma_j| y_j, falls below the cutoff or its delta box is empty
     (`_delta_windows` is None, which only rounding gives above the
-    cutoff).  A dropped class is charged the bound `_corner_bound(b_1, b_2,
-    k_1, k_2, (0, 0))` on the summed term bounds of all its sites, and its
-    largest term bound goes into the largest skipped term.  A kept class
-    carries b, its delta box and its strip radii."""
+    cutoff), and is charged `_corner_bound` at (0, 0).  A kept class
+    carries b, its delta box and its strip radii, and is charged
+    `_corner_bound` at rho (corners) and at (0, a_2) and (a_1, 0) (strip
+    ends), a_j = W_j - _DELTA_BOX_MARGIN a full unit inside the box edge,
+    so rounding there cannot drop a site from both walk and bound."""
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
     cutoff = policy.term_cutoff
     nu_emb = spec.nu.embeddings()
     eps_inv = _unit_inverse_int(f, fundamental_unit(f).int_coords())
     kept = []
-    skip_mass = 0.0
-    largest_skipped = 0.0
+    unvisited = skipped = 0.0
     for pq in sorted(_gamma_box(f, policy.gamma_height_max)):
         if not spec.level._contains_int(pq):
             continue
@@ -289,16 +308,19 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
             continue
         emb = _embed(f, pq)
         b1, b2 = abs(emb[0]) * y[0], abs(emb[1]) * y[1]
-        bound = b1 ** (-k1) * b2 ** (-k2)
-        wd = None if bound < cutoff \
+        wd = None if b1 ** (-k1) * b2 ** (-k2) < cutoff \
             else _delta_windows(b1, b2, k1, k2, cutoff)
         if wd is None:
-            skip_mass += _corner_bound(b1, b2, k1, k2, (0.0, 0.0))[0]
-            largest_skipped = max(largest_skipped, bound)
+            skipped += _corner_bound(b1, b2, k1, k2, (0.0, 0.0))
             continue
         rho = _strip_radii(b1, b2, k1, k2, cutoff)
+        a1, a2 = wd[0] - _DELTA_BOX_MARGIN, wd[1] - _DELTA_BOX_MARGIN
+        unvisited += _corner_bound(b1, b2, k1, k2, rho) \
+            + _corner_bound(b1, b2, k1, k2, (0.0, a2)) \
+            + _corner_bound(b1, b2, k1, k2, (a1, 0.0))
         kept.append(_GammaClass(f, pq, emb, (b1, b2), wd, rho, nu_emb))
-    return kept, skip_mass, largest_skipped
+    beyond = _beyond_box_mass(spec, y, policy, bool(kept) or skipped > 0.0)
+    return kept, unvisited, skipped, beyond
 
 
 def enumerate_gamma_classes(spec: PoincareSpec, y: tuple[float, float],
@@ -371,16 +393,15 @@ def _strip_radii(b1: float, b2: float, k1: int, k2: int, cutoff: float):
 
 
 def _corner_bound(b1: float, b2: float, k1: int, k2: int,
-                  rho: tuple[float, float]):
-    """(mass, largest): a bound on the summed term bounds
-    f_1(u_1) f_2(u_2), f_j(t) = (t^2 + b_j^2)^{-k_j/2}, of all lattice sites
-    in the four corners |u_1| >= rho_1, |u_2| >= rho_2, and the largest
-    such bound f_1(rho_1) f_2(rho_2).  It bounds every site the walk does
-    not visit: at the strip radii the corner sites outside both strips,
-    inside the delta box or not (`largest` is the cutoff up to rounding);
-    at (0, a_2) and (a_1, 0), a_j = W_j - _DELTA_BOX_MARGIN, the strip
-    ends beyond the box, overlapping the corners (`largest` is then no
-    site bound); at (0, 0) every site of a class skipped wholesale.
+                  rho: tuple[float, float]) -> float:
+    """A bound on the summed term bounds f_1(u_1) f_2(u_2), f_j(t) =
+    (t^2 + b_j^2)^{-k_j/2}, of all lattice sites in the four corners
+    |u_1| >= rho_1, |u_2| >= rho_2.  `_classes_with_skip_info` charges
+    with it every site the walk does not visit: at the strip radii the
+    corner sites outside both strips, inside the delta box or not; at
+    (0, a_2) and (a_1, 0), a_j = W_j - _DELTA_BOX_MARGIN, the strip ends
+    beyond the box, overlapping the corners; at (0, 0) every site of a
+    class skipped wholesale.
 
     A half-open unit square [s, s+1) x [t, t+1), or (s-1, s] x [t, t+1)
     and the other mirror images, holds at most one site u = (gamma_j x_j +
@@ -403,14 +424,13 @@ def _corner_bound(b1: float, b2: float, k1: int, k2: int,
     -(a^2 + b_j^2)^{-k_j/2} b_j^2 / (a^2 (k_j - 1)) < 0 in a, so it is
     positive."""
     i = np.arange(_CORNER_TERMS)
-    mass, largest = 4.0, 1.0
+    mass = 4.0
     for b, k, r in ((b1, k1, rho[0]), (b2, k2, rho[1])):
         f = ((r + i) ** 2 + b * b) ** (-0.5 * k)
         a = r + (_CORNER_TERMS - 1)
         mass *= float(f.sum()) + (a * a + b * b) ** (1.0 - 0.5 * k) \
             / (a * (k - 1))
-        largest *= float(f[0])
-    return mass, largest
+    return mass
 
 
 def _strip_sites(c1: np.ndarray, c2: np.ndarray, qlo: np.ndarray,
@@ -503,11 +523,10 @@ def _points_array(xs) -> np.ndarray:
 
 def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
                   y: tuple[float, float], policy: TruncationPolicy):
-    """(values, tails, terms_used, largest_dropped) of the truncated series
-    at the points x + iy for x in xs (embedding pairs): per-point values and
-    tail estimates, the total count of summed terms and the largest term
-    bound left out of the sum.  The only lattice-sum engine; `evaluate` is
-    its one-point case.
+    """(values, tail, terms_used) of the truncated series at the points
+    x + iy for x in xs (embedding pairs): per-point values, the `Tail`
+    record and the total count of summed terms.  The only lattice-sum
+    engine; `evaluate` is its one-point case.
 
     Per class, the delta box of `_delta_windows` only bounds the strips
     |u_j| <= rho_j (`_strip_radii`) that hold every kept site, and only the
@@ -515,13 +534,10 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     is summed iff its bound prod_j |w_j|^{-k_j} is at least the cutoff
     (`_cutoff_window`), and the residue lookup and the term are computed
     for kept sites only.  The bounds of the walked sites below the cutoff
-    are added to the tail per point; |e^{2 pi i tr(nu Mz)}| <= 1, so that
+    are added to `tail.cut` per point; |e^{2 pi i tr(nu Mz)}| <= 1, so that
     sum bounds what they would have contributed (sites with no completion
-    residue are counted too, which only over-bounds it).  That is the
-    first of the tail's four parts; the unvisited sites (corners outside
-    both strips, strip ends beyond the box: three `_corner_bound` calls
-    per class, added to every point) and the skipped classes are bounds
-    too, and `_beyond_box_mass` is the one heuristic part.
+    residue are counted too, which only over-bounds it).  The whole-class
+    parts of the tail come from `_classes_with_skip_info`.
 
     Deterministic: fixed class and lattice ordering, per-point bincount
     reductions in that order.  xs must be a non-empty (npts, 2) array
@@ -536,9 +552,7 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     npts = xs_arr.shape[0]
     x1, x2 = np.ascontiguousarray(xs_arr.T)
     cut_mass = np.zeros(npts, dtype=np.float64)
-    unvisited_mass = 0.0
-    classes, skip_mass, largest_dropped = _classes_with_skip_info(
-        spec, y, policy)
+    classes, *whole_class_parts = _classes_with_skip_info(spec, y, policy)
 
     # the gamma = 0 class is the identity row (0, 1) alone: the units sit
     # in the stabilizer.  + 0.0 turns the -0.0 parts of an underflowed term
@@ -551,15 +565,6 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     for cl in classes:
         g1, g2 = cl.emb
         wd, rho = cl.wd, cl.rho
-        mass, largest = _corner_bound(*cl.b, k1, k2, rho)
-        largest_dropped = max(largest_dropped, largest)
-        # the strip ends beyond the box have |u_2| > W_2 or |u_1| > W_1;
-        # bound every site with |u_j| >= a_j, a full unit inside the box
-        # edge, so rounding at that edge cannot drop a site from both the
-        # walk and the bound
-        a1, a2 = wd[0] - _DELTA_BOX_MARGIN, wd[1] - _DELTA_BOX_MARGIN
-        unvisited_mass += mass + _corner_bound(*cl.b, k1, k2, (0.0, a2))[0] \
-            + _corner_bound(*cl.b, k1, k2, (a1, 0.0))[0]
         A, B, C = cl.hnf
         tab_flat = cl.phase_table.reshape(-1)
         c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, sq_disc)
@@ -582,10 +587,8 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
                                         policy.term_cutoff)
             cut = np.flatnonzero(~keep)
             if len(cut):
-                cut_bound = np.exp(-0.5 * logs[cut])
-                cut_mass[sl] += np.bincount(pt[cut], weights=cut_bound,
-                                            minlength=n)
-                largest_dropped = max(largest_dropped, float(cut_bound.max()))
+                cut_mass[sl] += np.bincount(
+                    pt[cut], weights=np.exp(-0.5 * logs[cut]), minlength=n)
             kept = np.flatnonzero(keep)
             qd = qd[kept]
             jj = qd % C
@@ -607,34 +610,18 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
             sums = (np.bincount(pt, weights=t.real, minlength=n)
                     + 1j * np.bincount(pt, weights=t.imag, minlength=n))
             values[sl], comp[sl] = _kahan(values[sl], comp[sl], sums)
-    beyond = _beyond_box_mass(spec, y, policy,
-                              bool(classes) or skip_mass > 0.0)
-    tails = cut_mass + unvisited_mass + skip_mass + beyond
-    # a cut or corner site's bound is below the cutoff; e^{-logs/2} and
-    # f_1(rho_1) f_2(rho_2) may round above it
-    return values, tails, terms_used, min(largest_dropped, policy.term_cutoff)
+    return values, Tail(cut_mass, *whole_class_parts), terms_used
 
 
 def evaluate(spec: PoincareSpec, z: tuple[complex, complex],
              policy: TruncationPolicy) -> EvalResult:
     """Compensated sum of the truncated series at a single point: a
-    one-point `evaluate_grid`."""
-    values, tails, terms_used, largest_dropped = evaluate_grid(
+    one-point `evaluate_grid`; `tail_estimate` is its `Tail.total()`."""
+    values, tail, terms_used = evaluate_grid(
         spec, [(z[0].real, z[1].real)], (z[0].imag, z[1].imag), policy)
-    return EvalResult(value=complex(values[0]), tail_estimate=float(tails[0]),
-                      terms_used=terms_used, largest_dropped=largest_dropped)
-
-
-def tail_bound(spec: PoincareSpec, z: tuple[complex, complex],
-               policy: TruncationPolicy) -> float:
-    """Estimate of the truncated mass at z, in four parts: the summed bounds
-    of the walked strip sites below the cutoff, the `_corner_bound` of the
-    unvisited sites (corners outside both strips and strip ends beyond the
-    delta box), the same bound on every site of each skipped class (these
-    three are rigorous), and the heuristic `_beyond_box_mass` of the
-    classes beyond the height box.  Reported separately from the value,
-    never added to it."""
-    return evaluate(spec, z, policy).tail_estimate
+    return EvalResult(value=complex(values[0]),
+                      tail_estimate=float(tail.total()[0]),
+                      terms_used=terms_used)
 
 
 # -- explicit coset representatives (reference path) --------------------------

@@ -201,6 +201,14 @@ def test_quadrature_policy_rejects_bad_radius(radius):
         QuadraturePolicy(radius=radius)
 
 
+@pytest.mark.parametrize("grid_n", [64.0, True], ids=["float", "bool"])
+def test_quadrature_policy_rejects_non_int_grid(grid_n):
+    with pytest.raises(ClassicalError, match="grid_n must be an int"):
+        QuadraturePolicy(radius=40.0, grid_n=grid_n)
+    with pytest.raises(ClassicalError, match="grid_n must be an int"):
+        QuadraturePolicy.auto(ClassicalParams(1, 2, 12, 1), grid_n=grid_n)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
 def test_quadrature_auto_rejects_bad_tol(tol):
     with pytest.raises(ClassicalError, match="tol must be finite"):

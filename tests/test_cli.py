@@ -174,6 +174,82 @@ def test_classical_quadrature_output_bytes(flags, capsys):
                    f"1,1,12,1,{value},0.0,quadrature\n")
 
 
+# Byte-exact Hilbert outputs, one small run per output format: the values,
+# the error columns and the embedded configuration
+_CERTIFY_ARGV = ["certify", "--d", "5", "--k", "8,8", "--grid", "32",
+                 "--height", "8", "--cutoff", "1e-10"]
+_CERTIFY_TEXT = """\
+{
+  "coefficient": {
+    "im": 2.8615480587640134e-16,
+    "quad_error": 2.3817427244231326e-09,
+    "re": 1.036569893123054,
+    "trunc_error": 2.876665684848722e-05
+  },
+  "config": {
+    "cutoff": "1e-10",
+    "d": "5",
+    "grid": "32",
+    "height": "8.0",
+    "k": "8,8"
+  },
+  "note": "heuristic certificate: error components are estimates, not rigorous bounds",
+  "safety_factor": 10.0,
+  "spec": {
+    "convention": "unit_extended",
+    "d": 5,
+    "level_hnf": [
+      1,
+      0,
+      1
+    ],
+    "level_norm": 1,
+    "nu_freq": [
+      1,
+      1
+    ],
+    "nu_numerator": [
+      0,
+      1
+    ],
+    "weight": [
+      8,
+      8
+    ]
+  },
+  "total_error": 2.8769038591211646e-05,
+  "verdict": "NonzeroCertified"
+}
+"""
+
+_SWEEP_WEIGHT_ARGV = ["sweep-weight", "--d", "5", "--ks", "10,14", "--grid",
+                      "32", "--height", "9", "--cutoff", "1e-11"]
+_SWEEP_WEIGHT_TEXT = (
+    '# cutoff=1e-11\n'
+    '# d=5\n'
+    '# grid=32\n'
+    '# height=9.0\n'
+    '# ks=10,14\n'
+    'axis,param,re_p_nu,im_p_nu,err_p_nu,re_p_mu,im_p_mu,err_p_mu\n'
+    'weight,10,1.0011491784372826,2.8930999807533846e-16,'
+    '1.5428091190765506e-06,0.0030973513917895617,'
+    '-1.1331650621349776e-17,1.164894089389261e-06\n'
+    'weight,14,1.0000000363388908,2.7987771055557274e-16,'
+    '4.1464857390334003e-07,6.704788073604125e-08,0.0,'
+    '3.130523733951906e-07\n'
+)
+
+
+@pytest.mark.parametrize("argv,text", [
+    pytest.param(_CERTIFY_ARGV, _CERTIFY_TEXT, id="certify-json"),
+    pytest.param(_SWEEP_WEIGHT_ARGV, _SWEEP_WEIGHT_TEXT, id="sweep-weight-csv"),
+])
+def test_hilbert_output_bytes(argv, text, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == text
+
+
 def test_classical_tau(capsys):
     code, out, _ = run_cli(["classical", "tau", "--nmax", "3"], capsys)
     assert code == 0
@@ -243,6 +319,10 @@ def test_sweep_invalid_config_exits_2(capsys):
                  "Nyquist box", id="sweep-coarse-grid"),
     pytest.param(["certify", "--d", "5", "--k", "8,8", "--grid", "4"],
                  "Nyquist box", id="certify-coarse-grid"),
+    pytest.param(["sweep-weight", "--d", "5", "--ks", "10", "--level", "1,2"],
+                 "one level", id="sweep-weight-level-list"),
+    pytest.param(["certify", "--d", "5", "--k", "12,12", "--level", "1,2"],
+                 "one level", id="certify-level-list"),
 ])
 def test_run_config_error_exits_2(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

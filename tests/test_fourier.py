@@ -56,6 +56,9 @@ def test_domain_validation(field5):
         SamplingDomain(field=field5, y1=2.0, y2=1.0, grid_n=15)  # odd
     with pytest.raises(ValueError):
         SamplingDomain(field=field5, y1=2.0, y2=1.0, grid_n=2)   # too small
+    for grid_n in (16.0, True):  # no bare TypeError later on
+        with pytest.raises(ValueError, match="grid_n must be an int"):
+            SamplingDomain(field=field5, y1=2.0, y2=1.0, grid_n=grid_n)
 
 
 def test_single_frequency_identity(nu5, dom16):
@@ -141,8 +144,9 @@ def test_sample_grid_matches_full_grid(symmetry_spec):
     policy = TruncationPolicy(gamma_height_max=8.0, term_cutoff=1e-11)
     dom = SamplingDomain(field=spec.field, y1=1.1, y2=1.0, grid_n=16)
     values, tails = PoincareEvaluand(spec, policy).sample_grid(dom)
-    full_values, full_tails = evaluate_grid(spec, dom.lattice_points(),
-                                            dom.y, policy)[:2]
+    full_values, full_tail, _terms = evaluate_grid(
+        spec, dom.lattice_points(), dom.y, policy)
+    full_tails = full_tail.total()
     assert values.shape == full_values.shape == (16 * 16,)
     assert np.abs(values - full_values).max() \
         <= 1e-12 * np.abs(full_values).max()

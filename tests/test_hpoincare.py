@@ -9,6 +9,7 @@ from hpseries.hpoincare import (
     CosetRep,
     EvaluationError,
     PoincareSpec,
+    Tail,
     TruncationLimitExceeded,
     TruncationPolicy,
     Weight,
@@ -17,7 +18,6 @@ from hpseries.hpoincare import (
     evaluate,
     evaluate_grid,
     modularity_defect,
-    tail_bound,
     term,
 )
 from hpseries.hpoincare import (
@@ -74,6 +74,15 @@ def test_weight_validation():
     for k1, k2 in ((6.5, 5.5), (6.0, 6.0), (6, 6.0), (True, 5), (6, "6")):
         with pytest.raises(EvaluationError, match="must be ints"):
             Weight(k1, k2)
+
+
+@pytest.mark.parametrize("max_terms", [math.nan, math.inf, True, 1000.0],
+                         ids=["nan", "inf", "bool", "float"])
+def test_policy_rejects_non_int_max_terms(max_terms):
+    """NaN and inf would switch the term budget off, True would act as a
+    budget of 1."""
+    with pytest.raises(EvaluationError, match="max_terms must be an int"):
+        TruncationPolicy(max_terms=max_terms)
 
 
 def test_spec_rejects_non_totally_positive(field5, unit_ideal5):
@@ -357,10 +366,6 @@ def test_cutoff_window_against_full_box(d, k, level_gen, truncation):
     res = evaluate(spec, z, policy)
     assert res.terms_used == len(reps)
     assert abs(res.value - full) <= sum(cut_bounds) <= res.tail_estimate
-    # the engine takes the bound as e^{-logs/2}, which rounds differently
-    # from the product of powers above
-    assert max(cut_bounds) <= res.largest_dropped * (1 + 1e-12)
-    assert res.largest_dropped <= cutoff
 
 
 def _lattice_sites(f, cl, x, half):
@@ -399,6 +404,18 @@ def _site_keys(p, q):
 _STRIP_CASES = _WINDOW_CASES + [(5, (4, 4), 1, (40.0, 1e-9))]
 
 
+def _skipped_classes(spec, y, policy, fine_cutoff):
+    """The classes `policy` skips wholesale, in class order: those kept at
+    fine_cutoff, which must skip none, that `policy` does not keep."""
+    fine = TruncationPolicy(gamma_height_max=policy.gamma_height_max,
+                            term_cutoff=fine_cutoff)
+    every, _unvisited, none_skipped, _beyond = _classes_with_skip_info(
+        spec, y, fine)
+    assert none_skipped == 0.0
+    kept = {cl.pq for cl in enumerate_gamma_classes(spec, y, policy)}
+    return [cl for cl in every if cl.pq not in kept]
+
+
 @pytest.mark.parametrize("d,k,level_gen,truncation", _STRIP_CASES,
                          ids=[f"d{d}-k{k[0]},{k[1]}-level{g}-H{t[0]:g}"
                               for d, k, g, t in _STRIP_CASES])
@@ -407,11 +424,11 @@ def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
     """Every kept box site lies in the strips |u_j| <= rho_j, the walk
     leaves out only box sites outside both strips, and in a box three times
     wider than the delta box the corner bound covers the corner sites and
-    the two strip-end bounds the strip sites outside the delta box.  The
-    tail is exactly its four parts (walked cut sites, the corner and
-    strip-end bounds, skipped classes, beyond-box classes), it covers
-    every unsummed site of the wider box, and largest_dropped covers the
-    walked cut sites and the corners."""
+    the two strip-end bounds the strip sites outside the delta box.  Each
+    part of the `Tail` record equals its rebuild (walked cut sites, the
+    corner and strip-end bounds, skipped classes, beyond-box classes), its
+    total is the tail estimate, and it covers every unsummed site of the
+    wider box."""
     f = make_field(d)
     spec = PoincareSpec(field=f, weight=Weight(*k),
                         nu=trace_one_totally_positive(f, 8)[-1],
@@ -421,7 +438,7 @@ def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
                               term_cutoff=cutoff)
     z = (0.2718 + 1.15j, -0.1414 + 1.05j)  # off every sampling grid
     x, y = (z[0].real, z[1].real), (z[0].imag, z[1].imag)
-    rigorous = corner_max = unsummed = 0.0
+    cut_mass = unvisited = unsummed = 0.0
     checked = 0
     for cl in enumerate_gamma_classes(spec, y, policy):
         # the class record carries the geometry the engine walks
@@ -445,37 +462,42 @@ def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
             [site for site in box if site in walked]
         skipped = np.array([site not in walked for site in box])
         assert not in_strips[skipped].any()
-        rigorous += np.exp(-0.5 * logs[~skipped & ~keep]).sum()
+        cut_mass += np.exp(-0.5 * logs[~skipped & ~keep]).sum()
         wp, wq, v1, v2 = _lattice_sites(f, cl, x, (3 * wd[0], 3 * wd[1]))
         wide = _site_bounds(v1, v2, b, k)
         corner = (np.abs(v1) > rho[0]) & (np.abs(v2) > rho[1])
-        mass, largest = _corner_bound(*b, *k, rho)
+        mass = _corner_bound(*b, *k, rho)
         assert wide[corner].sum() <= mass
-        assert wide[corner].max() <= largest <= cutoff * (1 + 1e-12)
+        assert wide[corner].max() <= cutoff * (1 + 1e-12)
         # the strip ends: strip sites outside the delta box, each bound
         # also checked over its whole region |u_j| >= a_j of the wider box
         a1, a2 = wd[0] - _DELTA_BOX_MARGIN, wd[1] - _DELTA_BOX_MARGIN
-        end1 = _corner_bound(*b, *k, (0.0, a2))[0]
-        end2 = _corner_bound(*b, *k, (a1, 0.0))[0]
+        end1 = _corner_bound(*b, *k, (0.0, a2))
+        end2 = _corner_bound(*b, *k, (a1, 0.0))
         wide_keys = _site_keys(wp, wq)
         ends = ~corner & ~np.isin(wide_keys, _site_keys(p, q))
         assert ends.any()
         assert wide[ends].sum() <= end1 + end2
         assert wide[np.abs(v2) >= a2].sum() <= end1
         assert wide[np.abs(v1) >= a1].sum() <= end2
-        rigorous += mass + end1 + end2
+        unvisited += mass + end1 + end2
         unsummed += wide[~np.isin(wide_keys, _site_keys(p[keep], q[keep]))
                          ].sum()
-        corner_max = max(corner_max, wide[corner].max())
         checked += 1
     assert checked
-    res = evaluate(spec, z, policy)
-    skip_mass = _classes_with_skip_info(spec, y, policy)[1]
-    beyond = _beyond_box_mass(spec, y, policy, True)
-    assert res.tail_estimate == pytest.approx(rigorous + skip_mass + beyond,
-                                              rel=1e-12, abs=0.0)
-    assert unsummed <= res.tail_estimate
-    assert corner_max <= res.largest_dropped
+    skip_mass = 0.0
+    for cl in _skipped_classes(spec, y, policy, 1e-30):
+        skip_mass += _corner_bound(*cl.b, *k, (0.0, 0.0))
+    tail = evaluate_grid(spec, [x], y, policy)[1]
+    assert isinstance(tail, Tail) and tail.cut.shape == (1,)
+    # the engine sums the cut bounds per point by bincount, in walk order
+    assert tail.cut[0] == pytest.approx(cut_mass, rel=1e-12, abs=0.0)
+    assert tail.unvisited == unvisited
+    assert tail.skipped == skip_mass
+    assert tail.beyond == _beyond_box_mass(spec, y, policy, True)
+    estimate = evaluate(spec, z, policy).tail_estimate
+    assert tail.total()[0] == estimate
+    assert unsummed <= estimate
 
 
 @pytest.mark.parametrize("d", EUCLIDEAN_D)
@@ -483,7 +505,8 @@ def test_skipped_class_charge_against_brute_force(d):
     """A class the cutoff skips is charged `_corner_bound` at radius 0,
     which lies above the brute-force sum of its site bounds over a box
     three times wider than the delta box the class has at a cutoff low
-    enough to keep it; its largest term alone would fall below that sum."""
+    enough to keep it; its largest term alone would fall below that sum.
+    The record's `skipped` part is these charges, added in class order."""
     f = make_field(d)
     k = (8, 8)
     spec = PoincareSpec(field=f, weight=Weight(*k),
@@ -491,27 +514,31 @@ def test_skipped_class_charge_against_brute_force(d):
                         level=ideal_from_gen(f.one))
     x, y = (0.2718, -0.1414), (1.15, 1.05)
     coarse = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-8)
-    fine = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-15)
-    kept, skip_mass, largest_skipped = _classes_with_skip_info(spec, y,
-                                                               coarse)
-    every, none_skipped, _ = _classes_with_skip_info(spec, y, fine)
-    assert none_skipped == 0.0
-    kept_pq = {cl.pq for cl in kept}
-    skipped = [cl for cl in every if cl.pq not in kept_pq]
+    skipped = _skipped_classes(spec, y, coarse, 1e-15)
     assert skipped
-    charges, largest_terms = [], []
+    skip_mass = 0.0
     for cl in skipped:
-        charge = _corner_bound(*cl.b, *k, (0.0, 0.0))[0]
+        charge = _corner_bound(*cl.b, *k, (0.0, 0.0))
         _p, _q, v1, v2 = _lattice_sites(f, cl, x, (3 * cl.wd[0],
                                                    3 * cl.wd[1]))
         brute = _site_bounds(v1, v2, cl.b, k).sum()
         largest_term = cl.b[0] ** -k[0] * cl.b[1] ** -k[1]
         assert largest_term < coarse.term_cutoff
         assert largest_term < brute <= charge
-        charges.append(charge)
-        largest_terms.append(largest_term)
-    assert skip_mass == pytest.approx(sum(charges), rel=1e-12)
-    assert largest_skipped == max(largest_terms)
+        skip_mass += charge
+    tail = evaluate_grid(spec, [x], y, coarse)[1]
+    assert tail.skipped == skip_mass
+    z = (complex(x[0], y[0]), complex(x[1], y[1]))
+    assert tail.total()[0] == evaluate(spec, z, coarse).tail_estimate
+
+
+def test_tail_total_adds_parts_in_field_order():
+    """cut + unvisited + skipped + beyond, left to right: adding 1.0 drops
+    the cut part and keeps the beyond part; the reverse order would keep
+    the cut part instead."""
+    tail = Tail(cut=np.array([1e-17, 2.0]), unvisited=1.0, skipped=-1.0,
+                beyond=3e-17)
+    assert tail.total().tolist() == [3e-17, 2.0]
 
 
 def test_pointwise_weight_limit(field5, nu5, unit_ideal5):
@@ -565,22 +592,16 @@ def test_periodicity(field5, spec8, policy_small):
         assert shifted.value == pytest.approx(base.value, abs=1e-12)
 
 
-def test_largest_dropped_below_cutoff(spec8):
-    policy = TruncationPolicy(gamma_height_max=10.0, term_cutoff=1e-8)
-    res = evaluate(spec8, Z0, policy)
-    assert res.largest_dropped <= policy.term_cutoff
-
-
 def test_evaluate_grid_matches_pointwise(spec8, policy_small):
     xs = [(Z0[0].real, Z0[1].real), (0.41, -0.07), (0.0, 0.0)]
     y = (Z0[0].imag, Z0[1].imag)
-    vals, tails = evaluate_grid(spec8, xs, y, policy_small)[:2]
+    vals, tail, _terms = evaluate_grid(spec8, xs, y, policy_small)
     for x, v in zip(xs, vals):
         r = evaluate(spec8, (complex(x[0], y[0]), complex(x[1], y[1])),
                      policy_small)
         # evaluate is the one-point grid: same terms, same per-point order
         assert v == pytest.approx(r.value, abs=1e-14)
-    assert (tails >= 0).all()
+    assert (tail.total() >= 0).all()
 
 
 # -- tail bound --------------------------------------------------------------------
@@ -589,14 +610,19 @@ def test_tail_bound_zero_when_no_classes(field5, nu5):
     level = ideal_from_gen(field5.element(1000, 0))
     spec = PoincareSpec(field=field5, weight=Weight(4, 4), nu=nu5, level=level)
     policy = TruncationPolicy(gamma_height_max=10.0, term_cutoff=1e-10)
-    assert tail_bound(spec, Z0, policy) == 0.0
+    tail = evaluate_grid(spec, [(Z0[0].real, Z0[1].real)],
+                         (Z0[0].imag, Z0[1].imag), policy)[1]
+    assert tail.cut.tolist() == [0.0]
+    assert tail.unvisited == tail.skipped == tail.beyond == 0.0
+    assert evaluate(spec, Z0, policy).tail_estimate == 0.0
 
 
 def test_tail_bound_monotone_under_box_doubling(spec8):
     for h in (5.0, 7.0):
         small = TruncationPolicy(gamma_height_max=h, term_cutoff=1e-10)
         big = TruncationPolicy(gamma_height_max=2 * h, term_cutoff=1e-10)
-        assert tail_bound(spec8, Z0, big) <= tail_bound(spec8, Z0, small)
+        assert evaluate(spec8, Z0, big).tail_estimate \
+            <= evaluate(spec8, Z0, small).tail_estimate
 
 
 def test_tail_bound_calibration(field5, nu5, unit_ideal5):
