@@ -36,11 +36,23 @@ Whether a gamma class is summed is decided in one place,
 each kept class carries its geometry on its `_GammaClass` record: b_j =
 |gamma_j| y_j, the delta box and the strip radii.  The lattice loop of
 `evaluate_grid` only walks sites.
+
+`evaluate_grid` hands the kept classes out in class order to the calling
+thread and to one helper thread per further CPU of the process's affinity
+(`_helper_threads`; none when the call's estimated walk fits in one
+chunk).  Each class is walked in the same `_CHUNK_ELEMENTS` chunks into
+per-chunk records, and the caller folds the records in class order, so
+values, tail and term count have the same bytes for any thread count.  A
+chunk peaks at up to 92 bytes per walked site (70 in the median on the
+weight sweep): its walked-site arrays are freed once its kept sites are
+gathered.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -64,8 +76,13 @@ from .qfield import (
 TWO_PI = 2.0 * math.pi
 _DELTA_BOX_MARGIN = 1.0  # added to each delta-box half-width
 _MIN_IM = 1e-3  # quality guard: smallest Im(z_j) accepted
-_CHUNK_ELEMENTS = 200_000  # lattice sites per evaluate_grid chunk: keeps
-                           # its temporary arrays small and cache-resident
+_CHUNK_ELEMENTS = 200_000  # delta-box sites per evaluate_grid chunk: keeps
+                           # its temporary arrays small and cache-resident.
+                           # A chunk peaks at up to 92 bytes per walked
+                           # site in its thread (6.4 MB for the weight
+                           # sweep's largest, 73,119 sites); the records
+                           # are folded in class order, so the boundaries
+                           # fix the bytes
 _STRIP_MARGIN = 1e-9  # relative widening of the walked cutoff strips, far
                       # above the rounding of the cutoff test
 _CORNER_TERMS = 16  # explicit terms of each corner series before its
@@ -521,6 +538,169 @@ def _points_array(xs) -> np.ndarray:
     return arr
 
 
+def _helper_threads() -> int:
+    """Helper threads an `evaluate_grid` call may start: one fewer than the
+    CPUs this process may run on (its CPU affinity)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return cpus - 1
+
+
+def _class_plan(cl: _GammaClass, x1: np.ndarray, x2: np.ndarray,
+                sq_disc: float):
+    """((c1, c2, qlo, qhi, chunk), sites): the box centres and q-ranges of
+    class cl at every point (`_q_ranges`), the points per chunk, and the
+    estimated sites of the class's walk, its delta-box sites."""
+    c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, sq_disc)
+    per_point = float(np.maximum(qhi - qlo + 1, 0).mean()) \
+        * (2 * cl.wd[0] + 1) or 1.0
+    chunk = max(1, int(_CHUNK_ELEMENTS / max(per_point, 1.0)))
+    return (c1, c2, qlo, qhi, chunk), per_point * len(c1)
+
+
+def _kept_sites(cl: _GammaClass, c1, c2, qlo, qhi, omega_emb, weight: Weight,
+                cutoff: float, held: list):
+    """(cut, pt, u1, u2, ph) of one chunk of points of class cl, or None
+    when the chunk walks no site: cut is the per-point sum of the bounds of
+    the walked sites below the cutoff (None if there are none), and pt, u1,
+    u2, ph the point, the real parts u_j and the residue phase of each kept
+    site that has a completion residue.  The walked-site arrays die here,
+    so only the kept sites outlive the walk, but for the q array, which
+    held[0] keeps until the next chunk's walk replaces it: a live block
+    above the freed arrays keeps glibc's malloc from handing their pages
+    back to the system at each chunk end, to be faulted in again by the
+    next chunk (about 18K instead of 72K minor faults per serial
+    weight-sweep pass)."""
+    pt, pd, qd, u1, u2 = _strip_sites(c1, c2, qlo, qhi, cl.wd, cl.rho,
+                                      omega_emb)
+    held[0] = qd
+    if len(pt) == 0:
+        return None
+    keep, logs = _cutoff_window(u1, u2, cl.b, weight, cutoff)
+    cut = np.flatnonzero(~keep)
+    cut = np.bincount(pt[cut], weights=np.exp(-0.5 * logs[cut]),
+                      minlength=len(c1)) if len(cut) else None
+    kept = np.flatnonzero(keep)
+    del keep, logs
+    A, B, C = cl.hnf
+    qd = qd[kept]
+    jj = qd % C
+    ii = (pd[kept] - ((qd - jj) // C) * B) % A
+    del pd, qd
+    ph = cl.phase_table.reshape(-1)[ii * C + jj]
+    live = np.flatnonzero(ph)
+    kept = kept[live]
+    return cut, pt[kept], u1[kept], u2[kept], ph[live]
+
+
+def _chunk_record(spec: PoincareSpec, cl: _GammaClass, c1, c2, qlo, qhi,
+                  y: tuple[float, float], cutoff: float, held: list):
+    """(cut, sums, terms) of one chunk of points of class cl: its cut mass
+    (`_kept_sites`, which also takes held), the per-point sums of its
+    terms (None without terms) and their count; None when nothing is left
+    to fold."""
+    sites = _kept_sites(cl, c1, c2, qlo, qhi, spec.field.omega_embeddings(),
+                        spec.weight, cutoff, held)
+    if sites is None:
+        return None
+    cut, pt, u1, u2, ph = sites
+    del sites
+    if not len(pt):
+        return None if cut is None else (cut, None, 0)
+    k1, k2 = spec.weight.as_tuple()
+    nu1, nu2 = spec.nu.embeddings()
+    g1, g2 = cl.emb
+    wz1 = u1 + 1j * (g1 * y[0])
+    wz2 = u2 + 1j * (g2 * y[1])
+    del u1, u2
+    t = ph * wz1 ** (-k1) * wz2 ** (-k2) * np.exp(
+        -2j * math.pi * (nu1 / (g1 * wz1) + nu2 / (g2 * wz2)))
+    n = len(c1)
+    sums = (np.bincount(pt, weights=t.real, minlength=n)
+            + 1j * np.bincount(pt, weights=t.imag, minlength=n))
+    return cut, sums, len(pt)
+
+
+def _walk_class(spec: PoincareSpec, cl: _GammaClass, plan, y, cutoff: float,
+                budget: int, stop: threading.Event):
+    """(records, terms) of one class: a record (slice, cut, sums, terms)
+    per chunk of points (`_chunk_record`) and the class's term count.  The
+    walk ends early once the class's terms pass budget (the serial fold
+    then stops within it) or stop is set."""
+    c1, c2, qlo, qhi, chunk = plan
+    npts = len(c1)
+    records, terms, held = [], 0, [None]
+    # a chunk is a run of whole points.  The values still depend on the
+    # chunking in the last bits: a chunk with live terms takes a Kahan step
+    # at each of its points, with a zero sum at points that have no terms,
+    # and that step folds the point's compensation into its sum
+    for start in range(0, npts, chunk):
+        if terms > budget or stop.is_set():
+            break
+        sl = slice(start, min(start + chunk, npts))
+        record = _chunk_record(spec, cl, c1[sl], c2[sl], qlo[sl], qhi[sl],
+                               y, cutoff, held)
+        if record is not None:
+            records.append((sl, *record))
+            terms += record[2]
+    return records, terms
+
+
+def _walk_classes(walk, nclasses: int, helpers: int, budget: int) -> list:
+    """[walk(i, stop) for i in range(nclasses)], the classes handed out in
+    order from one counter to the caller and `helpers` threads started and
+    joined here.  No class is taken once the finished ones hold more than
+    budget terms, past which the fold has raised (a class past it ends its
+    own walk, `_walk_class`): the fold then raises before any class not
+    taken, and at most one class per thread runs past the budget.  An
+    exception in any thread, the caller's KeyboardInterrupt included, sets
+    stop, which the others read before each chunk, and is raised here once
+    every helper is joined."""
+    results = [None] * nclasses
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors = []
+    taken, finished = 0, 0
+
+    def work():
+        nonlocal taken, finished
+        while not stop.is_set():
+            with lock:
+                i = taken
+                if i == nclasses or finished > budget:
+                    return
+                taken += 1
+            results[i] = walk(i, stop)
+            with lock:
+                finished += results[i][1]
+
+    def helper():
+        try:
+            work()
+        except BaseException as err:  # handed to the caller, raised there
+            errors.append(err)
+            stop.set()
+
+    threads = []
+    try:
+        for _ in range(helpers):
+            thread = threading.Thread(target=helper, daemon=True)
+            thread.start()
+            threads.append(thread)
+        work()
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
                   y: tuple[float, float], policy: TruncationPolicy):
     """(values, tail, terms_used) of the truncated series at the points
@@ -539,20 +719,40 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     residue are counted too, which only over-bounds it).  The whole-class
     parts of the tail come from `_classes_with_skip_info`.
 
-    Deterministic: fixed class and lattice ordering, per-point bincount
-    reductions in that order.  xs must be a non-empty (npts, 2) array
+    The classes are walked on the caller's thread and on `_helper_threads`
+    helpers, started and joined inside the call (none when the estimated
+    walk, the delta-box sites of all classes, fits in one chunk), each
+    class into per-chunk records (`_walk_class`, `_walk_classes`).  A chunk
+    peaks at up to 92 bytes per walked site.  Deterministic: fixed class and
+    lattice ordering, per-point bincount reductions in that order, and the
+    records folded in class order on the caller through the same Kahan
+    step, so values, every `Tail` part and terms_used have the same bytes
+    for any thread count.  xs must be a non-empty (npts, 2) array
     (EvaluationError otherwise)."""
     _check_y(y)
-    f = spec.field
-    k1, k2 = spec.weight.as_tuple()
     nu1, nu2 = spec.nu.embeddings()
-    omega_emb = f.omega_embeddings()
-    sq_disc = f.sqrt_disc
     xs_arr = _points_array(xs)
     npts = xs_arr.shape[0]
     x1, x2 = np.ascontiguousarray(xs_arr.T)
-    cut_mass = np.zeros(npts, dtype=np.float64)
     classes, *whole_class_parts = _classes_with_skip_info(spec, y, policy)
+    plans, sites = [], 0.0
+    for cl in classes:
+        plan, class_sites = _class_plan(cl, x1, x2, spec.field.sqrt_disc)
+        plans.append(plan)
+        sites += class_sites
+    helpers = min(_helper_threads(), len(classes) - 1) \
+        if sites > _CHUNK_ELEMENTS else 0
+    # class terms past which the fold has raised: it raises at the first
+    # chunk with terms that takes the running total, npts included, past
+    # max_terms
+    budget = max(policy.max_terms - npts, 0)
+
+    def walk(i, stop):
+        plan, plans[i] = plans[i], None  # the class's arrays die with it
+        return _walk_class(spec, classes[i], plan, y, policy.term_cutoff,
+                           budget, stop)
+
+    class_records = _walk_classes(walk, len(classes), helpers, budget)
 
     # the gamma = 0 class is the identity row (0, 1) alone: the units sit
     # in the stabilizer.  + 0.0 turns the -0.0 parts of an underflowed term
@@ -560,55 +760,17 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     values = np.exp(2j * math.pi * (nu1 * (x1 + 1j * y[0])
                                     + nu2 * (x2 + 1j * y[1]))) + 0.0
     comp = np.zeros(npts, dtype=np.complex128)  # Kahan per point
+    cut_mass = np.zeros(npts, dtype=np.float64)
     terms_used = npts
-
-    for cl in classes:
-        g1, g2 = cl.emb
-        wd, rho = cl.wd, cl.rho
-        A, B, C = cl.hnf
-        tab_flat = cl.phase_table.reshape(-1)
-        c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, sq_disc)
-        per_point = float(np.maximum(qhi - qlo + 1, 0).mean()) \
-            * (2 * wd[0] + 1) or 1.0
-        chunk = max(1, int(_CHUNK_ELEMENTS / max(per_point, 1.0)))
-        # a chunk is a run of whole points and pt indexes into it.  The
-        # values still depend on the chunking in the last bits: a chunk
-        # with live terms takes a Kahan step at each of its points, with a
-        # zero sum at points that have no terms, and that step folds the
-        # point's compensation into its sum
-        for start in range(0, npts, chunk):
-            sl = slice(start, min(start + chunk, npts))
-            n = sl.stop - start
-            pt, pd, qd, u1, u2 = _strip_sites(c1[sl], c2[sl], qlo[sl],
-                                              qhi[sl], wd, rho, omega_emb)
-            if len(pt) == 0:
+    for records, _terms in class_records:
+        for sl, cut, sums, terms in records:
+            if cut is not None:
+                cut_mass[sl] += cut
+            if not terms:
                 continue
-            keep, logs = _cutoff_window(u1, u2, cl.b, spec.weight,
-                                        policy.term_cutoff)
-            cut = np.flatnonzero(~keep)
-            if len(cut):
-                cut_mass[sl] += np.bincount(
-                    pt[cut], weights=np.exp(-0.5 * logs[cut]), minlength=n)
-            kept = np.flatnonzero(keep)
-            qd = qd[kept]
-            jj = qd % C
-            ii = (pd[kept] - ((qd - jj) // C) * B) % A
-            ph = tab_flat[ii * C + jj]
-            live = np.flatnonzero(ph)
-            if not len(live):
-                continue
-            kept = kept[live]
-            pt = pt[kept]
-            ph = ph[live]
-            wz1 = u1[kept] + 1j * (g1 * y[0])
-            wz2 = u2[kept] + 1j * (g2 * y[1])
-            t = ph * wz1 ** (-k1) * wz2 ** (-k2) * np.exp(
-                -2j * math.pi * (nu1 / (g1 * wz1) + nu2 / (g2 * wz2)))
-            terms_used += len(pt)
+            terms_used += terms
             if terms_used > policy.max_terms:
                 raise TruncationLimitExceeded(terms_used)
-            sums = (np.bincount(pt, weights=t.real, minlength=n)
-                    + 1j * np.bincount(pt, weights=t.imag, minlength=n))
             values[sl], comp[sl] = _kahan(values[sl], comp[sl], sums)
     return values, Tail(cut_mass, *whole_class_parts), terms_used
 

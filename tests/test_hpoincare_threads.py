@@ -1,0 +1,330 @@
+"""evaluate_grid on helper threads: the bytes, the term budget and the
+failure rules do not depend on the thread count, and no thread outlives a
+call or starts for a call that fits in one chunk."""
+
+import hashlib
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hpseries import hpoincare
+from hpseries.cli import main
+from hpseries.fourier import SamplingDomain
+from hpseries.hpoincare import (
+    PoincareSpec,
+    TruncationLimitExceeded,
+    TruncationPolicy,
+    Weight,
+    evaluate,
+    evaluate_grid,
+)
+from hpseries.qfield import (
+    DualIndex,
+    ideal_from_gen,
+    make_field,
+    trace_one_totally_positive,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+POLICY = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-10)
+SMALL_CHUNK = 2_000  # box sites per chunk: every grid below walks many
+
+
+def _spec(d, k, level_gen):
+    f = make_field(d)
+    return PoincareSpec(field=f, weight=Weight(*k),
+                        nu=trace_one_totally_positive(f, 8)[-1],
+                        level=ideal_from_gen(f.element(level_gen, 0)))
+
+
+def _grid(spec, n=8):
+    dom = SamplingDomain(field=spec.field, y1=1.1, y2=1.0, grid_n=n)
+    return dom.lattice_points(), dom.y
+
+
+def _bytes(result):
+    values, tail, terms = result
+    return (values.tobytes(), tail.cut.tobytes(), tail.unvisited.hex(),
+            tail.skipped.hex(), tail.beyond.hex(), terms)
+
+
+def _sweep_k6_call():
+    """The k = 6 call of the weight-sweep benchmark workload: d = 5,
+    nu = w/sqrt 5, the 514 orbit representatives of the 32 x 32 grid,
+    y = (1.1, 1.0), H 12, cutoff 3e-12."""
+    f = make_field(5)
+    spec = PoincareSpec(field=f, weight=Weight(6, 6),
+                        nu=DualIndex.from_numerator(f, f.omega),
+                        level=ideal_from_gen(f.one))
+    dom = SamplingDomain(field=f, y1=1.1, y2=1.0, grid_n=32)
+    idx = np.arange(32 * 32)
+    u, v = np.divmod(idx, 32)
+    reps = np.flatnonzero(idx <= ((-u) % 32) * 32 + (-v) % 32)
+    return (spec, dom.lattice_points()[reps], dom.y,
+            TruncationPolicy(gamma_height_max=12.0, term_cutoff=3e-12))
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The number of threads started so far, counted through a wrapper
+    around threading.Thread.start."""
+    count = [0]
+    start = threading.Thread.start
+
+    def counted(self):
+        count[0] += 1
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return count
+
+
+def _helpers(monkeypatch, n):
+    monkeypatch.setattr(hpoincare, "_helper_threads", lambda: n)
+
+
+# -- the bytes ----------------------------------------------------------------
+
+def test_bytes_do_not_depend_on_thread_count(symmetry_spec, monkeypatch,
+                                             starts):
+    """On the ten `conftest._SYMMETRY_CASES` specs, each grid walked in
+    many chunks."""
+    spec = symmetry_spec
+    xs, y = _grid(spec)
+    monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
+    nclasses = len(hpoincare.enumerate_gamma_classes(spec, y, POLICY))
+    results = []
+    for n in (0, 1, 2, 3):
+        _helpers(monkeypatch, n)
+        before, active = starts[0], threading.active_count()
+        results.append(_bytes(evaluate_grid(spec, xs, y, POLICY)))
+        assert starts[0] - before == min(n, nclasses - 1)
+        assert threading.active_count() == active
+    assert results[1:] == results[:1] * 3
+
+
+def test_sweep_k6_bytes_do_not_depend_on_thread_count(monkeypatch):
+    spec, xs, y, policy = _sweep_k6_call()
+    results = []
+    for n in (0, 1, 2, 3):
+        _helpers(monkeypatch, n)
+        results.append(_bytes(evaluate_grid(spec, xs, y, policy)))
+    assert results[1:] == results[:1] * 3
+    # the bytes of the serial lattice sum before helper threads existed
+    values, cut, unvisited, skipped, beyond, terms = results[0]
+    assert hashlib.sha256(values).hexdigest() == \
+        "bbf6d44d20415cd39148c2d2721afa4340b4d2db2780d69f143fdd25c13e030a"
+    assert hashlib.sha256(cut).hexdigest() == \
+        "05671e9078554cced0ab9db495bfd5c83d2a325f34a0659bb8815d4d4f89885a"
+    assert (unvisited, skipped, beyond) == (
+        "0x1.04e84c4e414b6p-26", "0x1.4b7e8518461e9p-29",
+        "0x1.0f39b2ffe5c36p-32")
+    assert terms == 2_646_022
+
+
+SWEEP_ARGV = ["sweep-weight", "--d", "5", "--ks", "10,14", "--grid", "32",
+              "--height", "9", "--cutoff", "1e-11"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs CPU affinity")
+def test_one_cpu_child_prints_the_same_sweep(capsys, starts):
+    """A child process pinned to one CPU (its own affinity only) runs the
+    sweep on its calling thread alone and prints the same CSV bytes."""
+    assert main(SWEEP_ARGV) == 0
+    out = capsys.readouterr().out
+    if hpoincare._helper_threads():  # the default run used helpers
+        assert starts[0] > 0
+    cpu = min(os.sched_getaffinity(0))
+    child = (
+        "import os, sys\n"
+        f"os.sched_setaffinity(0, {{{cpu}}})\n"
+        "from hpseries import hpoincare\n"
+        "from hpseries.cli import main\n"
+        "assert hpoincare._helper_threads() == 0\n"
+        f"sys.exit(main({SWEEP_ARGV!r}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out
+
+
+# -- when no thread starts ------------------------------------------------------
+
+def test_one_point_and_one_chunk_calls_start_no_thread(monkeypatch, starts):
+    _helpers(monkeypatch, 3)
+    spec = _spec(5, (8, 8), 1)
+    z = (0.13 + 1.15j, -0.21 + 1.05j)
+    evaluate(spec, z, POLICY)
+    assert starts[0] == 0
+    # a small grid whose estimated walk (the delta-box sites of every
+    # class) fits in one chunk
+    xs, y = np.array([(0.13, -0.21), (0.41, -0.07), (0.0, 0.0)]), (1.1, 1.0)
+    x1, x2 = np.ascontiguousarray(xs.T)
+    classes = hpoincare.enumerate_gamma_classes(spec, y, POLICY)
+    assert len(classes) > 1
+    assert sum(hpoincare._class_plan(cl, x1, x2, spec.field.sqrt_disc)[1]
+               for cl in classes) <= hpoincare._CHUNK_ELEMENTS
+    evaluate_grid(spec, xs, y, POLICY)
+    assert starts[0] == 0
+    # the same grid over more than one chunk starts the helpers
+    monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
+    evaluate_grid(spec, xs, y, POLICY)
+    assert starts[0] == min(3, len(classes) - 1)
+
+
+# -- the term budget -----------------------------------------------------------
+
+def _chunk_terms(spec, xs, y, monkeypatch):
+    """Term counts of the chunks with terms, in class order, of a serial
+    call without a budget."""
+    records = []
+    walk_classes = hpoincare._walk_classes
+
+    def recorded(*args):
+        out = walk_classes(*args)
+        records.extend(out)
+        return out
+
+    monkeypatch.setattr(hpoincare, "_walk_classes", recorded)
+    _helpers(monkeypatch, 0)
+    evaluate_grid(spec, xs, y, POLICY)
+    monkeypatch.setattr(hpoincare, "_walk_classes", walk_classes)
+    return [r[3] for class_records, _ in records for r in class_records
+            if r[3]]
+
+
+def test_budget_failure_count_is_the_serial_fold(monkeypatch):
+    """TruncationLimitExceeded.terms is the running total, npts included,
+    at the first chunk in class order that takes it past max_terms."""
+    spec = _spec(3, (5, 7), 1)
+    xs, y = _grid(spec)
+    monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
+    totals = [len(xs) + int(t) for t in
+              np.cumsum(_chunk_terms(spec, xs, y, monkeypatch))]
+    assert len(totals) > 10
+    for max_terms in (1, len(xs), totals[0], totals[len(totals) // 2] - 1,
+                      totals[-1] - 1):
+        expected = next(t for t in totals if t > max_terms)
+        policy = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-10,
+                                  max_terms=max_terms)
+        for n in (0, 1, 2, 3):
+            _helpers(monkeypatch, n)
+            active = threading.active_count()
+            with pytest.raises(TruncationLimitExceeded) as err:
+                evaluate_grid(spec, xs, y, policy)
+            assert err.value.terms == expected
+            assert threading.active_count() == active
+    policy = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-10,
+                              max_terms=totals[-1])
+    _helpers(monkeypatch, 3)
+    assert evaluate_grid(spec, xs, y, policy)[2] == totals[-1]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_budget_stops_each_thread_after_one_class(n, monkeypatch):
+    """With max_terms = npts every chunk with terms passes the budget: a
+    class ends its walk at its first such chunk, and a thread takes no
+    class after one with terms, so at most n + 1 classes have terms."""
+    spec = _spec(3, (5, 7), 1)
+    xs, y = _grid(spec)
+    monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
+    walks = []
+    walk_class = hpoincare._walk_class
+
+    def recorded(*args):
+        out = walk_class(*args)
+        walks.append(out)
+        return out
+
+    monkeypatch.setattr(hpoincare, "_walk_class", recorded)
+    _helpers(monkeypatch, n)
+    policy = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-10,
+                              max_terms=len(xs))
+    active = threading.active_count()
+    with pytest.raises(TruncationLimitExceeded):
+        evaluate_grid(spec, xs, y, policy)
+    assert threading.active_count() == active
+    with_terms = [records for records, terms in walks if terms]
+    assert 1 <= len(with_terms) <= n + 1
+    for records in with_terms:
+        assert [r[3] > 0 for r in records] == \
+            [False] * (len(records) - 1) + [True]
+
+
+# -- failures ------------------------------------------------------------------
+
+def _after_first_helper_call(monkeypatch, on_helper, on_caller):
+    """Wrap _chunk_record: a helper's first call runs on_helper(), and the
+    caller's calls wait (bounded) for it, then run on_caller().  Returns
+    the calls each side starts once the call's stop event is set."""
+    helper_called = threading.Event()
+    stop = []  # the stop event of the call, from _walk_class
+    late = {"caller": 0, "helper": 0}
+    walk_class, chunk_record = hpoincare._walk_class, hpoincare._chunk_record
+
+    def walk(*args):
+        stop[:] = [args[-1]]
+        return walk_class(*args)
+
+    def record(*args):
+        caller = threading.current_thread() is threading.main_thread()
+        if stop[0].is_set():
+            late["caller" if caller else "helper"] += 1
+        if caller:
+            assert helper_called.wait(timeout=30)
+            if on_caller is not None:
+                on_caller()
+        elif not helper_called.is_set():
+            helper_called.set()
+            if on_helper is not None:
+                on_helper()
+        return chunk_record(*args)
+
+    monkeypatch.setattr(hpoincare, "_walk_class", walk)
+    monkeypatch.setattr(hpoincare, "_chunk_record", record)
+    return late
+
+
+def _raise(err):
+    def fail():
+        raise err
+    return fail
+
+
+@pytest.mark.parametrize("n", (1, 3))
+def test_helper_exception_stops_the_caller_and_is_raised(n, monkeypatch):
+    spec = _spec(3, (5, 7), 1)
+    xs, y = _grid(spec)
+    monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
+    _helpers(monkeypatch, n)
+    late = _after_first_helper_call(
+        monkeypatch, _raise(RuntimeError("helper failed")), None)
+    active = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        evaluate_grid(spec, xs, y, POLICY)
+    assert threading.active_count() == active
+    # the caller stops at its next chunk, each other helper at its next
+    assert late["caller"] <= 1 and late["helper"] <= n - 1
+
+
+@pytest.mark.parametrize("n", (1, 3))
+def test_caller_interrupt_stops_helpers_and_is_raised(n, monkeypatch):
+    spec = _spec(3, (5, 7), 1)
+    xs, y = _grid(spec)
+    monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
+    _helpers(monkeypatch, n)
+    late = _after_first_helper_call(monkeypatch, None,
+                                    _raise(KeyboardInterrupt()))
+    active = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        evaluate_grid(spec, xs, y, POLICY)
+    assert threading.active_count() == active
+    assert late["helper"] <= n
