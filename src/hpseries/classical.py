@@ -10,10 +10,10 @@ k >= 4 and level q is computed two independent ways:
             sum_{c > 0, q | c} S(m,n;c)/c * J_{k-1}(4 pi sqrt(mn) / c)
 
   with Kloosterman sums summed term by term over the units mod c (one
-  vectorised inverse table per modulus, built once and shared by every
-  (m, n) and by the quadrature rows below, and one cosine table
-  cos(2 pi r / c) per modulus c <= 1024 that every sum gathers from)
-  and a self-validating Bessel J whose ascending series runs in exact
+  stored table set per modulus c <= 1024: units, vectorised inverses and
+  cosines cos(2 pi r / c), shared by every (m, n) and by the quadrature
+  rows below; above 1024 units and inverses are built per call) and a
+  self-validating Bessel J whose ascending series runs in exact
   integer arithmetic.  Each sum S(m, n; c) and each value
   J_{k-1}(4 pi sqrt(mn) / c) is evaluated once and kept in a float64 row
   indexed by c, one row per (m, n) and one per (k - 1, 4 pi sqrt(mn)),
@@ -48,8 +48,7 @@ TWO_PI = 2.0 * pi
 
 _BESSEL_SERIES_XMAX = 50.0
 _KLOOSTERMAN_CMAX = 10_000
-_INVERSE_TABLE_ENTRIES = 320_000  # units kept over all stored moduli
-_COSINE_TABLE_CMAX = 1024  # largest modulus with a stored cosine table
+_TABLE_CMAX = 1024  # largest modulus whose tables are stored
 _ROW_ENTRIES = 200_000  # float64 slots kept over all rows of one row store
 # QuadraturePolicy.auto refuses a run whose disc would walk more than this
 # many lattice sites over the grid (`_radius_cap`); the largest
@@ -68,6 +67,13 @@ class ClassicalError(ValueError):
     pass
 
 
+def _check_int(name: str, value):
+    """A Python int, bool excluded: the one type every integer argument of
+    this module takes."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ClassicalError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ClassicalParams:
     m: int
@@ -77,9 +83,7 @@ class ClassicalParams:
 
     def __post_init__(self):
         for name in ("m", "n", "k", "q"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ClassicalError(f"{name} must be an int, got {value!r}")
+            _check_int(name, getattr(self, name))
         if self.m < 1 or self.n < 1 or self.q < 1:
             raise ClassicalError("m, n, q must be >= 1")
         if self.k < 4 or self.k % 2:
@@ -99,8 +103,7 @@ def _check_fiber(y: float):
 
 
 def _check_grid(grid_n: int):
-    if not isinstance(grid_n, int) or isinstance(grid_n, bool):
-        raise ClassicalError(f"grid_n must be an int, got {grid_n!r}")
+    _check_int("grid_n", grid_n)
     if grid_n < 4 or grid_n % 2:
         raise ClassicalError("grid_n must be even and >= 4")
 
@@ -258,48 +261,6 @@ _TableCacheInfo = namedtuple("_TableCacheInfo",
                              "hits misses budget entries currsize")
 
 
-def _entry_bounded_cache(budget: int):
-    """Memoize a table builder f(c) -> (units, inverses), bounded by the
-    total length of the tables kept, not by their number: one
-    modulus-10000 table weighs as much as the 115 smallest.  A table that
-    would take the store past its budget is returned but not stored, and
-    nothing is evicted, so a scan in increasing c (as in
-    `petersson_coefficient`) keeps its smallest moduli, the ones every
-    smaller c_max shares; an LRU store would drop each table of a scan
-    longer than the budget before its next use.  The wrapper has
-    cache_info and cache_clear, as functools.lru_cache gives."""
-    def decorate(build):
-        store: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        hits = misses = entries = 0
-
-        @wraps(build)
-        def cached(c: int) -> tuple[np.ndarray, np.ndarray]:
-            nonlocal hits, misses, entries
-            tables = store.get(c)
-            if tables is not None:
-                hits += 1
-                return tables
-            misses += 1
-            tables = build(c)
-            if entries + len(tables[0]) <= budget:
-                store[c] = tables
-                entries += len(tables[0])
-            return tables
-
-        def cache_info() -> _TableCacheInfo:
-            return _TableCacheInfo(hits, misses, budget, entries, len(store))
-
-        def cache_clear():
-            nonlocal hits, misses, entries
-            store.clear()
-            hits = misses = entries = 0
-
-        cached.cache_info = cache_info
-        cached.cache_clear = cache_clear
-        return cached
-    return decorate
-
-
 def _row_cache(budget: int):
     """Memoize a scalar function f(a, b, c) -> float, c >= 0 an integer, in
     one float64 row per key (a, b), indexed by c, NaN marking the c not yet
@@ -307,11 +268,11 @@ def _row_cache(budget: int):
     and twice its length when a c past its end is evaluated, and the store
     is bounded by the total length of its rows: a value whose row would
     take the store past its budget is returned but not stored, and nothing
-    is evicted, as in `_entry_bounded_cache`.  A hit costs a dict lookup
-    and one array read, and a row of 8-byte slots weighs a fraction of the
-    per-entry tuple keys and links of functools.lru_cache.  The wrapper
-    has cache_info (currsize counts the values stored, entries the slots
-    of all rows) and cache_clear."""
+    is evicted.  A hit costs a dict lookup and one array read, and a row
+    of 8-byte slots weighs a fraction of the per-entry tuple keys and
+    links of functools.lru_cache.  The wrapper has cache_info (currsize
+    counts the values stored, entries the slots of all rows) and
+    cache_clear."""
     def decorate(f):
         rows: dict[tuple, np.ndarray] = {}
         hits = misses = entries = size = 0
@@ -355,28 +316,16 @@ def _row_cache(budget: int):
     return decorate
 
 
-@_entry_bounded_cache(_INVERSE_TABLE_ENTRIES)
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     """The units x of Z/c in increasing order and their inverses mod c
-    (c = 1 has the single unit 0, its own inverse): the one table that
-    every Kloosterman sum and every quadrature row of modulus c reads.
+    (c = 1 has the single unit 0, its own inverse).
 
     The inverse is x^(phi(c) - 1) mod c by square-and-multiply in int64;
     every product is below c^2, so that is exact for c < 3e9.  The tables
     are returned in the narrowest signed dtype that holds c - 1 (int8 up
     to c = 128, int16 up to 32768, so int16 for every Kloosterman
-    modulus), read-only, because one table object serves every later call
-    with the same c; widen before multiplying.
-
-    Stored: one table pair per modulus, while the stored moduli hold at
-    most _INVERSE_TABLE_ENTRIES = 320,000 units in total (the c <= 1000
-    of a criterion-1 pass hold 304,192).  At 2 bytes per unit and per
-    inverse that is at most 1.28 MB of int16 tables (2.56 MB if int32
-    tables of moduli above 32768 took the whole budget), plus about
-    0.4 kB of array and dict overhead per stored modulus.  The cosine
-    tables of `_cosines` beside them hold c doubles per modulus
-    c <= _COSINE_TABLE_CMAX: 4.0 MB for the c <= 1000 of a criterion-1
-    pass, at most 4.2 MB."""
+    modulus), read-only, because a stored table serves every later call
+    with the same c; widen before multiplying."""
     xs = np.arange(c, dtype=np.int64)
     units = xs[np.gcd(xs, c) == 1]
     inverses = np.ones_like(units)
@@ -394,19 +343,29 @@ def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-@lru_cache(maxsize=_COSINE_TABLE_CMAX)
-def _cosines(c: int) -> np.ndarray:
-    """cos(2 pi r / c) for r = 0, ..., c - 1 as one read-only float64
-    table, shared by every Kloosterman sum of modulus c.  The arguments are
-    formed in numpy by the IEEE operations of the Python expression
-    TWO_PI * r / c, and each cosine is math.cos, not np.cos, whose SIMD
-    kernels may round differently, so entry r has the bits of
-    math.cos(TWO_PI * r / c).  Only moduli c <= _COSINE_TABLE_CMAX are
-    asked for, so the store never evicts."""
-    table = np.fromiter(map(math.cos, (TWO_PI * np.arange(c) / c).tolist()),
-                        dtype=np.float64, count=c)
-    table.flags.writeable = False
-    return table
+@lru_cache(maxsize=None)
+def _modulus_tables(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The units and inverses of modulus c and cos(2 pi r / c) for
+    r = 0, ..., c - 1, all read-only.  Each cosine is math.cos of the
+    argument numpy forms by the IEEE operations of TWO_PI * r / c (np.cos
+    may round differently), so entry r has the bits of
+    math.cos(TWO_PI * r / c).  `_tables_for` stores only c <= _TABLE_CMAX:
+    at most 1.28 MB of int16 units and inverses plus 4.2 MB of cosines,
+    whatever order the moduli come in (4.0 MB of cosines for the
+    c <= 1000 of a criterion-1 pass)."""
+    cosines = np.fromiter(map(math.cos, (TWO_PI * np.arange(c) / c).tolist()),
+                          dtype=np.float64, count=c)
+    cosines.flags.writeable = False
+    return (*_unit_inverses(c), cosines)
+
+
+def _tables_for(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(units, inverses, cosines) of modulus c, which every Kloosterman sum
+    and quadrature row of modulus c reads: stored up to _TABLE_CMAX, and
+    above it built per call, with no cosine table."""
+    if c <= _TABLE_CMAX:
+        return _modulus_tables(c)
+    return (*_unit_inverses(c), None)
 
 
 def _check_kloosterman_modulus(c: int):
@@ -421,11 +380,10 @@ def kloosterman(m: int, n: int, c: int) -> float:
     """S(m, n; c) = sum over invertible x mod c of e((m x + n xbar)/c).
     Real by conjugate symmetry; returned as the cosine sum.
 
-    The units and inverses come from the shared, compact table of
-    `_unit_inverses` and are widened to int64 here; m and n are reduced
-    mod c first, so int64 cannot overflow.  For c <= _COSINE_TABLE_CMAX
-    the cosine of each residue r is gathered from the shared table of
-    `_cosines`, which holds math.cos(TWO_PI * r / c); above it (a table
+    The units and inverses of `_tables_for` are widened to int64 here; m
+    and n are reduced mod c first, so int64 cannot overflow.  For
+    c <= _TABLE_CMAX the cosine of each residue r is gathered from the
+    stored table, which holds math.cos(TWO_PI * r / c); above it (a table
     of c doubles per sum would cost more than it saves) the arguments
     2 pi r / c are formed in numpy, in the same IEEE operations, and
     passed to math.cos.  Either way each cosine is the double a Python
@@ -433,12 +391,14 @@ def kloosterman(m: int, n: int, c: int) -> float:
     right in increasing x (np.sum adds pairwise, and the builtin sum
     compensates from Python 3.12 on), so the last partial sum has the
     bits of the plain loop `total += cos(...)`."""
+    for name, value in (("m", m), ("n", n), ("c", c)):
+        _check_int(name, value)
     _check_kloosterman_modulus(c)
-    units, inverses = _unit_inverses(c)
+    units, inverses, table = _tables_for(c)
     residues = ((m % c) * units.astype(np.int64)
                 + (n % c) * inverses.astype(np.int64)) % c
-    if c <= _COSINE_TABLE_CMAX:
-        cosines = _cosines(c)[residues]
+    if table is not None:
+        cosines = table[residues]
     else:
         cosines = np.fromiter(map(math.cos, (TWO_PI * residues / c).tolist()),
                               dtype=np.float64, count=len(residues))
@@ -520,6 +480,7 @@ def _bessel_backward_recurrence(order: int, x: float) -> float:
 
 
 def _check_bessel_domain(order: int, x: float, x_max: float):
+    _check_int("order", order)
     if order < 3:
         raise ClassicalError("order must be >= 3")
     if not 0.0 <= x <= x_max:
@@ -574,6 +535,7 @@ def petersson_coefficient(params: ClassicalParams,
     level q share each sum and each Bessel value, every weight shares the
     sums, and every pair with the same product mn shares the Bessel
     values; a value read back has the bits it had when it was computed."""
+    _check_int("c_max", c_max)
     if c_max < params.q:
         raise ClassicalError("c_max must be at least q")
     m, n, k, q = params.m, params.n, params.k, params.q
@@ -617,8 +579,8 @@ def _eval_series_grid(m: int, k: int, q: int,
     Row c (`_disc_rows`) walks the d with |c x + d| <= rho_c, widened by
     _ROW_MARGIN radius so that rounding drops no site of the chord, for
     all grid points as one flat array ordered by point, then d.  The
-    inverse map (-1 off the units, spread from the shared
-    `_unit_inverses` table) and the phase table e(m a / c) over a mod c
+    inverse map (-1 off the units, spread from the shared tables of
+    `_tables_for`) and the phase table e(m a / c) over a mod c
     are built once per row and gathered by d; each term is the
     double the per-term expression gives.  One bincount over the
     interleaved real and imaginary parts adds each point's terms in
@@ -639,7 +601,7 @@ def _eval_series_grid(m: int, k: int, q: int,
         point = np.repeat(points, counts)
         d = np.arange(len(point)) \
             + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        units, inverses = _unit_inverses(c)
+        units, inverses, _ = _tables_for(c)
         inv = np.full(c, -1, dtype=np.int64)
         inv[units] = inverses
         a = inv[d % c]
@@ -674,6 +636,7 @@ def classical_poincare_coefficient_by_quadrature(
 def delta_coefficients(n_max: int) -> list[int]:
     """tau(1..n_max) from Delta = (E_4^3 - E_6^2)/1728 by exact integer
     convolution of the Eisenstein q-expansions."""
+    _check_int("n_max", n_max)
     if n_max < 1 or n_max > _TAU_NMAX:
         raise ClassicalError(f"n_max must be in [1, {_TAU_NMAX}]")
     size = n_max + 1
@@ -717,9 +680,13 @@ def delta_coefficients(n_max: int) -> list[int]:
 def nonvanishing_range_scan(k: int, m_max: int,
                             c_max: int) -> list[tuple[int, bool]]:
     """For each m <= m_max: certificate that |p_{m,k,1}(m)| > 10 * tail.
-    Empirical scan; emits (m, certified) pairs."""
+    Empirical scan; emits (m, certified) pairs.  An empty scan (m_max < 1)
+    is refused: it would certify nothing."""
     if k < 4 or k % 2:
         raise ClassicalError("k must be even and >= 4")
+    _check_int("m_max", m_max)
+    if m_max < 1:
+        raise ClassicalError("m_max must be >= 1")
     out = []
     for m in range(1, m_max + 1):
         res = petersson_coefficient(ClassicalParams(m=m, n=m, k=k, q=1),

@@ -5,8 +5,8 @@ JSON (configuration embedded); re-running an embedded configuration
 reproduces the values bit for bit.
 
 Exit codes: 0 all asserted properties hold; 1 an asserted trend or verdict
-failed; 2 invalid configuration; 3 truncation failure (partial output is
-still written).
+failed; 2 invalid configuration, an output path that cannot be written
+included; 3 truncation failure (partial output is still written).
 """
 
 from __future__ import annotations
@@ -48,20 +48,33 @@ EXIT_ASSERT = 1
 EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
 
+_SWEEP_FORMATS = ("csv", "json")
+
+
+class OutputError(Exception):
+    """An output path that cannot be written: a configuration fault."""
+
 
 def _write_out(text: str, out: str | None) -> None:
+    """Write text to stdout, or to the file out through a temporary file
+    beside it that replaces out once written.  A path that cannot be
+    written raises OutputError, and the temporary file is removed."""
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hpseries-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".",
+                                   prefix=".hpseries-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        tmp = None
+    except OSError as err:
+        raise OutputError(f"cannot write output: {err}") from err
+    finally:
+        if tmp is not None:
+            os.unlink(tmp)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -217,6 +230,9 @@ def cmd_sweep(args) -> int:
     try:  # the parse order decides which fault a bad config reports first
         cfg = _merged(args, keys + ["nu", "mu", "y", "grid", "height",
                                     "cutoff", "final_dev", "format", "out"])
+        if cfg.get("format", "csv") not in _SWEEP_FORMATS:
+            raise ValueError(f"format must be {' or '.join(_SWEEP_FORMATS)}, "
+                             f"got {cfg['format']!r}")
         field = make_field(int(cfg["d"]))
         if by_weight:
             params = _int_list(cfg["ks"])
@@ -401,7 +417,7 @@ def _add_run_flags(p: argparse.ArgumentParser, axis_flags: tuple[str, ...],
     p.add_argument("--cutoff", type=float)
     if sweep:
         p.add_argument("--final-dev", dest="final_dev", type=float)
-        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--format", choices=_SWEEP_FORMATS)
     else:
         p.add_argument("--safety", type=float)
     p.add_argument("--out")
@@ -466,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"truncation failure: {err}", file=sys.stderr)
         return EXIT_TRUNCATION
     except (EvaluationError, QFieldError, AliasingError,
-            cla.ClassicalError) as err:
+            cla.ClassicalError, OutputError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,6 +9,8 @@ starts every pass by calling `cache_clear` on each module-level object
 that has one; a cache it cannot reach that way would make later passes
 warm, and read as a false gain."""
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -16,7 +18,9 @@ from pathlib import Path
 import hpseries
 from hpseries import classical, fourier, hpoincare
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+RUNNER = PERFBENCH / "run.py"
 
 
 def _load_tracing(monkeypatch):
@@ -76,26 +80,49 @@ def test_run_reads_library_names(field5, nu5, unit_ideal5):
     assert classes and all(cl.pq != (0, 0) for cl in classes)
 
 
-def _clear_like_the_runner(module):
-    for obj in list(vars(module).values()):
-        clear = getattr(obj, "cache_clear", None)
-        if callable(clear):
-            clear()
+def _runner_modules():
+    """perfbench/run.py's MODULES, read from the file: importing run.py
+    would set its environment and search path in this process."""
+    tree = ast.parse(RUNNER.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                [t.id for t in node.targets] == ["MODULES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("run.py assigns no MODULES")
 
 
-def test_runner_sweep_empties_every_classical_store():
-    """Every store in `classical` that reports cache_info is filled by a
-    Petersson and a quadrature call, and empty after the sweep."""
-    classical.petersson_coefficient(classical.ClassicalParams(1, 2, 12, 1),
-                                    50)
-    classical.classical_poincare_coefficient_by_quadrature(
-        classical.ClassicalParams(1, 1, 12, 1))
-    stores = {name: obj for name, obj in vars(classical).items()
-              if callable(getattr(obj, "cache_info", None))}
-    assert {"_unit_inverses", "_cosines", "_kloosterman_cached",
-            "_bessel_cached"} <= set(stores)
-    for name, store in stores.items():
-        assert store.cache_info().currsize > 0, name
-    _clear_like_the_runner(classical)
-    for name, store in stores.items():
-        assert store.cache_info().currsize == 0, name
+def _clear_like_the_runner():
+    for name in _runner_modules():
+        module = importlib.import_module(f"hpseries.{name}")
+        for obj in list(vars(module).values()):
+            clear = getattr(obj, "cache_clear", None)
+            if callable(clear):
+                clear()
+
+
+def test_runner_sweep_empties_every_classical_store(monkeypatch):
+    """After the runner's sweep, a Petersson and a quadrature call build
+    as many unit tables and evaluate as many Kloosterman sums and Bessel
+    values as they did the first time: no store keeps them across
+    passes."""
+    names = ("_unit_inverses", "kloosterman", "bessel_j")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(classical, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(classical, name, counting)
+    runs = []
+    for _ in range(2):
+        _clear_like_the_runner()
+        counts.update(dict.fromkeys(names, 0))
+        classical.petersson_coefficient(
+            classical.ClassicalParams(1, 2, 12, 1), 50)
+        classical.classical_poincare_coefficient_by_quadrature(
+            classical.ClassicalParams(1, 1, 12, 1))
+        runs.append(dict(counts))
+    assert all(runs[0].values()), runs[0]
+    assert runs[1] == runs[0]

@@ -43,6 +43,25 @@ def test_params_validation():
             ClassicalParams(**{**dict(m=1, n=1, k=12, q=1), **bad})
 
 
+_PARAMS = ClassicalParams(1, 2, 12, 1)
+
+
+@pytest.mark.parametrize("call,args", [
+    pytest.param(kloosterman, (1, 2, 5.5), id="kloosterman-c-float"),
+    pytest.param(kloosterman, (1.5, 2, 7), id="kloosterman-m-float"),
+    pytest.param(kloosterman, (1, 2, True), id="kloosterman-c-bool"),
+    pytest.param(petersson_coefficient, (_PARAMS, 10.5), id="cmax-float"),
+    pytest.param(petersson_coefficient, (_PARAMS, True), id="cmax-bool"),
+    pytest.param(bessel_j, (3.0, 5.0), id="bessel-order-float"),
+    pytest.param(bessel_j_with_bound, (3.0, 5.0), id="bessel-bound-float"),
+    pytest.param(delta_coefficients, (3.0,), id="tau-nmax-float"),
+    pytest.param(nonvanishing_range_scan, (12, 2.0, 100), id="scan-float"),
+])
+def test_integer_arguments_take_ints_only(call, args):
+    with pytest.raises(ClassicalError, match="must be an int"):
+        call(*args)
+
+
 # -- Kloosterman sums ----------------------------------------------------------
 
 def test_kloosterman_examples():
@@ -262,7 +281,10 @@ def test_scan_small_weights_all_certified():
 
 
 def test_scan_empty():
-    assert nonvanishing_range_scan(12, 0, 100) == []
+    # an empty scan would certify nothing, so it is refused
+    for m_max in (0, -3):
+        with pytest.raises(ClassicalError, match="m_max must be >= 1"):
+            nonvanishing_range_scan(12, m_max, 100)
 
 
 def test_scan_fixed_index_across_weights():
@@ -391,44 +413,29 @@ def test_unit_inverses():
 
 
 def test_unit_inverse_tables_are_shared_and_read_only():
-    cla._unit_inverses.cache_clear()
-    units, inverses = cla._unit_inverses(97)
-    assert cla._unit_inverses(97)[0] is units  # one table per modulus
+    cla._modulus_tables.cache_clear()
+    units, inverses, _ = cla._tables_for(97)
+    assert cla._tables_for(97)[0] is units  # one table per modulus
     with pytest.raises(ValueError):
         units[0] = 5
     with pytest.raises(ValueError):
         inverses[:] = 0
     assert kloosterman(1, 2, 97).hex() == \
         _reference_kloosterman(1, 2, 97).hex()
+    assert cla._modulus_tables.cache_info().currsize == 1
+    cla._modulus_tables.cache_clear()
 
 
-def test_unit_inverses_past_the_budget_are_not_stored():
+def test_unit_inverses_above_the_cap_are_not_stored():
     c = 320_009  # a prime, so its table has c - 1 units
-    assert c - 1 > cla._INVERSE_TABLE_ENTRIES
-    before = cla._unit_inverses.cache_info()
-    units, inverses = cla._unit_inverses(c)
-    assert units.dtype == np.int32
+    assert c > cla._TABLE_CMAX
+    before = cla._modulus_tables.cache_info()
+    units, inverses, cosines = cla._tables_for(c)
+    assert units.dtype == np.int32 and cosines is None
     assert np.array_equal(units, np.arange(1, c))
     wide = units.astype(np.int64) * inverses.astype(np.int64)
     assert (wide % c == 1).all()
-    after = cla._unit_inverses.cache_info()
-    assert after.misses == before.misses + 1
-    assert (after.currsize, after.entries) == (before.currsize,
-                                               before.entries)
-
-
-def test_entry_bounded_cache_keeps_what_fits_and_evicts_nothing():
-    tables = cla._entry_bounded_cache(10)(cla._unit_inverses.__wrapped__)
-    tables(7)   # 6 units: stored
-    tables(11)  # 10 units: 16 would pass the budget, so not stored
-    tables(5)   # 4 units: stored, 10 in all
-    tables(7)
-    info = tables.cache_info()
-    assert (info.hits, info.misses, info.entries, info.currsize) == \
-        (1, 3, 10, 2)
-    assert tables(11)[0].tolist() == list(range(1, 11))
-    tables.cache_clear()
-    assert tables.cache_info() == (0, 0, 10, 0, 0)
+    assert cla._modulus_tables.cache_info() == before
 
 
 def test_row_cache_grows_and_keeps_what_fits():
@@ -454,23 +461,29 @@ def test_row_cache_grows_and_keeps_what_fits():
 
 
 def test_cosine_tables_are_shared_read_only_and_exact():
-    cla._cosines.cache_clear()
-    for c in (1, 2, 97, 360, 1000, cla._COSINE_TABLE_CMAX):
-        table = cla._cosines(c)
-        assert cla._cosines(c) is table  # one table per modulus
+    cla._modulus_tables.cache_clear()
+    for c in (1, 2, 97, 360, 1000, cla._TABLE_CMAX):
+        table = cla._tables_for(c)[2]
+        assert cla._tables_for(c)[2] is table  # one table per modulus
         assert table.dtype == np.float64 and len(table) == c
         assert not table.flags.writeable
         assert [v.hex() for v in table.tolist()] == \
             [math.cos(TWO_PI * r / c).hex() for r in range(c)]
     with pytest.raises(ValueError):
         table[0] = 0.0
-    # kloosterman reads the table up to the cap, and no table above it
-    cla._cosines.cache_clear()
-    kloosterman(1, 2, cla._COSINE_TABLE_CMAX + 1)
-    assert cla._cosines.cache_info().currsize == 0
-    kloosterman(1, 2, cla._COSINE_TABLE_CMAX)
-    assert cla._cosines.cache_info().currsize == 1
-    cla._cosines.cache_clear()
+    # kloosterman and the quadrature rows store the tables up to the cap,
+    # and none above it
+    cap = cla._TABLE_CMAX
+    for call in (lambda c: kloosterman(1, 2, c),
+                 lambda c: cla._eval_series_grid(  # the one row c = q
+                     1, 12, c, QuadraturePolicy(radius=1.1 * c + 40.0,
+                                                grid_n=8, y=1.1))):
+        cla._modulus_tables.cache_clear()
+        call(cap + 1)
+        assert cla._modulus_tables.cache_info().currsize == 0
+        call(cap)
+        assert cla._modulus_tables.cache_info().currsize == 1
+    cla._modulus_tables.cache_clear()
 
 
 def test_kloosterman_matches_pow_loop_bits():

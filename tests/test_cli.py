@@ -323,6 +323,10 @@ def test_sweep_invalid_config_exits_2(capsys):
                  "one level", id="sweep-weight-level-list"),
     pytest.param(["certify", "--d", "5", "--k", "12,12", "--level", "1,2"],
                  "one level", id="certify-level-list"),
+    pytest.param(["classical", "scan", "--mmax", "0"], "m_max must be >= 1",
+                 id="scan-mmax-0"),
+    pytest.param(["classical", "scan", "--mmax", "-3"], "m_max must be >= 1",
+                 id="scan-mmax-negative"),
 ])
 def test_run_config_error_exits_2(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -373,12 +377,17 @@ def test_config_file_flags_win(command, file_entries, key, flag_value, capsys,
     ("cutoff", "bad config line: 'cutoff'"),
     ("unit_cap=6", "unknown config key 'unit_cap'"),
     ("convention=unit_extended", "unknown config key 'convention'"),
+    pytest.param("format=xml", {
+        "sweep-weight": "format must be csv or json, got 'xml'",
+        "certify": "unknown config key 'format'"}, id="format=xml"),
 ])
 def test_config_file_fault_exits_2(command, line, message, capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"d=5\ngrid=32\nheight=8\n{line}\n")
     axis = ["--ks", "10"] if command == "sweep-weight" else ["--k", "12,12"]
     code, out, err = run_cli([command, "--config", str(cfg), *axis], capsys)
+    if isinstance(message, dict):  # a key only the sweeps take
+        message = message[command]
     assert code == 2
     assert err == f"config error: {message}\n"
     assert out == ""
@@ -428,6 +437,25 @@ def test_out_file_written_atomically(capsys, tmp_path):
     assert doc["d"] == 5
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".hpseries")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["field-info", "--d", "5", "--out", ""], id="empty"),
+    pytest.param(["field-info", "--d", "5", "--out", "missing/x.csv"],
+                 id="missing-dir"),
+    pytest.param(["classical", "tau", "--out", "."], id="directory"),
+    pytest.param(["certify", "--d", "5", "--k", "12,12", "--grid", "32",
+                  "--height", "8", "--cutoff", "1e-11", "--config", "out"],
+                 id="config-file"),
+])
+def test_unwritable_output_exits_2(argv, capsys, tmp_path, monkeypatch):
+    (tmp_path / "out").write_text("out=\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("config error: cannot write output: ")
+    assert "Traceback" not in err and out == ""
+    assert [p.name for p in tmp_path.rglob(".hpseries-*")] == []
 
 
 _CERTIFY = ["certify", "--d", "5", "--k", "8,8", "--level", "1", "--grid", "32"]
