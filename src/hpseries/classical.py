@@ -67,11 +67,12 @@ class ClassicalError(ValueError):
     pass
 
 
-def _check_int(name: str, value):
-    """A Python int, bool excluded: the one type every integer argument of
-    this module takes."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ClassicalError(f"{name} must be an int, got {value!r}")
+def _check_type(name: str, value, kind=int, what: str = "an int"):
+    """value is of kind, bool excluded: the one type check of this module.
+    Integer arguments take a Python int, real ones an int or a float
+    (kind (int, float)), and params a `ClassicalParams`."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ClassicalError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class ClassicalParams:
 
     def __post_init__(self):
         for name in ("m", "n", "k", "q"):
-            _check_int(name, getattr(self, name))
+            _check_type(name, getattr(self, name))
         if self.m < 1 or self.n < 1 or self.q < 1:
             raise ClassicalError("m, n, q must be >= 1")
         if self.k < 4 or self.k % 2:
@@ -98,12 +99,13 @@ class PeterssonResult:
 
 
 def _check_fiber(y: float):
+    _check_type("y", y, (int, float), "a real number")
     if not math.isfinite(y) or y <= 1.0:
         raise ClassicalError("quadrature fiber needs a finite y > 1")
 
 
 def _check_grid(grid_n: int):
-    _check_int("grid_n", grid_n)
+    _check_type("grid_n", grid_n)
     if grid_n < 4 or grid_n % 2:
         raise ClassicalError("grid_n must be even and >= 4")
 
@@ -119,6 +121,7 @@ class QuadraturePolicy:
     def __post_init__(self):
         _check_fiber(self.y)
         _check_grid(self.grid_n)
+        _check_type("radius", self.radius, (int, float), "a real number")
         if not math.isfinite(self.radius) or self.radius <= 0.0:
             raise ClassicalError("quadrature radius must be finite and > 0")
 
@@ -152,8 +155,10 @@ class QuadraturePolicy:
         bound is still above target at the radius `_radius_cap` allows
         (k = 4 at n = 1 would need R about 5e5, some 2.6e13 sites).
         """
+        _check_type("params", params, ClassicalParams, "ClassicalParams")
         _check_fiber(y)  # before any arithmetic: the bound needs y > 0
         _check_grid(grid_n)  # _radius_cap divides by grid_n
+        _check_type("tol", tol, (int, float), "a real number")
         if not math.isfinite(tol) or tol <= 0.0:
             raise ClassicalError("quadrature tol must be finite and > 0")
         k, q = params.k, params.q
@@ -392,7 +397,7 @@ def kloosterman(m: int, n: int, c: int) -> float:
     compensates from Python 3.12 on), so the last partial sum has the
     bits of the plain loop `total += cos(...)`."""
     for name, value in (("m", m), ("n", n), ("c", c)):
-        _check_int(name, value)
+        _check_type(name, value)
     _check_kloosterman_modulus(c)
     units, inverses, table = _tables_for(c)
     residues = ((m % c) * units.astype(np.int64)
@@ -480,9 +485,10 @@ def _bessel_backward_recurrence(order: int, x: float) -> float:
 
 
 def _check_bessel_domain(order: int, x: float, x_max: float):
-    _check_int("order", order)
+    _check_type("order", order)
     if order < 3:
         raise ClassicalError("order must be >= 3")
+    _check_type("x", x, (int, float), "a real number")
     if not 0.0 <= x <= x_max:
         raise ClassicalError(f"x must lie in [0, {x_max:g}]")
 
@@ -535,7 +541,8 @@ def petersson_coefficient(params: ClassicalParams,
     level q share each sum and each Bessel value, every weight shares the
     sums, and every pair with the same product mn shares the Bessel
     values; a value read back has the bits it had when it was computed."""
-    _check_int("c_max", c_max)
+    _check_type("params", params, ClassicalParams, "ClassicalParams")
+    _check_type("c_max", c_max)
     if c_max < params.q:
         raise ClassicalError("c_max must be at least q")
     m, n, k, q = params.m, params.n, params.k, params.q
@@ -622,6 +629,7 @@ def classical_poincare_coefficient_by_quadrature(
     """Independent value of p_{m,k,q}(n): sample the coset sum on the
     circle, one DFT readout, unfold by e^{2 pi n y}.  End-to-end oracle
     for the explicit formula (and for the Hilbert pipeline's structure)."""
+    _check_type("params", params, ClassicalParams, "ClassicalParams")
     policy = policy or QuadraturePolicy.auto(params)
     m, n, k, q = params.m, params.n, params.k, params.q
     vals = _eval_series_grid(m, k, q, policy)
@@ -636,7 +644,7 @@ def classical_poincare_coefficient_by_quadrature(
 def delta_coefficients(n_max: int) -> list[int]:
     """tau(1..n_max) from Delta = (E_4^3 - E_6^2)/1728 by exact integer
     convolution of the Eisenstein q-expansions."""
-    _check_int("n_max", n_max)
+    _check_type("n_max", n_max)
     if n_max < 1 or n_max > _TAU_NMAX:
         raise ClassicalError(f"n_max must be in [1, {_TAU_NMAX}]")
     size = n_max + 1
@@ -684,7 +692,7 @@ def nonvanishing_range_scan(k: int, m_max: int,
     is refused: it would certify nothing."""
     if k < 4 or k % 2:
         raise ClassicalError("k must be even and >= 4")
-    _check_int("m_max", m_max)
+    _check_type("m_max", m_max)
     if m_max < 1:
         raise ClassicalError("m_max must be >= 1")
     out = []

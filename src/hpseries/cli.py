@@ -77,6 +77,16 @@ def _write_out(text: str, out: str | None) -> None:
             os.unlink(tmp)
 
 
+def _check_out(out: str | None) -> None:
+    """Raise OutputError unless out is None or a file name in a writable
+    directory: checked before any computation (`_write_out` still reports
+    a failed write)."""
+    if out is not None and not (os.path.basename(out) and os.access(
+            os.path.dirname(out) or ".", os.W_OK | os.X_OK)):
+        raise OutputError(f"cannot write output: {out!r} is not a file "
+                          f"name in a writable directory")
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     try:  # a missing or unreadable file is a config error, like a bad line
         with open(path) as fh:
@@ -177,6 +187,7 @@ def _domain_from(field, cfg: dict) -> SamplingDomain:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_field_info(args) -> int:
+    _check_out(args.out)
     field = make_field(args.d)
     bound = args.height_bound
     eps = fundamental_unit(field)
@@ -230,6 +241,7 @@ def cmd_sweep(args) -> int:
     try:  # the parse order decides which fault a bad config reports first
         cfg = _merged(args, keys + ["nu", "mu", "y", "grid", "height",
                                     "cutoff", "final_dev", "format", "out"])
+        _check_out(cfg.get("out"))
         if cfg.get("format", "csv") not in _SWEEP_FORMATS:
             raise ValueError(f"format must be {' or '.join(_SWEEP_FORMATS)}, "
                              f"got {cfg['format']!r}")
@@ -276,6 +288,7 @@ def cmd_certify(args) -> int:
             "safety", "out"]
     try:
         cfg = _merged(args, keys)
+        _check_out(cfg.get("out"))
         field = make_field(int(cfg["d"]))
         k1, k2 = _pair_of_ints(cfg["k"])
         nu = _dual(field, cfg.get("nu", "0,1"))
@@ -296,6 +309,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_classical(args) -> int:
+    _check_out(args.out)
     rows = []
     if args.mode == "petersson":
         params = cla.ClassicalParams(m=args.m, n=args.n, k=args.k, q=args.q)

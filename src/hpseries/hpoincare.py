@@ -37,15 +37,15 @@ each kept class carries its geometry on its `_GammaClass` record: b_j =
 |gamma_j| y_j, the delta box and the strip radii.  The lattice loop of
 `evaluate_grid` only walks sites.
 
-`evaluate_grid` hands the kept classes out in class order to the calling
-thread and to one helper thread per further CPU of the process's affinity
-(`_helper_threads`; none when the call's estimated walk fits in one
-chunk).  Each class is walked in the same `_CHUNK_ELEMENTS` chunks into
-per-chunk records, and the caller folds the records in class order, so
-values, tail and term count have the same bytes for any thread count.  A
-chunk peaks at up to 92 bytes per walked site (70 in the median on the
-weight sweep): its walked-site arrays are freed once its kept sites are
-gathered.
+`evaluate_grid` walks one list of items, a kept class and a
+`_CHUNK_ELEMENTS` chunk of its points, handed out in list order to the
+calling thread and to one helper thread per further CPU of the process's
+affinity (`_helper_threads`; none when the call's estimated walk fits in
+one chunk).  Each item is walked into one record, and the caller folds
+the records in list order, so values, tail and term count have the same
+bytes for any thread count.  A chunk peaks at up to 92 bytes per walked
+site (70 in the median on the weight sweep): its walked-site arrays are
+freed once its kept sites are gathered.
 """
 
 from __future__ import annotations
@@ -76,13 +76,14 @@ from .qfield import (
 TWO_PI = 2.0 * math.pi
 _DELTA_BOX_MARGIN = 1.0  # added to each delta-box half-width
 _MIN_IM = 1e-3  # quality guard: smallest Im(z_j) accepted
-_CHUNK_ELEMENTS = 200_000  # delta-box sites per evaluate_grid chunk: keeps
+_CHUNK_ELEMENTS = 200_000  # delta-box sites per evaluate_grid item: keeps
                            # its temporary arrays small and cache-resident.
                            # A chunk peaks at up to 92 bytes per walked
                            # site in its thread (6.4 MB for the weight
                            # sweep's largest, 73,119 sites); the records
-                           # are folded in class order, so the boundaries
-                           # fix the bytes
+                           # are folded in list order, so the boundaries
+                           # fix the bytes, and past max_terms each thread
+                           # walks at most one chunk
 _STRIP_MARGIN = 1e-9  # relative widening of the walked cutoff strips, far
                       # above the rounding of the cutoff test
 _CORNER_TERMS = 16  # explicit terms of each corner series before its
@@ -550,25 +551,30 @@ def _helper_threads() -> int:
 
 def _class_plan(cl: _GammaClass, x1: np.ndarray, x2: np.ndarray,
                 sq_disc: float):
-    """((c1, c2, qlo, qhi, chunk), sites): the box centres and q-ranges of
-    class cl at every point (`_q_ranges`), the points per chunk, and the
-    estimated sites of the class's walk, its delta-box sites."""
+    """(items, sites): the `evaluate_grid` items of class cl, one (slice,
+    cl, c1, c2, qlo, qhi) per chunk of whole points, with their box centres
+    and q-ranges (`_q_ranges`), and the estimated delta-box sites of the
+    class's walk.  The chunks fix the last bits of the values: a chunk with
+    terms takes a Kahan step at each of its points, zero sums included,
+    and that step folds each point's compensation into its sum."""
     c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, sq_disc)
     per_point = float(np.maximum(qhi - qlo + 1, 0).mean()) \
         * (2 * cl.wd[0] + 1) or 1.0
     chunk = max(1, int(_CHUNK_ELEMENTS / max(per_point, 1.0)))
-    return (c1, c2, qlo, qhi, chunk), per_point * len(c1)
+    sls = [slice(start, start + chunk) for start in range(0, len(c1), chunk)]
+    return ([(sl, cl, c1[sl], c2[sl], qlo[sl], qhi[sl]) for sl in sls],
+            per_point * len(c1))
 
 
 def _kept_sites(cl: _GammaClass, c1, c2, qlo, qhi, omega_emb, weight: Weight,
                 cutoff: float, held: list):
-    """(cut, pt, u1, u2, ph) of one chunk of points of class cl, or None
-    when the chunk walks no site: cut is the per-point sum of the bounds of
-    the walked sites below the cutoff (None if there are none), and pt, u1,
-    u2, ph the point, the real parts u_j and the residue phase of each kept
-    site that has a completion residue.  The walked-site arrays die here,
-    so only the kept sites outlive the walk, but for the q array, which
-    held[0] keeps until the next chunk's walk replaces it: a live block
+    """(cut, pt, u1, u2, ph) of one chunk of points of class cl: cut is
+    the per-point sum of the bounds of the walked sites below the cutoff
+    (None if there are none), and pt, u1, u2, ph the point, the real parts
+    u_j and the residue phase of each kept site that has a completion
+    residue.  The walked-site arrays die here, so only the kept sites
+    outlive the walk, but for the q array, which held[0] (one list per
+    thread) keeps until the thread's next item replaces it: a live block
     above the freed arrays keeps glibc's malloc from handing their pages
     back to the system at each chunk end, to be faulted in again by the
     next chunk (about 18K instead of 72K minor faults per serial
@@ -576,8 +582,6 @@ def _kept_sites(cl: _GammaClass, c1, c2, qlo, qhi, omega_emb, weight: Weight,
     pt, pd, qd, u1, u2 = _strip_sites(c1, c2, qlo, qhi, cl.wd, cl.rho,
                                       omega_emb)
     held[0] = qd
-    if len(pt) == 0:
-        return None
     keep, logs = _cutoff_window(u1, u2, cl.b, weight, cutoff)
     cut = np.flatnonzero(~keep)
     cut = np.bincount(pt[cut], weights=np.exp(-0.5 * logs[cut]),
@@ -598,17 +602,13 @@ def _kept_sites(cl: _GammaClass, c1, c2, qlo, qhi, omega_emb, weight: Weight,
 def _chunk_record(spec: PoincareSpec, cl: _GammaClass, c1, c2, qlo, qhi,
                   y: tuple[float, float], cutoff: float, held: list):
     """(cut, sums, terms) of one chunk of points of class cl: its cut mass
-    (`_kept_sites`, which also takes held), the per-point sums of its
-    terms (None without terms) and their count; None when nothing is left
-    to fold."""
-    sites = _kept_sites(cl, c1, c2, qlo, qhi, spec.field.omega_embeddings(),
-                        spec.weight, cutoff, held)
-    if sites is None:
-        return None
-    cut, pt, u1, u2, ph = sites
-    del sites
+    (`_kept_sites`, which also takes held; None without cut sites), the
+    per-point sums of its terms (None without terms) and their count."""
+    cut, pt, u1, u2, ph = _kept_sites(cl, c1, c2, qlo, qhi,
+                                      spec.field.omega_embeddings(),
+                                      spec.weight, cutoff, held)
     if not len(pt):
-        return None if cut is None else (cut, None, 0)
+        return cut, None, 0
     k1, k2 = spec.weight.as_tuple()
     nu1, nu2 = spec.nu.embeddings()
     g1, g2 = cl.emb
@@ -623,42 +623,18 @@ def _chunk_record(spec: PoincareSpec, cl: _GammaClass, c1, c2, qlo, qhi,
     return cut, sums, len(pt)
 
 
-def _walk_class(spec: PoincareSpec, cl: _GammaClass, plan, y, cutoff: float,
-                budget: int, stop: threading.Event):
-    """(records, terms) of one class: a record (slice, cut, sums, terms)
-    per chunk of points (`_chunk_record`) and the class's term count.  The
-    walk ends early once the class's terms pass budget (the serial fold
-    then stops within it) or stop is set."""
-    c1, c2, qlo, qhi, chunk = plan
-    npts = len(c1)
-    records, terms, held = [], 0, [None]
-    # a chunk is a run of whole points.  The values still depend on the
-    # chunking in the last bits: a chunk with live terms takes a Kahan step
-    # at each of its points, with a zero sum at points that have no terms,
-    # and that step folds the point's compensation into its sum
-    for start in range(0, npts, chunk):
-        if terms > budget or stop.is_set():
-            break
-        sl = slice(start, min(start + chunk, npts))
-        record = _chunk_record(spec, cl, c1[sl], c2[sl], qlo[sl], qhi[sl],
-                               y, cutoff, held)
-        if record is not None:
-            records.append((sl, *record))
-            terms += record[2]
-    return records, terms
-
-
-def _walk_classes(walk, nclasses: int, helpers: int, budget: int) -> list:
-    """[walk(i, stop) for i in range(nclasses)], the classes handed out in
-    order from one counter to the caller and `helpers` threads started and
-    joined here.  No class is taken once the finished ones hold more than
-    budget terms, past which the fold has raised (a class past it ends its
-    own walk, `_walk_class`): the fold then raises before any class not
-    taken, and at most one class per thread runs past the budget.  An
-    exception in any thread, the caller's KeyboardInterrupt included, sets
-    stop, which the others read before each chunk, and is raised here once
-    every helper is joined."""
-    results = [None] * nclasses
+def _walk_chunks(walk, nitems: int, helpers: int, budget: int) -> list:
+    """[walk(i, held) for i in range(nitems)], records (cut, sums, terms),
+    the items handed out in order from one counter to the caller and
+    `helpers` threads started and joined here, each thread with its own
+    held (`_kept_sites`).  No item is taken once the finished ones hold
+    more than budget terms, past which the fold has raised: the fold then
+    raises before any item not taken (left None), and each thread walks at
+    most one chunk past the budget.  An exception in any thread, the
+    caller's KeyboardInterrupt included, sets stop, which every thread
+    reads before it takes an item, and is raised here once every helper is
+    joined."""
+    results = [None] * nitems
     lock = threading.Lock()
     stop = threading.Event()
     errors = []
@@ -666,15 +642,16 @@ def _walk_classes(walk, nclasses: int, helpers: int, budget: int) -> list:
 
     def work():
         nonlocal taken, finished
+        held = [None]
         while not stop.is_set():
             with lock:
                 i = taken
-                if i == nclasses or finished > budget:
+                if i == nitems or finished > budget:
                     return
                 taken += 1
-            results[i] = walk(i, stop)
+            results[i] = walk(i, held)
             with lock:
-                finished += results[i][1]
+                finished += results[i][2]
 
     def helper():
         try:
@@ -719,40 +696,39 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     residue are counted too, which only over-bounds it).  The whole-class
     parts of the tail come from `_classes_with_skip_info`.
 
-    The classes are walked on the caller's thread and on `_helper_threads`
-    helpers, started and joined inside the call (none when the estimated
-    walk, the delta-box sites of all classes, fits in one chunk), each
-    class into per-chunk records (`_walk_class`, `_walk_classes`).  A chunk
-    peaks at up to 92 bytes per walked site.  Deterministic: fixed class and
-    lattice ordering, per-point bincount reductions in that order, and the
-    records folded in class order on the caller through the same Kahan
-    step, so values, every `Tail` part and terms_used have the same bytes
-    for any thread count.  xs must be a non-empty (npts, 2) array
-    (EvaluationError otherwise)."""
+    The walk is one list of items, a class and a chunk of its points
+    (`_class_plan`), in class order, handed out to the caller's thread and
+    to `_helper_threads` helpers started and joined inside the call (none
+    when the estimated walk, the delta-box sites of all classes, fits in
+    one chunk) and walked into one record each (`_walk_chunks`), so each
+    thread walks at most one chunk past max_terms.  A chunk peaks at up to
+    92 bytes per walked site.  Deterministic: fixed class and lattice
+    ordering, per-point bincount reductions in that order, and the records
+    folded in list order through the same Kahan step, so values, every
+    `Tail` part and terms_used have the same bytes for any thread count.
+    xs must be a non-empty (npts, 2) array (EvaluationError otherwise)."""
     _check_y(y)
     nu1, nu2 = spec.nu.embeddings()
     xs_arr = _points_array(xs)
     npts = xs_arr.shape[0]
     x1, x2 = np.ascontiguousarray(xs_arr.T)
     classes, *whole_class_parts = _classes_with_skip_info(spec, y, policy)
-    plans, sites = [], 0.0
+    items, sites = [], 0.0
     for cl in classes:
-        plan, class_sites = _class_plan(cl, x1, x2, spec.field.sqrt_disc)
-        plans.append(plan)
+        class_items, class_sites = _class_plan(cl, x1, x2,
+                                               spec.field.sqrt_disc)
+        items += class_items
         sites += class_sites
-    helpers = min(_helper_threads(), len(classes) - 1) \
+    helpers = min(_helper_threads(), len(items) - 1) \
         if sites > _CHUNK_ELEMENTS else 0
-    # class terms past which the fold has raised: it raises at the first
+    # item terms past which the fold has raised: it raises at the first
     # chunk with terms that takes the running total, npts included, past
     # max_terms
     budget = max(policy.max_terms - npts, 0)
-
-    def walk(i, stop):
-        plan, plans[i] = plans[i], None  # the class's arrays die with it
-        return _walk_class(spec, classes[i], plan, y, policy.term_cutoff,
-                           budget, stop)
-
-    class_records = _walk_classes(walk, len(classes), helpers, budget)
+    records = _walk_chunks(
+        lambda i, held: _chunk_record(spec, *items[i][1:], y,
+                                      policy.term_cutoff, held),
+        len(items), helpers, budget)
 
     # the gamma = 0 class is the identity row (0, 1) alone: the units sit
     # in the stabilizer.  + 0.0 turns the -0.0 parts of an underflowed term
@@ -762,16 +738,15 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     comp = np.zeros(npts, dtype=np.complex128)  # Kahan per point
     cut_mass = np.zeros(npts, dtype=np.float64)
     terms_used = npts
-    for records, _terms in class_records:
-        for sl, cut, sums, terms in records:
-            if cut is not None:
-                cut_mass[sl] += cut
-            if not terms:
-                continue
-            terms_used += terms
-            if terms_used > policy.max_terms:
-                raise TruncationLimitExceeded(terms_used)
-            values[sl], comp[sl] = _kahan(values[sl], comp[sl], sums)
+    for (sl, *_), (cut, sums, terms) in zip(items, records):
+        if cut is not None:
+            cut_mass[sl] += cut
+        if not terms:
+            continue
+        terms_used += terms
+        if terms_used > policy.max_terms:
+            raise TruncationLimitExceeded(terms_used)
+        values[sl], comp[sl] = _kahan(values[sl], comp[sl], sums)
     return values, Tail(cut_mass, *whole_class_parts), terms_used
 
 

@@ -62,6 +62,40 @@ def test_integer_arguments_take_ints_only(call, args):
         call(*args)
 
 
+_PARAMS_TUPLE = (1, 2, 12, 1)
+
+
+@pytest.mark.parametrize("call,args,match", [
+    *(pytest.param(f, (3, x), "x must be a real number", id=f"{name}-{i}")
+      for f, name in ((bessel_j, "bessel"),
+                      (bessel_j_with_bound, "bessel-bound"))
+      for i, x in (("str", "5"), ("none", None), ("complex", 5j),
+                   ("bool", True))),
+    pytest.param(QuadraturePolicy, (10.0, 64, "2"), "y must be a real",
+                 id="policy-y-str"),
+    pytest.param(QuadraturePolicy, ("10", 64, 1.1), "radius must be a real",
+                 id="policy-radius-str"),
+    pytest.param(QuadraturePolicy.auto, (_PARAMS, "1e-8"), "tol must be",
+                 id="auto-tol-str"),
+    pytest.param(QuadraturePolicy.auto, (_PARAMS, 1e-8, None), "y must be",
+                 id="auto-y-none"),
+    *(pytest.param(f, (_PARAMS_TUPLE, *rest), "params must be "
+                   "ClassicalParams", id=f"{name}-tuple")
+      for f, name, rest in (
+          (petersson_coefficient, "petersson", (50,)),
+          (normalized_coefficient, "normalized", (50,)),
+          (QuadraturePolicy.auto, "auto", ()),
+          (classical_poincare_coefficient_by_quadrature, "quadrature", ()),
+          (classical_poincare_coefficient_by_quadrature, "quadrature-policy",
+           (QuadraturePolicy(radius=10.0),)))),
+])
+def test_real_and_params_arguments_are_type_checked(call, args, match):
+    """Library callers passing a non-real number or a tuple for params get
+    ClassicalError, not a bare TypeError or AttributeError."""
+    with pytest.raises(ClassicalError, match=match):
+        call(*args)
+
+
 # -- Kloosterman sums ----------------------------------------------------------
 
 def test_kloosterman_examples():

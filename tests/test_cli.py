@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hpseries import classical, cli, experiments
 from hpseries.cli import main
 
 
@@ -456,6 +457,41 @@ def test_unwritable_output_exits_2(argv, capsys, tmp_path, monkeypatch):
     assert err.startswith("config error: cannot write output: ")
     assert "Traceback" not in err and out == ""
     assert [p.name for p in tmp_path.rglob(".hpseries-*")] == []
+
+
+@pytest.mark.parametrize("argv,module,entry", [
+    pytest.param(["sweep-weight", "--d", "5", "--ks", "6,10", "--out",
+                  "nodir/x.csv"], experiments, "sweep_weight",
+                 id="sweep-weight"),
+    pytest.param(["sweep-level", "--d", "5", "--k", "8,8", "--levels", "1,2",
+                  "--config", "run.cfg"], experiments, "sweep_level",
+                 id="sweep-level-config-file"),
+    pytest.param(["certify", "--d", "5", "--k", "8,8", "--out",
+                  "nodir/x.json"], experiments, "certify_nonvanishing",
+                 id="certify"),
+    pytest.param(["certify", "--d", "5", "--k", "8,8", "--out", "x/"],
+                 experiments, "certify_nonvanishing",
+                 id="certify-no-file-name"),
+    pytest.param(["classical", "petersson", "--out", "nodir/x.csv"],
+                 classical, "petersson_coefficient", id="classical"),
+    pytest.param(["field-info", "--d", "5", "--out", "nodir/x.txt"],
+                 cli, "make_field", id="field-info"),
+])
+def test_unwritable_output_exits_2_before_computing(argv, module, entry,
+                                                    capsys, tmp_path,
+                                                    monkeypatch):
+    """The directory of --out, or of a config file's out, is checked
+    before anything is computed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{entry} called with an unwritable out")
+
+    (tmp_path / "run.cfg").write_text("out=nodir/x.csv\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(module, entry, refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("config error: cannot write output: ")
+    assert out == ""
 
 
 _CERTIFY = ["certify", "--d", "5", "--k", "8,8", "--level", "1", "--grid", "32"]

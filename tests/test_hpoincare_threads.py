@@ -88,6 +88,14 @@ def _helpers(monkeypatch, n):
     monkeypatch.setattr(hpoincare, "_helper_threads", lambda: n)
 
 
+def _chunk_count(spec, xs, y, policy):
+    """The number of items of an evaluate_grid call: the chunks of all
+    kept classes, each class's sized by `_class_plan`."""
+    x1, x2 = np.ascontiguousarray(np.asarray(xs).T)
+    return sum(len(hpoincare._class_plan(cl, x1, x2, spec.field.sqrt_disc)[0])
+               for cl in hpoincare.enumerate_gamma_classes(spec, y, policy))
+
+
 # -- the bytes ----------------------------------------------------------------
 
 def test_bytes_do_not_depend_on_thread_count(symmetry_spec, monkeypatch,
@@ -97,13 +105,13 @@ def test_bytes_do_not_depend_on_thread_count(symmetry_spec, monkeypatch,
     spec = symmetry_spec
     xs, y = _grid(spec)
     monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
-    nclasses = len(hpoincare.enumerate_gamma_classes(spec, y, POLICY))
+    chunks = _chunk_count(spec, xs, y, POLICY)
     results = []
     for n in (0, 1, 2, 3):
         _helpers(monkeypatch, n)
         before, active = starts[0], threading.active_count()
         results.append(_bytes(evaluate_grid(spec, xs, y, POLICY)))
-        assert starts[0] - before == min(n, nclasses - 1)
+        assert starts[0] - before == min(n, chunks - 1)
         assert threading.active_count() == active
     assert results[1:] == results[:1] * 3
 
@@ -177,33 +185,71 @@ def test_one_point_and_one_chunk_calls_start_no_thread(monkeypatch, starts):
     # the same grid over more than one chunk starts the helpers
     monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
     evaluate_grid(spec, xs, y, POLICY)
-    assert starts[0] == min(3, len(classes) - 1)
+    assert starts[0] == min(3, _chunk_count(spec, xs, y, POLICY) - 1)
+
+
+@pytest.mark.parametrize("n", (1, 3))
+def test_one_class_is_walked_on_many_threads(n, monkeypatch, starts):
+    """A call whose walk is one kept class in many chunks starts
+    min(n, chunks - 1) helpers, walks each of the class's chunks once, on
+    more than one thread, and gives the serial call's bytes, also with the
+    threads switched every microsecond."""
+    spec = _spec(5, (8, 8), 1)
+    xs, y = _grid(spec)
+    policy = TruncationPolicy(gamma_height_max=1.5, term_cutoff=1e-10)
+    assert len(hpoincare.enumerate_gamma_classes(spec, y, policy)) == 1
+    monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
+    chunks = _chunk_count(spec, xs, y, policy)
+    assert chunks > 4
+    _helpers(monkeypatch, 0)
+    serial = _bytes(evaluate_grid(spec, xs, y, policy))
+    _helpers(monkeypatch, n)
+    calls = []  # the thread of each _chunk_record call
+    two = threading.Event()
+    chunk_record = hpoincare._chunk_record
+
+    def record(*args):
+        # each call waits (bounded) until two threads have taken a chunk
+        calls.append(threading.get_ident())
+        if len(set(calls)) > 1 or not two.wait(timeout=10):
+            two.set()
+        return chunk_record(*args)
+
+    monkeypatch.setattr(hpoincare, "_chunk_record", record)
+    before, interval = starts[0], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = _bytes(evaluate_grid(spec, xs, y, policy))
+    finally:
+        sys.setswitchinterval(interval)
+    assert result == serial
+    assert starts[0] - before == min(n, chunks - 1)
+    assert len(calls) == chunks and len(set(calls)) > 1
 
 
 # -- the term budget -----------------------------------------------------------
 
 def _chunk_terms(spec, xs, y, monkeypatch):
-    """Term counts of the chunks with terms, in class order, of a serial
+    """Term counts of the chunks with terms, in list order, of a serial
     call without a budget."""
     records = []
-    walk_classes = hpoincare._walk_classes
+    walk_chunks = hpoincare._walk_chunks
 
     def recorded(*args):
-        out = walk_classes(*args)
+        out = walk_chunks(*args)
         records.extend(out)
         return out
 
-    monkeypatch.setattr(hpoincare, "_walk_classes", recorded)
+    monkeypatch.setattr(hpoincare, "_walk_chunks", recorded)
     _helpers(monkeypatch, 0)
     evaluate_grid(spec, xs, y, POLICY)
-    monkeypatch.setattr(hpoincare, "_walk_classes", walk_classes)
-    return [r[3] for class_records, _ in records for r in class_records
-            if r[3]]
+    monkeypatch.setattr(hpoincare, "_walk_chunks", walk_chunks)
+    return [r[2] for r in records if r[2]]
 
 
 def test_budget_failure_count_is_the_serial_fold(monkeypatch):
     """TruncationLimitExceeded.terms is the running total, npts included,
-    at the first chunk in class order that takes it past max_terms."""
+    at the first chunk in list order that takes it past max_terms."""
     spec = _spec(3, (5, 7), 1)
     xs, y = _grid(spec)
     monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
@@ -229,66 +275,66 @@ def test_budget_failure_count_is_the_serial_fold(monkeypatch):
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
-def test_budget_stops_each_thread_after_one_class(n, monkeypatch):
-    """With max_terms = npts every chunk with terms passes the budget: a
-    class ends its walk at its first such chunk, and a thread takes no
-    class after one with terms, so at most n + 1 classes have terms."""
+def test_budget_stops_each_thread_after_one_chunk(n, monkeypatch):
+    """With max_terms = npts every chunk with terms passes the budget, and
+    no thread takes a chunk once one with terms has finished, so at most
+    n + 1 chunks with terms are walked; the failure count is the serial
+    fold's."""
     spec = _spec(3, (5, 7), 1)
     xs, y = _grid(spec)
     monkeypatch.setattr(hpoincare, "_CHUNK_ELEMENTS", SMALL_CHUNK)
-    walks = []
-    walk_class = hpoincare._walk_class
+    expected = len(xs) + _chunk_terms(spec, xs, y, monkeypatch)[0]
+    walked = []
+    chunk_record = hpoincare._chunk_record
 
     def recorded(*args):
-        out = walk_class(*args)
-        walks.append(out)
+        out = chunk_record(*args)
+        walked.append(out[2])
         return out
 
-    monkeypatch.setattr(hpoincare, "_walk_class", recorded)
+    monkeypatch.setattr(hpoincare, "_chunk_record", recorded)
     _helpers(monkeypatch, n)
     policy = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-10,
                               max_terms=len(xs))
     active = threading.active_count()
-    with pytest.raises(TruncationLimitExceeded):
+    with pytest.raises(TruncationLimitExceeded) as err:
         evaluate_grid(spec, xs, y, policy)
+    assert err.value.terms == expected
     assert threading.active_count() == active
-    with_terms = [records for records, terms in walks if terms]
-    assert 1 <= len(with_terms) <= n + 1
-    for records in with_terms:
-        assert [r[3] > 0 for r in records] == \
-            [False] * (len(records) - 1) + [True]
+    assert 1 <= sum(terms > 0 for terms in walked) <= n + 1
 
 
 # -- failures ------------------------------------------------------------------
 
 def _after_first_helper_call(monkeypatch, on_helper, on_caller):
-    """Wrap _chunk_record: a helper's first call runs on_helper(), and the
-    caller's calls wait (bounded) for it, then run on_caller().  Returns
-    the calls each side starts once the call's stop event is set."""
+    """Wrap _chunk_record, which the item loop calls once per chunk: a
+    helper's first call runs on_helper(), and the caller's calls wait
+    (bounded) for it, then run on_caller().  Returns the calls each side
+    starts once on_helper or on_caller has begun to raise; the item loop
+    sets its stop event only after that, so these are at least the calls
+    started after stop."""
     helper_called = threading.Event()
-    stop = []  # the stop event of the call, from _walk_class
+    raised = threading.Event()
     late = {"caller": 0, "helper": 0}
-    walk_class, chunk_record = hpoincare._walk_class, hpoincare._chunk_record
+    chunk_record = hpoincare._chunk_record
 
-    def walk(*args):
-        stop[:] = [args[-1]]
-        return walk_class(*args)
+    def fail(on):
+        if on is not None:
+            raised.set()
+            on()
 
     def record(*args):
         caller = threading.current_thread() is threading.main_thread()
-        if stop[0].is_set():
+        if raised.is_set():
             late["caller" if caller else "helper"] += 1
         if caller:
             assert helper_called.wait(timeout=30)
-            if on_caller is not None:
-                on_caller()
+            fail(on_caller)
         elif not helper_called.is_set():
             helper_called.set()
-            if on_helper is not None:
-                on_helper()
+            fail(on_helper)
         return chunk_record(*args)
 
-    monkeypatch.setattr(hpoincare, "_walk_class", walk)
     monkeypatch.setattr(hpoincare, "_chunk_record", record)
     return late
 
@@ -311,7 +357,7 @@ def test_helper_exception_stops_the_caller_and_is_raised(n, monkeypatch):
     with pytest.raises(RuntimeError, match="helper failed"):
         evaluate_grid(spec, xs, y, POLICY)
     assert threading.active_count() == active
-    # the caller stops at its next chunk, each other helper at its next
+    # the caller stops at its next item, each other helper at its next
     assert late["caller"] <= 1 and late["helper"] <= n - 1
 
 
