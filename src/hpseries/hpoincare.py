@@ -216,8 +216,6 @@ class Tail:
 # -- unit-orbit canonicalization (exact) -----------------------------------
 
 def _sign_emb1_int(f: RealQuadraticField, pq: tuple[int, int]) -> int:
-    if pq == (0, 0):
-        return 0
     n = _norm(f, pq)
     if n > 0:
         t = 2 * pq[0] + pq[1] * f.omega_trace
@@ -268,7 +266,7 @@ def _phase_table(f: RealQuadraticField, pq: tuple[int, int],
                  hnf: tuple[int, int, int],
                  nu_emb: tuple[float, float]) -> np.ndarray:
     """e^{2 pi i tr(nu a/gamma)} at index (i, j) of the residue delta =
-    i + j w mod gamma*O_F (HNF (A, B, C)), with a the completion residue of
+    i + j w mod gamma*O_F (HNF (A, B, C)), with a the top-left entry from
     `_complete_int`; 0 where (gamma, delta) is not unimodular."""
     A, _B, C = hnf
     n = _norm(f, pq)
@@ -276,11 +274,11 @@ def _phase_table(f: RealQuadraticField, pq: tuple[int, int],
     gconj = _conj(f, pq)
     for j in range(C):
         for i in range(A):
-            ab = _complete_int(f, pq, (i, j))
-            if ab is None:
+            a = _complete_int(f, pq, (i, j))
+            if a is None:
                 continue
             # a/gamma = a * conj(gamma) / N(gamma), embeddings in float
-            e1, e2 = _embed(f, _mul(f, ab[0], gconj))
+            e1, e2 = _embed(f, _mul(f, a, gconj))
             theta = TWO_PI * (nu_emb[0] * (e1 / n) + nu_emb[1] * (e2 / n))
             table[i, j] = complex(math.cos(theta), math.sin(theta))
     return table
@@ -771,9 +769,9 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
     corner sites outside both strips are bounded in the tail, not visited)
     and keeps a site by the same `_cutoff_window` decision as
     `evaluate_grid`, so both sum exactly the same rows; it then completes
-    each pair exactly (`_complete_int`, which also decides unimodularity:
-    it gives None off the unimodular pairs) instead of reading residue
-    tables, and `CosetRep` checks each determinant."""
+    each pair exactly instead of reading residue tables (a from
+    `_complete_int`, None off the unimodular pairs, and b = (a*delta - 1)/gamma
+    by one exact division), and `CosetRep` checks each determinant."""
     f = spec.field
     y = (z[0].imag, z[1].imag)
     _check_y(y)
@@ -788,12 +786,12 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
         keep = _cutoff_window(u1, u2, cl.b, spec.weight,
                               policy.term_cutoff)[0]
         for p, q in zip(pd[keep].tolist(), qd[keep].tolist()):
-            ab = _complete_int(f, cl.pq, (p, q))
-            if ab is None:
+            a = _complete_int(f, cl.pq, (p, q))
+            if a is None:
                 continue
-            reps.append(CosetRep(gamma=gamma, delta=f.element(p, q),
-                                 a=FieldElement(f, *ab[0]),
-                                 b=FieldElement(f, *ab[1])))
+            a, delta = FieldElement(f, *a), f.element(p, q)
+            reps.append(CosetRep(gamma=gamma, delta=delta, a=a,
+                                 b=(a * delta - 1) / gamma))
             count += 1
             if count > policy.max_terms:
                 raise TruncationLimitExceeded(count)

@@ -11,8 +11,8 @@ integer coordinate pairs of the hot paths and `FieldElement` alike.
 Float embeddings take one path: `_embed` on a coordinate pair, which
 `FieldElement.embeddings()` calls; `FieldElement.trace()` and `.norm()` are
 the exact trace and norm.  Unimodular completion has one integer core,
-`_complete_int`, under both `complete_pair` and the residue phase tables
-of `hpoincare`.
+`_complete_int` (a, by an extended gcd tracking one Bezout coefficient), under
+`complete_pair` (b by one exact division) and the `hpoincare` phase tables.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ class QFieldError(ValueError):
 
 
 def _is_squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
     p = 2
     while p * p <= n:
         if n % (p * p) == 0:
@@ -148,16 +146,12 @@ class FieldElement:
             object.__setattr__(self, "a", _coord(self.a))
             object.__setattr__(self, "b", _coord(self.b))
 
-    def _check(self, other: FieldElement) -> None:
-        if self.field != other.field:
-            raise QFieldError("elements of different fields")
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check(other)
-        return FieldElement(self.field, self.a + other.a, self.b + other.b)
+        return FieldElement(_common_field(self, other), self.a + other.a,
+                            self.b + other.b)
 
     __radd__ = __add__
 
@@ -187,9 +181,9 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check(other)
+        f = _common_field(self, other)
         x, y = (self.a, self.b), (other.a, other.b)
-        return FieldElement(self.field, *_mul(self.field, x, y))
+        return FieldElement(f, *_mul(f, x, y))
 
     __rmul__ = __mul__
 
@@ -262,6 +256,15 @@ class FieldElement:
 
     def __repr__(self):
         return f"({self.a} + {self.b}*w | d={self.field.d})"
+
+
+def _common_field(x: FieldElement, y: FieldElement) -> RealQuadraticField:
+    """The field of x and y; QFieldError for a non-element or two fields."""
+    if not (isinstance(x, FieldElement) and isinstance(y, FieldElement)):
+        raise QFieldError(f"not field elements: {x!r}, {y!r}")
+    if x.field is not y.field and x.field != y.field:
+        raise QFieldError("elements of different fields")
+    return x.field
 
 
 # -- spec-level operations ------------------------------------------------
@@ -484,11 +487,12 @@ def ideal_from_gen(c: FieldElement) -> IdealHNF:
 
 def is_unimodular_pair(gamma: FieldElement, delta: FieldElement) -> bool:
     """gamma*O_F + delta*O_F = O_F, via the HNF of {g, gw, d, dw}."""
+    f = _common_field(gamma, delta)
     if gamma.is_zero() and delta.is_zero():
         raise QFieldError("both entries zero")
     gens = [gamma.int_coords(), delta.int_coords()]
     try:
-        a, _b, c = _ideal_hnf(gamma.field, gens)
+        a, _b, c = _ideal_hnf(f, gens)
     except QFieldError:
         return False
     return a == 1 and c == 1
@@ -501,7 +505,8 @@ _QUOTIENT_CORRECTIONS = ((0, -1), (0, 1), (-1, 0), (-1, -1), (-1, 1),
 
 def _ext_gcd_int(f: RealQuadraticField, a: tuple[int, int],
                  b: tuple[int, int]):
-    """Returns (g, x, y) with x*a + y*b = g in integer coordinates.
+    """Returns (g, x) with x*a + y*b = g in integer coordinates (y, which
+    `_complete_int` does not read, is not tracked).
 
     Each step divides a = q*b + r with |N(r)| < |N(b)|.  The quotient is
     a*conj(b)/N(b) rounded coordinatewise to the nearest integer: the
@@ -512,17 +517,16 @@ def _ext_gcd_int(f: RealQuadraticField, a: tuple[int, int],
     smallest |N(r)| wins.  Neither rule may change: the quotient sequence
     fixes x, hence the residue a mod gamma that `_complete_int` gives
     complete_pair and every _GammaClass phase table, and with them the
-    float bits of every series value.
+    float bits of every series value.  g and x depend on the quotients
+    alone, so not tracking y changes no bit.
     """
     # w^2 = c0 + c1 w, N(p + q w) = p^2 + t p q + n q^2
     c0, c1 = f.omega_sq_const, f.omega_sq_lin
     t, n = f.omega_trace, f.omega_norm
-    a0, a1 = a
-    b0, b1 = b
+    (a0, a1), (b0, b1) = a, b
+    den = b0 * b0 + t * b0 * b1 + n * b1 * b1  # N(b), 0 iff b = 0
     x0, x1, u0, u1 = 1, 0, 0, 0  # coefficients of a and b on the input a
-    y0, y1, v0, v1 = 0, 0, 1, 0  # ... and on the input b
-    while b0 or b1:
-        den = b0 * b0 + t * b0 * b1 + n * b1 * b1  # N(b)
+    while den:
         # num = a*conj(b), conj(b) = (b0 + t b1, -b1)
         cb0 = b0 + t * b1
         cross = -a1 * b1
@@ -534,66 +538,64 @@ def _ext_gcd_int(f: RealQuadraticField, a: tuple[int, int],
         q1 = (2 * num1 + den) // (2 * den)
         r0 = a0 - q0 * b0 - c0 * q1 * b1
         r1 = a1 - q0 * b1 - q1 * b0 - c1 * q1 * b1
-        nr = abs(r0 * r0 + t * r0 * r1 + n * r1 * r1)
-        if nr >= den:
-            best = (nr, q0, q1, r0, r1)
+        nr = r0 * r0 + t * r0 * r1 + n * r1 * r1  # N(r), the next N(b)
+        if abs(nr) >= den:
+            best = (abs(nr), nr, q0, q1, r0, r1)
             for dp, dq in _QUOTIENT_CORRECTIONS:
                 s0 = r0 - dp * b0 - c0 * dq * b1
                 s1 = r1 - dp * b1 - dq * b0 - c1 * dq * b1
-                ns = abs(s0 * s0 + t * s0 * s1 + n * s1 * s1)
-                if ns < best[0]:
-                    best = (ns, q0 + dp, q1 + dq, s0, s1)
-            nr, q0, q1, r0, r1 = best
-            if nr >= den:
+                ns = s0 * s0 + t * s0 * s1 + n * s1 * s1
+                if abs(ns) < best[0]:
+                    best = (abs(ns), ns, q0 + dp, q1 + dq, s0, s1)
+            least, nr, q0, q1, r0, r1 = best
+            if least >= den:
                 raise QFieldError(f"Euclidean division failed in d={f.d}: "
-                                  f"|N(r)|={nr} >= |N(b)|={den}")
-        a0, a1, b0, b1 = b0, b1, r0, r1
-        x0, x1, u0, u1 = (u0, u1, x0 - q0 * u0 - c0 * q1 * u1,
-                          x1 - q0 * u1 - q1 * u0 - c1 * q1 * u1)
-        y0, y1, v0, v1 = (v0, v1, y0 - q0 * v0 - c0 * q1 * v1,
-                          y1 - q0 * v1 - q1 * v0 - c1 * q1 * v1)
-    return (a0, a1), (x0, x1), (y0, y1)
+                                  f"|N(r)|={least} >= |N(b)|={den}")
+        # (a, b) <- (b, r), (x, u) <- (u, x - q u) by swaps that build no tuple
+        a0, b0, den = b0, r0, nr
+        a1, b1 = b1, r1
+        x0, u0 = u0, x0 - q0 * u0 - c0 * q1 * u1
+        x1, u1 = u1, x1 - q0 * u1 - q1 * x0 - c1 * q1 * u1  # x0: the old u0
+    return (a0, a1), (x0, x1)
 
 
 def _unit_inverse_int(f: RealQuadraticField,
-                      u: tuple[int, int]) -> tuple[int, int]:
+                      u: tuple[int, int]) -> tuple[int, int] | None:
+    """1/u = conj(u)/N(u) = N(u)*conj(u), or None if u is not a unit."""
     n = _norm(f, u)
+    if n != 1 and n != -1:
+        return None
     c = _conj(f, u)
-    if n == 1:
-        return c
-    if n == -1:
-        return (-c[0], -c[1])
-    raise QFieldError(f"{u} is not a unit")
+    return (n * c[0], n * c[1])
 
 
 def _complete_int(f: RealQuadraticField, gamma: tuple[int, int],
                   delta: tuple[int, int]):
-    """(a, b) with a*delta - b*gamma = 1 in integer coordinates, or None if
-    (gamma, delta) is not unimodular.  The pair generates the unit ideal iff
-    the gcd of the extended Euclidean algorithm is a unit; delta = 0 is fine
-    (the pair is then unimodular iff gamma is a unit, e.g. the inversion
-    row (1, 0))."""
-    g, x, y = _ext_gcd_int(f, delta, gamma)
-    if abs(_norm(f, g)) != 1:
-        return None
+    """a with a*delta = 1 mod gamma*O_F in integer coordinates, or None if
+    the pair is not unimodular: it generates the unit ideal iff the gcd of
+    the extended Euclidean algorithm is a unit.  delta = 0 is fine (the pair
+    is then unimodular iff gamma is a unit, e.g. the inversion row (1, 0))."""
+    g, x = _ext_gcd_int(f, delta, gamma)
     gi = _unit_inverse_int(f, g)
-    return _mul(f, gi, x), _mul(f, gi, (-y[0], -y[1]))
+    return None if gi is None else _mul(f, gi, x)
 
 
 def complete_pair(gamma: FieldElement,
                   delta: FieldElement) -> tuple[FieldElement, FieldElement]:
-    """(a, b) with a*delta - b*gamma = 1, by norm-Euclidean extended gcd
-    (`_complete_int`), checked by the determinant."""
-    f = gamma.field
+    """(a, b) with a*delta - b*gamma = 1, checked by the determinant: a from
+    `_complete_int`, b = (a*delta - 1)/gamma by one exact division (the one b
+    for gamma != 0, so the gcd's -y/g bit for bit; 0 for gamma = 0)."""
+    f = _common_field(gamma, delta)
     if not f.euclidean:
         raise QFieldError(f"d={f.d} is not in the supported Euclidean set")
-    dc = delta.int_coords()
-    gc = gamma.int_coords()
-    ab = _complete_int(f, gc, dc)
-    if ab is None:
+    dc, gc = delta.int_coords(), gamma.int_coords()
+    a = _complete_int(f, gc, dc)
+    if a is None:
         raise QFieldError("pair is not unimodular")
-    a, b = ab
-    ad, bg = _mul(f, a, dc), _mul(f, b, gc)
+    ad, n = _mul(f, a, dc), _norm(f, gc)
+    e = _mul(f, (ad[0] - 1, ad[1]), _conj(f, gc))
+    b = (e[0] // n, e[1] // n) if n else (0, 0)
+    bg = _mul(f, b, gc)
     if (ad[0] - bg[0], ad[1] - bg[1]) != (1, 0):
         raise QFieldError("completion determinant check failed")
     return FieldElement(f, *a), FieldElement(f, *b)

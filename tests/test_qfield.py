@@ -322,13 +322,42 @@ def test_unimodular_matches_minor_gcd(f, p, q, r, s):
         _minor_gcd_unimodular(f, gamma, delta)
 
 
-def test_complete_pair_examples(field5):
-    a, b = complete_pair(field5.zero, field5.one)
-    assert (a, b) == (field5.one, field5.zero)
-    a, b = complete_pair(field5.one, field5.zero)
-    assert a * field5.zero - b * field5.one == field5.one
-    a, b = complete_pair(field5.element(2, 0), field5.omega)
-    assert a * field5.omega - b * field5.element(2, 0) == field5.one
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_complete_pair_examples(d):
+    """The edge rows (0, u) and (u, 0) for u in {1, +-eps, +-1/eps}: the
+    first has b = 0 (the N(gamma) = 0 branch of the division for b), the
+    second a = 0 and b = -1/u."""
+    f = make_field(d)
+    eps = fundamental_unit(f)
+    for u in (f.one, eps, -eps, eps.inverse(), -eps.inverse()):
+        a, b = complete_pair(f.zero, u)
+        assert (a, b) == (u.inverse(), f.zero)
+        a, b = complete_pair(u, f.zero)
+        assert (a, b) == (f.zero, -u.inverse())
+        assert a * f.zero - b * u == f.one
+    gamma, delta = f.element(2, 0), f.element(1, 2)
+    a, b = complete_pair(gamma, delta)
+    assert a * delta - b * gamma == f.one
+    if d == 5:
+        a, b = complete_pair(f.element(2, 0), f.omega)
+        assert a * f.omega - b * f.element(2, 0) == f.one
+
+
+@pytest.mark.parametrize("call", [complete_pair, is_unimodular_pair])
+def test_pair_functions_reject_mixed_fields_and_non_elements(call):
+    """Both refuse elements of two fields, as FieldElement arithmetic does,
+    instead of reading the coordinates in gamma's field, and raise
+    QFieldError, not AttributeError, on a non-element."""
+    f5, f2 = make_field(5), make_field(2)
+    with pytest.raises(QFieldError, match="elements of different fields"):
+        call(f5.element(2, 0), f2.element(0, 1))
+    with pytest.raises(QFieldError, match="elements of different fields"):
+        call(f2.one, f5.zero)
+    for gamma, delta in ((f5.one, 3), (0, f5.one), (f5.one, 1.5)):
+        with pytest.raises(QFieldError):
+            call(gamma, delta)
+    # equal fields built twice are one field
+    assert call(make_field(5).element(2, 0), f5.omega)
 
 
 def test_complete_pair_rejects_non_unimodular(field5):
@@ -432,17 +461,26 @@ def _coordinate_pairs(rng, count, height=20):
 
 @pytest.mark.parametrize("d", EUCLIDEAN_D)
 def test_ext_gcd_matches_step_oracle(d):
-    """Same (g, x, y), so the same quotients, on pairs of height <= 20,
+    """Same (g, x), so the same quotients, on pairs of height <= 20,
     unimodular or not; for d = 6, 7 the sample takes the correction
-    search."""
+    search.  On every unimodular pair complete_pair returns exactly the
+    oracle's completion (x/g, -y/g), which pins the bits of b, and of the
+    y that _ext_gcd_int no longer tracks."""
     f = make_field(d)
     rng = random.Random(1000 + d)
     hits = [0]
     unimodular = 0
     for a, b in _coordinate_pairs(rng, 3000):
-        g, x, y = qfield._ext_gcd_int(f, a, b)
-        assert (g, x, y) == _ext_gcd_by_steps(f, a, b, hits), (a, b)
-        unimodular += abs(qfield._norm(f, g)) == 1
+        g, x, y = _ext_gcd_by_steps(f, a, b, hits)
+        assert qfield._ext_gcd_int(f, a, b) == (g, x), (a, b)
+        if abs(qfield._norm(f, g)) != 1:
+            continue
+        unimodular += 1
+        gi = f.element(*g).inverse().int_coords()
+        top, bottom = complete_pair(f.element(*b), f.element(*a))
+        assert (top.int_coords(), bottom.int_coords()) == \
+            (qfield._mul(f, gi, x), qfield._mul(f, gi, (-y[0], -y[1]))), \
+            (a, b)
     assert 0 < unimodular < 3000
     if d in (6, 7):
         assert hits[0] > 0
@@ -463,7 +501,7 @@ def test_ext_gcd_failure_matches_step_oracle():
                 qfield._ext_gcd_int(f, a, b)
             assert str(got.value) == str(err)
         else:
-            assert qfield._ext_gcd_int(f, a, b) == expected
+            assert qfield._ext_gcd_int(f, a, b) == expected[:2]
     assert failed > 0
 
 
@@ -476,9 +514,9 @@ def test_phase_table_matches_step_oracle(d, monkeypatch):
     new = [hpoincare._phase_table(f, pq, hnf, nu_emb)
            for pq, hnf in zip(classes, hnfs)]
     # the table completes through qfield._complete_int, which looks the
-    # gcd up in qfield
+    # gcd up in qfield and reads (g, x)
     monkeypatch.setattr(qfield, "_ext_gcd_int",
-                        lambda f, a, b: _ext_gcd_by_steps(f, a, b, [0]))
+                        lambda f, a, b: _ext_gcd_by_steps(f, a, b, [0])[:2])
     for pq, hnf, table in zip(classes, hnfs, new):
         expected = hpoincare._phase_table(f, pq, hnf, nu_emb)
         assert table.tobytes() == expected.tobytes(), pq
