@@ -443,22 +443,16 @@ def _bessel_series_rational(order: int, x: float) -> tuple[float, float]:
                 and pre_num * power * big_p * _SERIES_TOL_INV
                 < pre_den * den * ratio_den):
             break
-        if j > 600:
-            break
-    # next term |term_j| ratio, over (1 - ratio) if ratio < 1 else times 10
-    if big_p < ratio_den:
-        rem_num, rem_den = power * big_p, den * (ratio_den - big_p)
-    else:
-        rem_num, rem_den = 10 * power * big_p, den * ratio_den
+    # next term |term_j| ratio over (1 - ratio); the stop test gave ratio < 1/2
+    rem_num, rem_den = power * big_p, den * (ratio_den - big_p)
     return (pre_num * num / (pre_den * den),
             pre_num * rem_num / (pre_den * rem_den))
 
 
 def _bessel_backward_recurrence(order: int, x: float) -> float:
     """Miller's algorithm: downward three-term recurrence from a start
-    index above max(order, x), normalized by J_0 + 2 sum J_{2j} = 1."""
-    if x == 0.0:
-        return 0.0
+    index above max(order, x), normalized by J_0 + 2 sum J_{2j} = 1.
+    Called for x > 50 and order >= 3 only (`bessel_j`)."""
     start = int(max(order, x) + 40 + 10 * math.sqrt(max(order, x)))
     if start % 2:
         start += 1
@@ -479,8 +473,6 @@ def _bessel_backward_recurrence(order: int, x: float) -> float:
         if (nu - 1) % 2 == 0 and nu - 1 > 0:
             norm += 2.0 * jc
     norm += jc  # J_0 term
-    if order == 0:
-        target = jc
     return target / norm
 
 
@@ -690,8 +682,7 @@ def nonvanishing_range_scan(k: int, m_max: int,
     """For each m <= m_max: certificate that |p_{m,k,1}(m)| > 10 * tail.
     Empirical scan; emits (m, certified) pairs.  An empty scan (m_max < 1)
     is refused: it would certify nothing."""
-    if k < 4 or k % 2:
-        raise ClassicalError("k must be even and >= 4")
+    ClassicalParams(m=1, n=1, k=k, q=1)  # the type and parity rule on k
     _check_type("m_max", m_max)
     if m_max < 1:
         raise ClassicalError("m_max must be >= 1")

@@ -172,7 +172,7 @@ def certify_nonvanishing(spec: PoincareSpec, domain: SamplingDomain,
     check_safety_factor(safety_factor)
     evaluand = PoincareEvaluand(spec, policy)
     est = extract_many(evaluand, [spec.nu], domain)[0]
-    total = est.quad_error + est.trunc_error
+    total = est.total_error
     verdict = (Verdict.NONZERO_CERTIFIED
                if abs(est.value) > safety_factor * total
                else Verdict.INCONCLUSIVE)
@@ -203,6 +203,12 @@ def sweep_to_csv(report: SweepReport, config_lines: list[str] | None = None) -> 
     return "\n".join(lines) + "\n"
 
 
+def _estimate_json(est: CoefficientEstimate) -> dict:
+    """The JSON record of one coefficient estimate: value and error parts."""
+    return {"re": est.value.real, "im": est.value.imag,
+            "quad_error": est.quad_error, "trunc_error": est.trunc_error}
+
+
 def sweep_to_json(report: SweepReport, config: dict | None = None) -> str:
     doc = {
         "axis": report.axis.value,
@@ -212,16 +218,8 @@ def sweep_to_json(report: SweepReport, config: dict | None = None) -> str:
             {
                 "param": row.param,
                 "failed": row.failed,
-                "p_nu": None if row.failed else {
-                    "re": row.p_nu.value.real, "im": row.p_nu.value.imag,
-                    "quad_error": row.p_nu.quad_error,
-                    "trunc_error": row.p_nu.trunc_error,
-                },
-                "p_mu": None if row.failed else {
-                    "re": row.p_mu.value.real, "im": row.p_mu.value.imag,
-                    "quad_error": row.p_mu.quad_error,
-                    "trunc_error": row.p_mu.trunc_error,
-                },
+                "p_nu": None if row.failed else _estimate_json(row.p_nu),
+                "p_mu": None if row.failed else _estimate_json(row.p_mu),
             }
             for row in report.rows
         ],
@@ -233,12 +231,7 @@ def certificate_to_json(cert: Certificate, config: dict | None = None) -> str:
     doc = {
         "spec": cert.spec_snapshot,
         "config": config or {},
-        "coefficient": {
-            "re": cert.coefficient.value.real,
-            "im": cert.coefficient.value.imag,
-            "quad_error": cert.coefficient.quad_error,
-            "trunc_error": cert.coefficient.trunc_error,
-        },
+        "coefficient": _estimate_json(cert.coefficient),
         "total_error": cert.total_error,
         "safety_factor": cert.safety_factor,
         "verdict": cert.verdict.value,

@@ -29,13 +29,14 @@ region: the walked sites below the cutoff (`cut`), the unvisited sites
 (`unvisited`: corners outside both strips, strip ends beyond the box) and
 the classes skipped wholesale (`skipped`, both bounded by counting lattice
 sites per unit square, `_corner_bound`), and the classes beyond the height
-box (`beyond`, `_beyond_box_mass`, the one heuristic part).
+box (`beyond`, `_beyond_box_mass`, the one heuristic part, charged on
+every call, also when the box holds no class of the level ideal).
 
-Whether a gamma class is summed is decided in one place,
-`_classes_with_skip_info`, which also charges the whole-class tail parts;
-each kept class carries its geometry on its `_GammaClass` record: b_j =
-|gamma_j| y_j, the delta box and the strip radii.  The lattice loop of
-`evaluate_grid` only walks sites.
+Whether a gamma class is summed is decided in one place by one test, an
+empty delta box, in `_classes_with_skip_info`, which also charges the
+whole-class tail parts; each kept class carries its geometry on its
+`_GammaClass` record: b_j = |gamma_j| y_j, the delta box and the strip
+radii.  The lattice loop of `evaluate_grid` only walks sites.
 
 `evaluate_grid` walks one list of items, a kept class and a
 `_CHUNK_ELEMENTS` chunk of its points, handed out in list order to the
@@ -97,9 +98,9 @@ class EvaluationError(ValueError):
 class TruncationLimitExceeded(RuntimeError):
     """max_terms hit before the enumeration finished."""
 
-    def __init__(self, terms: int, message: str = ""):
+    def __init__(self, terms: int):
         self.terms = terms
-        super().__init__(message or f"term budget exhausted after {terms} terms")
+        super().__init__(f"term budget exhausted after {terms} terms")
 
 
 @dataclass(frozen=True)
@@ -301,15 +302,17 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
     """(kept classes, unvisited, skipped, beyond): the classes summed and
     the whole-class parts of the `Tail`, each charged in class order.
 
-    The one place that decides whether a gamma class is summed.  A class
-    is dropped wholesale when its largest possible term prod b_j^{-k_j},
-    b_j = |gamma_j| y_j, falls below the cutoff or its delta box is empty
-    (`_delta_windows` is None, which only rounding gives above the
-    cutoff), and is charged `_corner_bound` at (0, 0).  A kept class
-    carries b, its delta box and its strip radii, and is charged
-    `_corner_bound` at rho (corners) and at (0, a_2) and (a_1, 0) (strip
-    ends), a_j = W_j - _DELTA_BOX_MARGIN a full unit inside the box edge,
-    so rounding there cannot drop a site from both walk and bound."""
+    The one place that decides whether a gamma class is summed, by one
+    test: its delta box is empty (`_delta_windows` is None), which holds
+    iff its largest possible term prod b_j^{-k_j}, b_j = |gamma_j| y_j, is
+    at most the cutoff.  Such a class is dropped wholesale and charged
+    `_corner_bound` at (0, 0).  A kept class carries b, its delta box and
+    its strip radii, and is charged `_corner_bound` at rho (corners) and
+    at (0, a_2) and (a_1, 0) (strip ends), a_j = W_j - _DELTA_BOX_MARGIN a
+    full unit inside the box edge, so rounding there cannot drop a site
+    from both walk and bound.  The classes beyond the height box are
+    charged `_beyond_box_mass` on every call, whether or not the box holds
+    a class of the level ideal."""
     f = spec.field
     k1, k2 = spec.weight.as_tuple()
     cutoff = policy.term_cutoff
@@ -324,8 +327,7 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
             continue
         emb = _embed(f, pq)
         b1, b2 = abs(emb[0]) * y[0], abs(emb[1]) * y[1]
-        wd = None if b1 ** (-k1) * b2 ** (-k2) < cutoff \
-            else _delta_windows(b1, b2, k1, k2, cutoff)
+        wd = _delta_windows(b1, b2, k1, k2, cutoff)
         if wd is None:
             skipped += _corner_bound(b1, b2, k1, k2, (0.0, 0.0))
             continue
@@ -335,8 +337,7 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
             + _corner_bound(b1, b2, k1, k2, (0.0, a2)) \
             + _corner_bound(b1, b2, k1, k2, (a1, 0.0))
         kept.append(_GammaClass(f, pq, emb, (b1, b2), wd, rho, nu_emb))
-    beyond = _beyond_box_mass(spec, y, policy, bool(kept) or skipped > 0.0)
-    return kept, unvisited, skipped, beyond
+    return kept, unvisited, skipped, _beyond_box_mass(spec, y, policy)
 
 
 def enumerate_gamma_classes(spec: PoincareSpec, y: tuple[float, float],
@@ -348,14 +349,13 @@ def enumerate_gamma_classes(spec: PoincareSpec, y: tuple[float, float],
 
 
 def _beyond_box_mass(spec: PoincareSpec, y: tuple[float, float],
-                     policy: TruncationPolicy, saw_candidates: bool) -> float:
+                     policy: TruncationPolicy) -> float:
     """Heuristic mass of the gamma classes outside the height box: the
     first unexplored norm shell is max(H^2/eps_1^2, N(I)), integrated with
-    the (|N(gamma)| N(y))^{-k_min} class decay.  Zero when the box saw no
-    candidates at all (the enumeration is then cutoff-complete for this
-    level at desk scale)."""
-    if not saw_candidates:
-        return 0.0
+    the (|N(gamma)| N(y))^{-k_min} class decay.  Charged also when the box
+    holds no class of the level ideal (a large level): the classes of the
+    ideal then all lie beyond the box, and the truncated sum, the identity
+    term alone, is not exact."""
     kmin = min(spec.weight.as_tuple())
     eps1 = fundamental_unit(spec.field).embeddings()[0]
     h = policy.gamma_height_max
@@ -368,7 +368,8 @@ def _beyond_box_mass(spec: PoincareSpec, y: tuple[float, float],
 
 def _delta_windows(b1: float, b2: float, k1: int, k2: int, cutoff: float):
     """Half-widths (W1, W2) of the per-embedding delta box around
-    (-gamma_j x_j), or None if no delta reaches the cutoff.  Every delta
+    (-gamma_j x_j), or None if no delta reaches the cutoff: r_j <= b_j
+    iff prod_j b_j^{-k_j} <= cutoff, for either j.  Every delta
     outside the box has prod |gamma_j z_j + delta_j|^{-k_j} < cutoff; the
     box only bounds the strips `_strip_sites` walks, and `_cutoff_window`
     picks the sites summed."""
@@ -564,21 +565,22 @@ def _class_plan(cl: _GammaClass, x1: np.ndarray, x2: np.ndarray,
             per_point * len(c1))
 
 
-def _kept_sites(cl: _GammaClass, c1, c2, qlo, qhi, omega_emb, weight: Weight,
-                cutoff: float, held: list):
-    """(cut, pt, u1, u2, ph) of one chunk of points of class cl: cut is
-    the per-point sum of the bounds of the walked sites below the cutoff
-    (None if there are none), and pt, u1, u2, ph the point, the real parts
-    u_j and the residue phase of each kept site that has a completion
-    residue.  The walked-site arrays die here, so only the kept sites
-    outlive the walk, but for the q array, which held[0] (one list per
-    thread) keeps until the thread's next item replaces it: a live block
-    above the freed arrays keeps glibc's malloc from handing their pages
-    back to the system at each chunk end, to be faulted in again by the
-    next chunk (about 18K instead of 72K minor faults per serial
-    weight-sweep pass)."""
+def _chunk_record(spec: PoincareSpec, cl: _GammaClass, c1, c2, qlo, qhi,
+                  y: tuple[float, float], cutoff: float, held: list):
+    """(cut, sums, terms) of one chunk of points of class cl: the
+    per-point sum of the bounds of the walked sites below the cutoff (None
+    if there are none), the per-point sums of the terms of the kept sites
+    that have a completion residue (None without terms) and their count.
+    The walked-site arrays die before the terms are built, so only the
+    kept sites outlive the walk, but for the q array, which held[0] (one
+    list per thread) keeps until the thread's next item replaces it: a
+    live block above the freed arrays keeps glibc's malloc from handing
+    their pages back to the system at each chunk end, to be faulted in
+    again by the next chunk (about 18K instead of 72K minor faults per
+    serial weight-sweep pass)."""
+    weight = spec.weight
     pt, pd, qd, u1, u2 = _strip_sites(c1, c2, qlo, qhi, cl.wd, cl.rho,
-                                      omega_emb)
+                                      spec.field.omega_embeddings())
     held[0] = qd
     keep, logs = _cutoff_window(u1, u2, cl.b, weight, cutoff)
     cut = np.flatnonzero(~keep)
@@ -594,26 +596,16 @@ def _kept_sites(cl: _GammaClass, c1, c2, qlo, qhi, omega_emb, weight: Weight,
     ph = cl.phase_table.reshape(-1)[ii * C + jj]
     live = np.flatnonzero(ph)
     kept = kept[live]
-    return cut, pt[kept], u1[kept], u2[kept], ph[live]
-
-
-def _chunk_record(spec: PoincareSpec, cl: _GammaClass, c1, c2, qlo, qhi,
-                  y: tuple[float, float], cutoff: float, held: list):
-    """(cut, sums, terms) of one chunk of points of class cl: its cut mass
-    (`_kept_sites`, which also takes held; None without cut sites), the
-    per-point sums of its terms (None without terms) and their count."""
-    cut, pt, u1, u2, ph = _kept_sites(cl, c1, c2, qlo, qhi,
-                                      spec.field.omega_embeddings(),
-                                      spec.weight, cutoff, held)
+    pt, u1, u2, ph = pt[kept], u1[kept], u2[kept], ph[live]
+    del ii, jj, kept, live
     if not len(pt):
         return cut, None, 0
-    k1, k2 = spec.weight.as_tuple()
     nu1, nu2 = spec.nu.embeddings()
     g1, g2 = cl.emb
     wz1 = u1 + 1j * (g1 * y[0])
     wz2 = u2 + 1j * (g2 * y[1])
     del u1, u2
-    t = ph * wz1 ** (-k1) * wz2 ** (-k2) * np.exp(
+    t = ph * wz1 ** (-weight.k1) * wz2 ** (-weight.k2) * np.exp(
         -2j * math.pi * (nu1 / (g1 * wz1) + nu2 / (g2 * wz2)))
     n = len(c1)
     sums = (np.bincount(pt, weights=t.real, minlength=n)
@@ -625,7 +617,7 @@ def _walk_chunks(walk, nitems: int, helpers: int, budget: int) -> list:
     """[walk(i, held) for i in range(nitems)], records (cut, sums, terms),
     the items handed out in order from one counter to the caller and
     `helpers` threads started and joined here, each thread with its own
-    held (`_kept_sites`).  No item is taken once the finished ones hold
+    held (`_chunk_record`).  No item is taken once the finished ones hold
     more than budget terms, past which the fold has raised: the fold then
     raises before any item not taken (left None), and each thread walks at
     most one chunk past the budget.  An exception in any thread, the

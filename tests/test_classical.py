@@ -88,6 +88,9 @@ _PARAMS_TUPLE = (1, 2, 12, 1)
           (classical_poincare_coefficient_by_quadrature, "quadrature", ()),
           (classical_poincare_coefficient_by_quadrature, "quadrature-policy",
            (QuadraturePolicy(radius=10.0),)))),
+    *(pytest.param(nonvanishing_range_scan, (k, 3, 50), "k must be an int",
+                   id=f"scan-k-{name}")
+      for name, k in (("str", "12"), ("none", None))),
 ])
 def test_real_and_params_arguments_are_type_checked(call, args, match):
     """Library callers passing a non-real number or a tuple for params get

@@ -17,6 +17,7 @@ from hpseries.hpoincare import (
     enumerate_cosets,
     evaluate,
     evaluate_grid,
+    is_canonical_gamma,
     modularity_defect,
     term,
 )
@@ -27,6 +28,7 @@ from hpseries.hpoincare import (
     _corner_bound,
     _cutoff_window,
     _delta_windows,
+    _gamma_box,
     _q_ranges,
     _strip_radii,
     _strip_sites,
@@ -494,7 +496,7 @@ def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
     assert tail.cut[0] == pytest.approx(cut_mass, rel=1e-12, abs=0.0)
     assert tail.unvisited == unvisited
     assert tail.skipped == skip_mass
-    assert tail.beyond == _beyond_box_mass(spec, y, policy, True)
+    assert tail.beyond == _beyond_box_mass(spec, y, policy)
     estimate = evaluate(spec, z, policy).tail_estimate
     assert tail.total()[0] == estimate
     assert unsummed <= estimate
@@ -606,15 +608,86 @@ def test_evaluate_grid_matches_pointwise(spec8, policy_small):
 
 # -- tail bound --------------------------------------------------------------------
 
-def test_tail_bound_zero_when_no_classes(field5, nu5):
+def test_tail_charges_beyond_box_when_no_classes(field5, nu5):
+    """A box that holds no class of the level ideal leaves every class of
+    it beyond the box: no walked, unvisited or skipped mass, but the
+    beyond-box part is still charged."""
     level = ideal_from_gen(field5.element(1000, 0))
     spec = PoincareSpec(field=field5, weight=Weight(4, 4), nu=nu5, level=level)
     policy = TruncationPolicy(gamma_height_max=10.0, term_cutoff=1e-10)
-    tail = evaluate_grid(spec, [(Z0[0].real, Z0[1].real)],
-                         (Z0[0].imag, Z0[1].imag), policy)[1]
+    y = (Z0[0].imag, Z0[1].imag)
+    tail = evaluate_grid(spec, [(Z0[0].real, Z0[1].real)], y, policy)[1]
     assert tail.cut.tolist() == [0.0]
-    assert tail.unvisited == tail.skipped == tail.beyond == 0.0
-    assert evaluate(spec, Z0, policy).tail_estimate == 0.0
+    assert tail.unvisited == tail.skipped == 0.0
+    assert tail.beyond == _beyond_box_mass(spec, y, policy) > 0.0
+    assert evaluate(spec, Z0, policy).tail_estimate == tail.beyond
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_empty_box_bar_covers_the_classes_beyond(d):
+    """At level (p) the box of height p - 1 holds no class: the truncated
+    sum is the identity term alone, yet the value moves once the box of
+    height 4p holds the classes of the ideal.  The reported bar is the
+    beyond-box part alone, and it covers that move."""
+    f = make_field(d)
+    x, y = (0.1, 0.2), (1.1, 1.0)
+    z = (complex(x[0], y[0]), complex(x[1], y[1]))
+    for p in (7, 11):
+        spec = PoincareSpec(field=f, weight=Weight(4, 4),
+                            nu=trace_one_totally_positive(f, 8)[-1],
+                            level=ideal_from_gen(f.element(p, 0)))
+        empty, full = (TruncationPolicy(gamma_height_max=h,
+                                        term_cutoff=1e-12)
+                       for h in (p - 1.0, 4.0 * p))
+        assert enumerate_gamma_classes(spec, y, empty) == []
+        _values, tail, terms = evaluate_grid(spec, [x], y, empty)
+        assert terms == 1
+        assert tail.cut.tolist() == [0.0]
+        assert tail.unvisited == tail.skipped == 0.0 < tail.beyond
+        moved = abs(evaluate(spec, z, full).value
+                    - evaluate(spec, z, empty).value)
+        assert moved > 0.0
+        assert tail.total()[0] >= moved, (p, moved, tail.beyond)
+
+
+_SKIP_RULE_CASES = [(d, k) for d in EUCLIDEAN_D for k in ((4, 4), (12, 12))] \
+    + [(d, k) for d in (3, 6, 7) for k in ((5, 7), (10, 6))]
+
+
+@pytest.mark.parametrize("d,k", _SKIP_RULE_CASES,
+                         ids=[f"d{d}-k{k[0]},{k[1]}"
+                              for d, k in _SKIP_RULE_CASES])
+def test_class_skipped_iff_largest_term_below_cutoff(d, k):
+    """`_classes_with_skip_info` keeps a canonical class of the box iff its
+    largest term prod_j b_j^{-k_j}, b_j = |gamma_j| y_j, reaches the
+    cutoff; each skipped class is charged `_corner_bound` at (0, 0)."""
+    f = make_field(d)
+    eps_inv = fundamental_unit(f).inverse().int_coords()
+    spec = PoincareSpec(field=f, weight=Weight(*k),
+                        nu=trace_one_totally_positive(f, 8)[-1],
+                        level=ideal_from_gen(f.one))
+    decided = set()
+    for y in ((1.1, 1.0), (2.3, 0.7)):
+        for cutoff in (1e-8, 1e-12):
+            policy = TruncationPolicy(gamma_height_max=12.0,
+                                      term_cutoff=cutoff)
+            kept, _unvisited, skipped, _beyond = _classes_with_skip_info(
+                spec, y, policy)
+            want_kept, want_skipped = [], 0.0
+            for pq in sorted(_gamma_box(f, 12.0)):
+                if not is_canonical_gamma(f, pq, eps_inv):
+                    continue
+                g = f.element(*pq).embeddings()
+                b = (abs(g[0]) * y[0], abs(g[1]) * y[1])
+                if b[0] ** (-k[0]) * b[1] ** (-k[1]) < cutoff:
+                    want_skipped += _corner_bound(*b, *k, (0.0, 0.0))
+                    decided.add("skipped")
+                else:
+                    want_kept.append(pq)
+                    decided.add("kept")
+            assert [cl.pq for cl in kept] == want_kept
+            assert skipped == want_skipped
+    assert decided == {"kept", "skipped"}
 
 
 def test_tail_bound_monotone_under_box_doubling(spec8):
