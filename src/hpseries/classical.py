@@ -13,11 +13,12 @@ k >= 4 and level q is computed two independent ways:
   stored table set per modulus c <= 1024: units, vectorised inverses and
   cosines cos(2 pi r / c), shared by every (m, n) and by the quadrature
   rows below; above 1024 units and inverses are built per call) and a
-  self-validating Bessel J whose ascending series runs in exact
-  integer arithmetic.  Each sum S(m, n; c) and each value
-  J_{k-1}(4 pi sqrt(mn) / c) is evaluated once and kept in a float64 row
-  indexed by c, one row per (m, n) and one per (k - 1, 4 pi sqrt(mn)),
-  so (m, n) and (n, m), and every level q, share them;
+  Bessel J that is the ascending series in exact integer arithmetic,
+  with a proved remainder, on all of 0 <= x <= 1000.  Each sum
+  S(m, n; c) and each value J_{k-1}(4 pi sqrt(mn) / c) is evaluated
+  once and kept in a float64 row indexed by c, one row per (m, n) and
+  one per (k - 1, 4 pi sqrt(mn)), so (m, n) and (n, m), and every level
+  q, share them;
 
 * direct coset summation of the series over bottom rows (c, d), c > 0,
   q | c, gcd(c, d) = 1 in the disc |cz + d| <= R (plus the single
@@ -46,7 +47,6 @@ import numpy as np
 
 TWO_PI = 2.0 * pi
 
-_BESSEL_SERIES_XMAX = 50.0
 _KLOOSTERMAN_CMAX = 10_000
 _TABLE_CMAX = 1024  # largest modulus whose tables are stored
 _ROW_ENTRIES = 200_000  # float64 slots kept over all rows of one row store
@@ -449,61 +449,36 @@ def _bessel_series_rational(order: int, x: float) -> tuple[float, float]:
             pre_num * rem_num / (pre_den * rem_den))
 
 
-def _bessel_backward_recurrence(order: int, x: float) -> float:
-    """Miller's algorithm: downward three-term recurrence from a start
-    index above max(order, x), normalized by J_0 + 2 sum J_{2j} = 1.
-    Called for x > 50 and order >= 3 only (`bessel_j`)."""
-    start = int(max(order, x) + 40 + 10 * math.sqrt(max(order, x)))
-    if start % 2:
-        start += 1
-    jp = 0.0
-    jc = 1e-300
-    norm = 0.0
-    target = 0.0
-    for nu in range(start, 0, -1):
-        jm = (2.0 * nu / x) * jc - jp
-        jp, jc = jc, jm
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            target *= 1e-250
-        if nu - 1 == order:
-            target = jc
-        if (nu - 1) % 2 == 0 and nu - 1 > 0:
-            norm += 2.0 * jc
-    norm += jc  # J_0 term
-    return target / norm
-
-
-def _check_bessel_domain(order: int, x: float, x_max: float):
+def _check_bessel_domain(order: int, x: float):
+    """ClassicalError unless order >= 3 and 0 <= x <= 1000 (bessel_j's)."""
     _check_type("order", order)
     if order < 3:
         raise ClassicalError("order must be >= 3")
     _check_type("x", x, (int, float), "a real number")
-    if not 0.0 <= x <= x_max:
-        raise ClassicalError(f"x must lie in [0, {x_max:g}]")
+    if not 0.0 <= x <= 1000.0:
+        raise ClassicalError("x must lie in [0, 1000]")
 
 
 def bessel_j(order: int, x: float) -> float:
-    """J_order(x) for integer order >= 3, 0 <= x <= 1000, abs error < 1e-12.
+    """J_order(x) for integer order >= 3 and 0 <= x <= 1000.
 
-    Exact-rational ascending series up to x = 50 (with rigorous remainder),
-    backward recurrence beyond.
+    The value of `bessel_j_with_bound`, so its error is at most the proved
+    series remainder plus the final rounding; a remainder above 1e-13 is
+    refused with ClassicalError.
     """
-    _check_bessel_domain(order, x, 1000.0)
-    if x <= _BESSEL_SERIES_XMAX:
-        value, rem = _bessel_series_rational(order, x)
-        if rem > 1e-13:
-            raise ClassicalError(f"series remainder {rem} too large")
-        return value
-    return _bessel_backward_recurrence(order, x)
+    value, rem = bessel_j_with_bound(order, x)
+    if rem > 1e-13:
+        raise ClassicalError(f"series remainder {rem} too large")
+    return value
 
 
 def bessel_j_with_bound(order: int, x: float) -> tuple[float, float]:
-    """Series value together with its rigorous truncation remainder
-    (series range only: order >= 3, 0 <= x <= 50)."""
-    _check_bessel_domain(order, x, _BESSEL_SERIES_XMAX)
+    """(value, remainder) of the exact-rational ascending series of
+    J_order(x) on bessel_j's domain (order >= 3, 0 <= x <= 1000).  The value
+    is the correctly rounded partial sum and the remainder bounds the rest
+    of the series, so |value - J_order(x)| <= remainder + half an ulp of
+    value."""
+    _check_bessel_domain(order, x)
     return _bessel_series_rational(order, x)
 
 

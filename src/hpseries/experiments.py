@@ -63,7 +63,11 @@ class SweepRow:
     param: int
     p_nu: CoefficientEstimate | None
     p_mu: CoefficientEstimate | None
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:
+        """The lattice sum ran out of term budget: no estimates."""
+        return self.p_nu is None
 
 
 @dataclass(frozen=True)
@@ -75,17 +79,23 @@ class SweepReport:
     def ok_rows(self) -> list[SweepRow]:
         return [r for r in self.rows if not r.failed]
 
-    def endpoint_improvement(self) -> tuple[bool, bool]:
-        """(nu-column improved, mu-column improved) from first to last row."""
+    def _first_and_last_ok(self) -> tuple[SweepRow, SweepRow]:
         rows = self.ok_rows()
-        if len(rows) < 2:
-            return (True, True)
-        first, last = rows[0], rows[-1]
+        if not rows:
+            raise ValueError("no row of the sweep succeeded")
+        return rows[0], rows[-1]
+
+    def endpoint_improvement(self) -> tuple[bool, bool]:
+        """(nu-column improved, mu-column improved) from the first to the
+        last successful row; ValueError if no row succeeded."""
+        first, last = self._first_and_last_ok()
         return (abs(last.p_nu.value - 1) <= abs(first.p_nu.value - 1),
                 abs(last.p_mu.value) <= abs(first.p_mu.value))
 
     def final_deviations(self) -> tuple[float, float]:
-        last = self.ok_rows()[-1]
+        """Deviations from the delta at the last successful row; ValueError
+        if no row succeeded."""
+        last = self._first_and_last_ok()[1]
         return (abs(last.p_nu.value - 1), abs(last.p_mu.value))
 
 
@@ -93,9 +103,12 @@ class SweepReport:
 class Certificate:
     spec_snapshot: dict
     coefficient: CoefficientEstimate
-    total_error: float
     verdict: Verdict
     safety_factor: float
+
+    @property
+    def total_error(self) -> float:
+        return self.coefficient.total_error
 
 
 # spec_snapshot keys that vary along each axis (reported per row instead)
@@ -108,7 +121,10 @@ def sweep(axis: SweepAxis, specs: list[tuple[int, PoincareSpec]],
           policy: TruncationPolicy) -> SweepReport:
     """One row per (param, spec), in the given order: the coefficients at
     the spec's own index nu and at mu.  A row whose lattice sum runs out of
-    term budget is kept as a failed row."""
+    term budget is kept as a failed row.  An empty spec list is refused:
+    the report would have no row to judge."""
+    if not specs:
+        raise ValueError("a sweep needs at least one spec")
     rows = []
     for param, spec in specs:
         try:
@@ -116,12 +132,9 @@ def sweep(axis: SweepAxis, specs: list[tuple[int, PoincareSpec]],
                                           [spec.nu, mu], domain)
             rows.append(SweepRow(param=param, p_nu=est_nu, p_mu=est_mu))
         except TruncationLimitExceeded:
-            rows.append(SweepRow(param=param, p_nu=None, p_mu=None,
-                                 failed=True))
-    snapshot = {}
-    if specs:
-        snapshot = {k: v for k, v in specs[0][1].snapshot().items()
-                    if k not in _ROW_KEYS[axis]}
+            rows.append(SweepRow(param=param, p_nu=None, p_mu=None))
+    snapshot = {k: v for k, v in specs[0][1].snapshot().items()
+                if k not in _ROW_KEYS[axis]}
     return SweepReport(axis=axis, rows=tuple(rows), spec_snapshot=snapshot)
 
 
@@ -172,13 +185,11 @@ def certify_nonvanishing(spec: PoincareSpec, domain: SamplingDomain,
     check_safety_factor(safety_factor)
     evaluand = PoincareEvaluand(spec, policy)
     est = extract_many(evaluand, [spec.nu], domain)[0]
-    total = est.total_error
     verdict = (Verdict.NONZERO_CERTIFIED
-               if abs(est.value) > safety_factor * total
+               if abs(est.value) > safety_factor * est.total_error
                else Verdict.INCONCLUSIVE)
     return Certificate(spec_snapshot=spec.snapshot(), coefficient=est,
-                       total_error=total, verdict=verdict,
-                       safety_factor=safety_factor)
+                       verdict=verdict, safety_factor=safety_factor)
 
 
 # -- serialization -----------------------------------------------------------

@@ -828,7 +828,7 @@ def modularity_defect(spec: PoincareSpec, z: tuple[complex, complex],
     f = spec.field
     if a * delta - b * gamma != f.one:
         raise EvaluationError("matrix determinant is not 1")
-    if not spec.level.contains(gamma) and not gamma.is_zero():
+    if not spec.level.contains(gamma):
         raise EvaluationError("lower-left entry not in the level ideal")
     rep = CosetRep(gamma=gamma, delta=delta, a=a, b=b)
     mz = apply_mobius(rep, z)

@@ -153,15 +153,30 @@ def test_bessel_self_validating_remainder():
 
 def test_bessel_with_bound_domain():
     """The bounded series has bessel_j's domain: order >= 3 and
-    0 <= x <= 50 (a negative x once gave J_3(-2.5) a wrong value with a
+    0 <= x <= 1000 (a negative x once gave J_3(-2.5) a wrong value with a
     negative remainder)."""
     for order, x in [(2, 1.0), (0, 0.5), (3, -2.5), (11, -1e-9),
-                     (11, 50.5), (3, math.nan)]:
+                     (11, 1000.5), (3, math.nan)]:
         with pytest.raises(ClassicalError):
             bessel_j_with_bound(order, x)
-    for order, x in [(3, 0.0), (3, 50.0)]:
+    for order, x in [(3, 0.0), (3, 50.0), (11, 50.5)]:
         value, remainder = bessel_j_with_bound(order, x)
         assert value == bessel_j(order, x) and 0.0 <= remainder <= 1e-13
+
+
+@pytest.mark.parametrize("order,x", [(3, 50.5), (11, 55.0), (30, 100.0),
+                                     (4, 200.0), (3, 500.0), (3, 1000.0),
+                                     (500, 1000.0)])
+def test_bessel_remainder_proved_past_50(order, x):
+    """Past x = 50 the series still stops with a small remainder, and the
+    value lies within that remainder plus its rounding of J_order(x)."""
+    mp = pytest.importorskip("mpmath")
+    value, remainder = bessel_j_with_bound(order, x)
+    assert 0.0 <= remainder <= 1e-13
+    with mp.workdps(50):
+        err = abs(mp.mpf(value) - mp.besselj(order, x))
+    assert err <= remainder + 2.0 ** -52 * abs(value)
+    assert bessel_j(order, x) == value
 
 
 @given(st.integers(4, 30), st.floats(0.5, 200.0))
@@ -419,7 +434,7 @@ def _bessel_cases():
         for mn in (1, 2, 3, 4, 6, 9):
             for c in c_sample:
                 yield order, 4 * pi * math.sqrt(mn) / c
-        # 60 and 120 lie past the series range bessel_j uses
+        # 60 and 120 lie past x = 50
         yield from ((order, x) for x in (0.0, 50.0, 7, 60.0, 120.0))
         yield from ((order, rng.uniform(0.0, 50.0)) for _ in range(8))
 

@@ -52,6 +52,35 @@ def test_weight_sweep_requires_ascending(field5, nu5, mu5, unit_ideal5, dom,
         sweep_weight(field5, nu5, mu5, unit_ideal5, [14, 10], dom, policy)
 
 
+def test_sweep_refuses_empty_spec_list(field5, nu5, mu5, unit_ideal5, dom,
+                                      policy):
+    with pytest.raises(ValueError):
+        sweep_weight(field5, nu5, mu5, unit_ideal5, [], dom, policy)
+    with pytest.raises(ValueError):
+        sweep_level(field5, nu5, mu5, Weight(4, 4), [], dom, policy)
+
+
+def test_trend_needs_a_successful_row(field5, nu5, mu5, unit_ideal5, dom):
+    """A report whose rows all failed has no trend to judge; one
+    successful row is its own first and last row."""
+    starved = TruncationPolicy(gamma_height_max=9.0, term_cutoff=1e-11,
+                               max_terms=10)
+    report = sweep_weight(field5, nu5, mu5, unit_ideal5, [10, 14], dom,
+                          starved)
+    assert [r.failed for r in report.rows] == [True, True]
+    with pytest.raises(ValueError):
+        report.endpoint_improvement()
+    with pytest.raises(ValueError):
+        report.final_deviations()
+    one = sweep_weight(field5, nu5, mu5, unit_ideal5, [10], dom,
+                       TruncationPolicy(gamma_height_max=9.0,
+                                        term_cutoff=1e-11))
+    assert not one.rows[0].failed
+    assert one.endpoint_improvement() == (True, True)
+    assert one.final_deviations() == (abs(one.rows[0].p_nu.value - 1),
+                                      abs(one.rows[0].p_mu.value))
+
+
 def test_sweep_with_nu_equals_mu_gives_identical_columns(
         field5, nu5, unit_ideal5, dom, policy):
     report = sweep_weight(field5, nu5, nu5, unit_ideal5, [10], dom, policy)
