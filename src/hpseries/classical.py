@@ -18,7 +18,10 @@ k >= 4 and level q is computed two independent ways:
   S(m, n; c) and each value J_{k-1}(4 pi sqrt(mn) / c) is evaluated
   once and kept in a float64 row indexed by c, one row per (m, n) and
   one per (k - 1, 4 pi sqrt(mn)), so (m, n) and (n, m), and every level
-  q, share them;
+  q, share them.  The sum over c stops at the first modulus past which
+  no term can change its double total (a bound from the first term of
+  the Bessel series against the rounding gap of the total), so it has
+  the bits of the sum to c_max without evaluating the moduli beyond;
 
 * direct coset summation of the series over bottom rows (c, d), c > 0,
   q | c, gcd(c, d) = 1 in the disc |cz + d| <= R (plus the single
@@ -38,6 +41,7 @@ Kloosterman/Bessel sum with no power prefactor), exposed here as
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -61,6 +65,7 @@ _RADIUS_STEPS = 4  # Newton steps of QuadraturePolicy.auto on log R
 _RADIUS_STEP_UP = 1e-3  # then steps of log R until the bound holds
 _SERIES_TOL_INV = 10 ** 16  # the series stops once its tail is < 1e-16
 _TAU_NMAX = 10_000
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)  # exp of it is still finite
 
 
 class ClassicalError(ValueError):
@@ -356,8 +361,9 @@ def _modulus_tables(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     may round differently), so entry r has the bits of
     math.cos(TWO_PI * r / c).  `_tables_for` stores only c <= _TABLE_CMAX:
     at most 1.28 MB of int16 units and inverses plus 4.2 MB of cosines,
-    whatever order the moduli come in (4.0 MB of cosines for the
-    c <= 1000 of a criterion-1 pass)."""
+    whatever order the moduli come in.  A criterion-1 pass stores the
+    203 tables c <= 203 (0.17 MB of cosines): its Petersson sums stop by
+    c = 204, and its quadrature rows end at c = 43."""
     cosines = np.fromiter(map(math.cos, (TWO_PI * np.arange(c) / c).tolist()),
                           dtype=np.float64, count=c)
     cosines.flags.writeable = False
@@ -496,6 +502,22 @@ def _bessel_cached(order: int, arg: float, c: int) -> float:
     return bessel_j(order, arg / c)
 
 
+def _log_first_term(k: int, x: float) -> float:
+    """log of (x/2)^{k-1} / (k-1)!, the first term of the ascending series
+    of J_{k-1}(x), taken in logs so that neither the power nor the
+    factorial has to fit in a double (x > 0)."""
+    return (k - 1) * math.log(x / 2) - math.lgamma(k)
+
+
+def _power_prefactor(num: int, den: int, k: int) -> float:
+    """(num/den)^{(k-1)/2}; ClassicalError when it overflows a double."""
+    try:
+        return (num / den) ** ((k - 1) / 2)
+    except OverflowError:
+        raise ClassicalError(f"the prefactor ({num}/{den})^(({k}-1)/2) "
+                             f"overflows a double") from None
+
+
 def petersson_coefficient(params: ClassicalParams,
                           c_max: int) -> PeterssonResult:
     """Partial sum of the explicit formula over c <= c_max plus a tail
@@ -507,29 +529,85 @@ def petersson_coefficient(params: ClassicalParams,
     filled on first use (`_row_cache`).  So (m, n) and (n, m) and every
     level q share each sum and each Bessel value, every weight shares the
     sums, and every pair with the same product mn shares the Bessel
-    values; a value read back has the bits it had when it was computed."""
+    values; a value read back has the bits it had when it was computed.
+
+    The sum stops at the first c at which no later term can change the
+    double `total`, before that modulus's sum or Bessel value is read, so
+    the result has the bits of the loop to c_max.  With x_c = 4 pi
+    sqrt(mn) / c, the stop needs total != 0, x_c < 2 and
+
+        2 B(c) < g / 2,   B(c) = (x_c/2)^{k-1} / (k-1)!,
+
+    where g is the gap from |total| down to the next double.  Proof: the
+    float sum S of phi(c) cosines has |S| <= phi(c) <= c (each partial sum
+    of j cosines is at most the double j in size, and rounding keeps that
+    bound), so the double S / c is at most 1 in size.  For x < 2 the
+    terms of the ascending series decrease in size from the first, so
+    every partial sum, and the correctly rounded one `bessel_j` returns,
+    lies between 0 and the first term B(c) rounded.  So every term of
+    modulus c' >= c is at most the rounded B(c') <= B(c) in size, since B
+    decreases in c; the factor 2 covers that rounding and the error of
+    computing B in logs (`_log_first_term`).  A term smaller than g / 2
+    in size moves total by less than half the gap to either neighbour, so
+    in round-to-nearest total + term == total, and the test then holds at
+    every later c as well.
+
+    The prefactor (n/m)^{(k-1)/2} raises ClassicalError when it overflows
+    a double.  The tail bound (`_tail_bound`) keeps its product formula,
+    and so the bits of earlier versions, wherever that formula is finite
+    and nonzero.  It is taken in logs elsewhere: where a factor leaves the
+    doubles ((k - 1)! > 1.8e308 from k = 172 on, or a large
+    (2 pi sqrt(mn))^{k-1}), and where the small factor c_max^{2-k}
+    underflows or a partial product overflows before it."""
     _check_type("params", params, ClassicalParams, "ClassicalParams")
     _check_type("c_max", c_max)
     if c_max < params.q:
         raise ClassicalError("c_max must be at least q")
     m, n, k, q = params.m, params.n, params.k, params.q
     _check_kloosterman_modulus(c_max - c_max % q)  # the largest c, up front
+    scale = _power_prefactor(n, m, k)
     arg = 4 * pi * math.sqrt(m * n)
     ik = (-1) ** (k // 2)  # i^{-k} for even k
     lo, hi = min(m, n), max(m, n)
     total = 0.0
     for c in range(q, c_max + 1, q):
+        x = arg / c
+        if total and x < 2.0:
+            gap = abs(total) - math.nextafter(abs(total), 0.0)
+            if _log_first_term(k, x) + math.log(4.0) < math.log(gap):
+                break
         s = _kloosterman_cached(lo, hi, c)
         if s != 0.0:
             total += s / c * _bessel_cached(k - 1, arg, c)
     delta = 1.0 if m == n else 0.0
-    scale = (n / m) ** ((k - 1) / 2)
     value = delta + 2 * pi * ik * scale * total
-    # tail: sum_{c > c_max, q|c} (1/c) * c * (arg/(2c))^{k-1}/(k-1)!
-    #       <= (arg/2)^{k-1}/(k-1)! * c_max^{2-k} / ((k-2) q)
-    tail = (2 * pi * scale * (arg / 2) ** (k - 1) / math.factorial(k - 1)
-            * c_max ** (2 - k) / ((k - 2) * q))
-    return PeterssonResult(value=value, c_max=c_max, tail_bound=tail)
+    return PeterssonResult(value=value, c_max=c_max,
+                           tail_bound=_tail_bound(params, c_max, scale, arg))
+
+
+def _tail_bound(params: ClassicalParams, c_max: int, scale: float,
+                arg: float) -> float:
+    """2 pi scale times the sum over c > c_max, q | c, of the term bound
+    (1/c) c (arg/(2c))^{k-1}/(k-1)!, which is at most
+
+        2 pi scale (arg/2)^{k-1}/(k-1)! c_max^{2-k} / ((k-2) q)
+
+    (scale = (n/m)^{(k-1)/2}, arg = 4 pi sqrt(mn)).  The product formula
+    is returned where it is finite and nonzero; elsewhere the same bound
+    is taken in logs, with (arg/2)^{k-1} c_max^{2-k} = (x/2)^{k-1} c_max
+    at x = arg / c_max, and a bound past the doubles is inf."""
+    m, n, k, q = params.m, params.n, params.k, params.q
+    try:
+        tail = (2 * pi * scale * (arg / 2) ** (k - 1) / math.factorial(k - 1)
+                * c_max ** (2 - k) / ((k - 2) * q))
+    except OverflowError:
+        tail = math.inf
+    if 0.0 < tail < math.inf:
+        return tail
+    log_tail = (math.log(TWO_PI) + (k - 1) / 2 * math.log(n / m)
+                + _log_first_term(k, arg / c_max)
+                + math.log(c_max / ((k - 2) * q)))
+    return math.exp(log_tail) if log_tail <= _LOG_DOUBLE_MAX else math.inf
 
 
 def normalized_coefficient(params: ClassicalParams,
@@ -538,7 +616,7 @@ def normalized_coefficient(params: ClassicalParams,
     sum with no power prefactor, the quantity whose large-k and large-q
     limits are the Kronecker delta in the orthogonality propositions."""
     raw = petersson_coefficient(params, c_max)
-    scale = (params.m / params.n) ** ((params.k - 1) / 2)
+    scale = _power_prefactor(params.m, params.n, params.k)
     return PeterssonResult(value=scale * raw.value, c_max=c_max,
                            tail_bound=scale * raw.tail_bound)
 

@@ -303,6 +303,56 @@ def test_petersson_requires_cmax_at_least_q():
         petersson_coefficient(ClassicalParams(1, 1, 12, 5), 3)
 
 
+def _exact_tail(params, c_max):
+    """The tail bound in exact rationals, from the doubles pi,
+    4 pi sqrt(mn) and (n/m)^{(k-1)/2}, as a float."""
+    m, n, k, q = params.m, params.n, params.k, params.q
+    arg = Fraction(4 * pi * math.sqrt(m * n))
+    return float(2 * Fraction(pi) * Fraction((n / m) ** ((k - 1) / 2))
+                 * (arg / 2) ** (k - 1) / math.factorial(k - 1)
+                 * Fraction(c_max) ** (2 - k) / ((k - 2) * q))
+
+
+@pytest.mark.parametrize("k", [172, 200, 264, 400])
+def test_petersson_large_weight_tail_in_logs(k):
+    """From k = 172 on (k - 1)! is past the doubles: the value keeps the
+    bits of the reference loop and the tail bound is within 1e-9 of the
+    exact rational bound, relatively.  At k = 264 the
+    total of p_{1,264,1}(1) is subnormal, so its gap is the least
+    subnormal, whose quarter underflows to 0."""
+    sums, values = {}, {}
+    for m, n, c_max in ((1, 1, 1), (1, 1, 50), (30, 30, 1), (30, 30, 50),
+                        (2, 3, 50)):
+        params = ClassicalParams(m, n, k, 1)
+        res = petersson_coefficient(params, c_max)
+        want = _reference_petersson(params, c_max, sums, values)
+        assert res.value.hex() == want.hex()
+        assert math.isclose(res.tail_bound, _exact_tail(params, c_max),
+                            rel_tol=1e-9)
+
+
+def test_petersson_tail_in_logs_where_its_product_fails():
+    """k = 100, c_max = 10^4: c_max^{-98} underflows to 0, so the product
+    formula gave NaN at n/m = 1000, where 2 pi scale (arg/2)^99 is past
+    the doubles, and 0 at n/m = 100; a bound that is itself past the
+    doubles is inf."""
+    for n in (1000, 100):
+        params = ClassicalParams(1, n, 100, 10_000)
+        res = petersson_coefficient(params, 10_000)
+        assert math.isclose(res.tail_bound, _exact_tail(params, 10_000),
+                            rel_tol=1e-9)
+    # (arg/2)^149 = (200 pi)^149 is past the doubles, and so is the bound
+    res = petersson_coefficient(ClassicalParams(1, 10_000, 150, 2), 2)
+    assert res.tail_bound == math.inf
+
+
+def test_prefactor_past_the_doubles_is_refused():
+    with pytest.raises(ClassicalError, match="overflows a double"):
+        petersson_coefficient(ClassicalParams(1, 100, 400, 1), 50)
+    with pytest.raises(ClassicalError, match="overflows a double"):
+        normalized_coefficient(ClassicalParams(100, 1, 400, 1), 50)
+
+
 # -- Ramanujan tau oracle ----------------------------------------------------------
 
 def test_tau_values():
@@ -579,9 +629,10 @@ def test_kloosterman_cache_miss_is_one_sum():
     cla._kloosterman_cached.cache_clear()
 
 
-def _reference_petersson(params, c_max, sums):
-    """The explicit formula as one loop over c, calling bessel_j per term;
-    sums memoizes S(m, n; c), whose bits `kloosterman` tests pin."""
+def _reference_petersson(params, c_max, sums, values):
+    """The explicit formula as one loop over every c <= c_max; sums and
+    values memoize S(m, n; c) and J_{k-1}(x), whose bits the `kloosterman`
+    and `bessel_j` tests pin."""
     m, n, k, q = params.m, params.n, params.k, params.q
     arg = 4 * pi * math.sqrt(m * n)
     total = 0.0
@@ -590,23 +641,65 @@ def _reference_petersson(params, c_max, sums):
         if key not in sums:
             sums[key] = kloosterman(*key)
         if sums[key] != 0.0:
-            total += sums[key] / c * bessel_j(k - 1, arg / c)
+            x = arg / c
+            if (k - 1, x) not in values:
+                values[k - 1, x] = bessel_j(k - 1, x)
+            total += sums[key] / c * values[k - 1, x]
     delta = 1.0 if m == n else 0.0
     scale = (n / m) ** ((k - 1) / 2)
     return delta + 2 * pi * (-1) ** (k // 2) * scale * total
 
 
+def _reference_tail(params, c_max):
+    """The tail bound's product formula, finite for the weights k <= 171."""
+    m, n, k, q = params.m, params.n, params.k, params.q
+    arg = 4 * pi * math.sqrt(m * n)
+    scale = (n / m) ** ((k - 1) / 2)
+    return (2 * pi * scale * (arg / 2) ** (k - 1) / math.factorial(k - 1)
+            * c_max ** (2 - k) / ((k - 2) * q))
+
+
+def _gap_below(t):
+    """The gap from |t| down to the next double, t a nonzero normal."""
+    mantissa, exponent = math.frexp(abs(t))  # 1/2 <= mantissa < 1
+    return math.ldexp(0.5 if mantissa == 0.5 else 1.0, exponent - 53)
+
+
+def _stop_modulus(params, c_max, sums, values):
+    """The first c <= c_max at which petersson_coefficient's sum stops, from
+    the running totals of the reference loop: total != 0, x_c < 2 and
+    4 (x_c/2)^{k-1}/(k-1)! below the gap from |total| down to the next
+    double, the bound in exact rationals; c_max + 1 if the sum never
+    stops."""
+    m, n, k, q = params.m, params.n, params.k, params.q
+    arg = 4 * pi * math.sqrt(m * n)
+    total = 0.0
+    for c in range(q, c_max + 1, q):
+        x = arg / c
+        if total and x < 2.0 and (4 * (Fraction(x) / 2) ** (k - 1)
+                                  / math.factorial(k - 1)
+                                  < _gap_below(total)):
+            return c
+        s = sums[min(m, n), max(m, n), c]
+        if s != 0.0:
+            total += s / c * values[k - 1, x]
+    return c_max + 1
+
+
 def test_petersson_evaluates_each_bessel_value_once(monkeypatch):
     """Over the criterion-1 grid, bessel_j runs once per distinct
-    (order, 4 pi sqrt(mn), c) with S(m, n; c) != 0, and every coefficient
-    has the bits of the loop that calls bessel_j per term."""
+    (order, 4 pi sqrt(mn), c) with S(m, n; c) != 0 that the sum reaches
+    before it stops, the stop fires in every configuration, and every
+    coefficient has the bits of the loop to c_max."""
     c_max = 1000
     grid = [ClassicalParams(m, n, k, q) for m in (1, 2, 3) for n in (1, 2, 3)
             for k in (12, 16) for q in (1, 2)]
-    sums = {}
-    want = [_reference_petersson(p, c_max, sums) for p in grid]
-    needed = {(p.k - 1, 4 * pi * math.sqrt(p.m * p.n), c) for p in grid
-              for c in range(p.q, c_max + 1, p.q)
+    sums, values = {}, {}
+    want = [_reference_petersson(p, c_max, sums, values) for p in grid]
+    stops = [_stop_modulus(p, c_max, sums, values) for p in grid]
+    assert max(stops) == 204  # (m, n, k, q) = (3, 3, 12, 1)
+    needed = {(p.k - 1, 4 * pi * math.sqrt(p.m * p.n), c)
+              for p, stop in zip(grid, stops) for c in range(p.q, stop, p.q)
               if sums[min(p.m, p.n), max(p.m, p.n), c] != 0.0}
     calls = []
 
@@ -619,9 +712,47 @@ def test_petersson_evaluates_each_bessel_value_once(monkeypatch):
     got = [petersson_coefficient(p, c_max).value for p in grid]
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert sorted(calls) == sorted((o, a / c) for o, a, c in needed)
-    assert len(calls) <= 12_000  # the (m, n, k, q) loop makes 26,900
+    assert len(calls) <= 823  # 11,974 to c_max; 26,900 per (m, n, k, q)
     assert cla._bessel_cached.cache_info().currsize == len(needed)
     cla._bessel_cached.cache_clear()
+
+
+def test_stopped_petersson_sum_has_the_bits_of_the_full_loop(monkeypatch):
+    """Value and tail bound are the bits of the loop to c_max, and the sum
+    reads exactly the moduli before the stop of `_stop_modulus`.  The grid
+    holds p_{1,12,8}(2), whose sums S(1, 2; c), 8 | c, vanish and leave
+    only their rounding in the total, and k = 4, where the first-term
+    bound stays above the gap for every c <= 1000: neither stops."""
+    reads = []
+    cached = cla._kloosterman_cached
+
+    def recording(lo, hi, c):
+        reads.append(c)
+        return cached(lo, hi, c)
+
+    monkeypatch.setattr(cla, "_kloosterman_cached", recording)
+    indices = (1, 2, 3, 5, 10, 30)
+    grid = [ClassicalParams(m, n, k, q) for k in (4, 6, 12, 16, 24, 48)
+            for q in (1, 2, 3, 8) for m in indices for n in indices]
+    sums, values = {}, {}
+    never = []
+    for p in grid:
+        for c_max in (p.q, 50, 500, 1000):
+            reads.clear()
+            got = petersson_coefficient(p, c_max)
+            want = _reference_petersson(p, c_max, sums, values)
+            assert got.value.hex() == want.hex(), (p, c_max)
+            assert got.tail_bound.hex() == _reference_tail(p, c_max).hex(), \
+                (p, c_max)
+            stop = _stop_modulus(p, c_max, sums, values)
+            assert reads == list(range(p.q, stop, p.q)), (p, c_max)
+            if c_max == 1000 and stop > c_max:
+                never.append(p)
+    assert ClassicalParams(1, 2, 12, 8) in never
+    assert abs(petersson_coefficient(ClassicalParams(1, 2, 12, 8),
+                                     1000).value) < 1e-20
+    assert ClassicalParams(1, 1, 4, 1) in never
+    assert all(p.k <= 16 for p in never)  # k = 24 and 48 always stop
 
 
 # -- refusing work that cannot finish ----------------------------------------------

@@ -121,6 +121,19 @@ def test_classical_petersson_and_quadrature_agree(capsys):
     assert abs(pet - quad) < 1e-6
 
 
+def test_classical_petersson_at_large_weight(capsys):
+    code, out, _ = run_cli(["classical", "petersson", "--m", "1", "--n", "1",
+                            "--k", "400", "--cmax", "50"], capsys)
+    assert code == 0
+    assert out.endswith("\n1,1,400,1,1.0,0.0,petersson\n")
+    # (100/1)^(399/2) is past the doubles
+    code, out, err = run_cli(["classical", "petersson", "--m", "1", "--n",
+                              "100", "--k", "400", "--cmax", "50"], capsys)
+    assert code == 2
+    assert err.startswith("config error") and "overflows" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag", ["--grid=0", "--y=-1", "--y=0"])
 def test_classical_quadrature_rejects_bad_flags(flag, capsys):
     code, out, err = run_cli(["classical", "quadrature", flag], capsys)
