@@ -634,9 +634,9 @@ def _eval_series_grid(m: int, k: int, q: int,
     inverse map (-1 off the units, spread from the shared tables of
     `_tables_for`) and the phase table e(m a / c) over a mod c
     are built once per row and gathered by d; each term is the
-    double the per-term expression gives.  One bincount over the
-    interleaved real and imaginary parts adds each point's terms in
-    order, left to right."""
+    double the per-term expression gives.  Two bincounts, of the real
+    and of the imaginary parts, add each point's terms in order, left to
+    right from 0.0."""
     n_grid = policy.grid_n
     y = policy.y
     xs = np.arange(n_grid) / n_grid
@@ -656,15 +656,18 @@ def _eval_series_grid(m: int, k: int, q: int,
         units, inverses, _ = _tables_for(c)
         inv = np.full(c, -1, dtype=np.int64)
         inv[units] = inverses
-        a = inv[d % c]
-        live = a >= 0
+        a = inv[d - (d // c) * c]  # d % c: numpy's int64 % is slower
+        live = np.flatnonzero(a >= 0)
         point, d, a = point[live], d[live], a[live]
         phase = np.exp(2j * pi * (m * np.arange(c) / c))
         w = c * z[point] + d
+        # complex * is not bitwise commutative (FMA); numpy runs x * temp as
+        # temp * x from 16,384 elements, which an out= rewrite must keep
         t = w ** (-k) * phase[a] * np.exp(-2j * pi * m / (c * w))
-        slots = (2 * point[:, None] + np.arange(2)).ravel()
-        vals += np.bincount(slots, weights=t.view(np.float64),
-                            minlength=2 * n_grid).view(np.complex128)
+        row = np.empty(n_grid, dtype=np.complex128)
+        row.real = np.bincount(point, weights=t.real, minlength=n_grid)
+        row.imag = np.bincount(point, weights=t.imag, minlength=n_grid)
+        vals += row
     return vals
 
 

@@ -565,19 +565,35 @@ def _class_plan(cl: _GammaClass, x1: np.ndarray, x2: np.ndarray,
             per_point * len(c1))
 
 
+def _residue_index(hnf: tuple[int, int, int], p: np.ndarray,
+                   q: np.ndarray) -> np.ndarray:
+    """i C + j, the flat index into a class's tables of the residue
+    i + j w of p + q w mod gamma*O_F (HNF (A, B, C)): j = q mod C and
+    i = p - (q // C) B mod A, each mod taken by a floor division, which
+    numpy does faster than its int64 %."""
+    A, B, C = hnf
+    qc = q // C
+    i = p - qc * B
+    i -= (i // A) * A
+    return i * C + (q - qc * C)
+
+
 def _chunk_record(spec: PoincareSpec, cl: _GammaClass, c1, c2, qlo, qhi,
                   y: tuple[float, float], cutoff: float, held: list):
     """(cut, sums, terms) of one chunk of points of class cl: the
     per-point sum of the bounds of the walked sites below the cutoff (None
     if there are none), the per-point sums of the terms of the kept sites
     that have a completion residue (None without terms) and their count.
-    The walked-site arrays die before the terms are built, so only the
-    kept sites outlive the walk, but for the q array, which held[0] (one
-    list per thread) keeps until the thread's next item replaces it: a
-    live block above the freed arrays keeps glibc's malloc from handing
-    their pages back to the system at each chunk end, to be faulted in
-    again by the next chunk (about 18K instead of 72K minor faults per
-    serial weight-sweep pass)."""
+    A kept site's residue (`_residue_index`) picks its completion phase,
+    and each point's sum is two bincounts, of the real and of the
+    imaginary parts of its terms, each added left to right from 0.0.  The
+    walked-site arrays die before the terms are built, so only the kept
+    sites outlive the walk, but for the q array, which held[0] (one list
+    per thread) keeps until the thread's next item replaces it: a live
+    block above the freed arrays keeps glibc's malloc from handing their
+    pages back to the system at each chunk end, to be faulted in again by
+    the next chunk (about 18K instead of 72K minor faults per serial
+    weight-sweep pass)."""
     weight = spec.weight
     pt, pd, qd, u1, u2 = _strip_sites(c1, c2, qlo, qhi, cl.wd, cl.rho,
                                       spec.field.omega_embeddings())
@@ -588,16 +604,13 @@ def _chunk_record(spec: PoincareSpec, cl: _GammaClass, c1, c2, qlo, qhi,
                       minlength=len(c1)) if len(cut) else None
     kept = np.flatnonzero(keep)
     del keep, logs
-    A, B, C = cl.hnf
-    qd = qd[kept]
-    jj = qd % C
-    ii = (pd[kept] - ((qd - jj) // C) * B) % A
+    residue = _residue_index(cl.hnf, pd[kept], qd[kept])
     del pd, qd
-    ph = cl.phase_table.reshape(-1)[ii * C + jj]
+    ph = cl.phase_table.reshape(-1)[residue]
     live = np.flatnonzero(ph)
     kept = kept[live]
     pt, u1, u2, ph = pt[kept], u1[kept], u2[kept], ph[live]
-    del ii, jj, kept, live
+    del residue, kept, live
     if not len(pt):
         return cut, None, 0
     nu1, nu2 = spec.nu.embeddings()
@@ -605,6 +618,8 @@ def _chunk_record(spec: PoincareSpec, cl: _GammaClass, c1, c2, qlo, qhi,
     wz1 = u1 + 1j * (g1 * y[0])
     wz2 = u2 + 1j * (g2 * y[1])
     del u1, u2
+    # complex * is not bitwise commutative (FMA); numpy runs x * temp as
+    # temp * x from 16,384 elements, which an out= rewrite must keep
     t = ph * wz1 ** (-weight.k1) * wz2 ** (-weight.k2) * np.exp(
         -2j * math.pi * (nu1 / (g1 * wz1) + nu2 / (g2 * wz2)))
     n = len(c1)

@@ -608,9 +608,17 @@ def test_kloosterman_wide_arguments_bits(m, n, c):
     assert kloosterman(m, n, c).hex() == _reference_kloosterman(m, n, c).hex()
 
 
+# the criterion-1 grid at its auto policies: grid 64, up to 43 rows
+_CRIT1_AUTO = [
+    pytest.param(m, k, q, QuadraturePolicy.auto(ClassicalParams(m, n, k, q)),
+                 id=f"auto-{m}-{n}-{k}-{q}")
+    for m in (1, 2, 3) for n in (1, 2, 3) for k in (12, 16) for q in (1, 2)]
+
+
 @pytest.mark.parametrize("m,k,q,policy", [
     (1, 12, 1, QuadraturePolicy(radius=15.0, grid_n=16, y=1.1)),  # c <= 13
     (2, 16, 3, QuadraturePolicy(radius=36.0, grid_n=8, y=1.2)),   # c <= 30
+    *_CRIT1_AUTO,
 ])
 def test_series_grid_matches_per_term_grid_bits(m, k, q, policy):
     got = cla._eval_series_grid(m, k, q, policy)

@@ -30,6 +30,7 @@ from hpseries.hpoincare import (
     _delta_windows,
     _gamma_box,
     _q_ranges,
+    _residue_index,
     _strip_radii,
     _strip_sites,
     enumerate_gamma_classes,
@@ -604,6 +605,30 @@ def test_evaluate_grid_matches_pointwise(spec8, policy_small):
         # evaluate is the one-point grid: same terms, same per-point order
         assert v == pytest.approx(r.value, abs=1e-14)
     assert (tail.total() >= 0).all()
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_residue_index_matches_mod_formula(d):
+    """For every kept class at H = 12, k = (6, 6), the floor-division
+    residue index equals the % formula on random p and q, negatives
+    included."""
+    f = make_field(d)
+    spec = PoincareSpec(field=f, weight=Weight(6, 6),
+                        nu=trace_one_totally_positive(f, 8)[-1],
+                        level=ideal_from_gen(f.one))
+    policy = TruncationPolicy(gamma_height_max=12.0, term_cutoff=3e-12)
+    rng = np.random.default_rng(d)
+    p = rng.integers(-10 ** 6, 10 ** 6, 2000)
+    q = rng.integers(-10 ** 6, 10 ** 6, 2000)
+    hnfs = {}
+    for cl in enumerate_gamma_classes(spec, (1.1, 1.0), policy):
+        A, B, C = hnfs[cl.pq] = cl.hnf
+        j = q % C
+        want = ((p - ((q - j) // C) * B) % A) * C + j
+        assert (_residue_index(cl.hnf, p, q) == want).all(), cl.hnf
+    assert any(C > 1 for _A, _B, C in hnfs.values())
+    if d == 5:
+        assert hnfs[(2, 0)] == (2, 0, 2) and hnfs[(-2, 4)] == (10, 4, 2)
 
 
 # -- tail bound --------------------------------------------------------------------

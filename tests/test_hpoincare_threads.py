@@ -2,6 +2,7 @@
 failure rules do not depend on the thread count, and no thread outlives a
 call or starts for a call that fits in one chunk."""
 
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -84,6 +85,15 @@ def starts(monkeypatch):
     return count
 
 
+@contextlib.contextmanager
+def _no_thread_left():
+    """Fails if a thread started inside the block is still alive after it.
+    A thread from before the block that ends inside it does not count."""
+    before = set(threading.enumerate())
+    yield
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
 def _helpers(monkeypatch, n):
     monkeypatch.setattr(hpoincare, "_helper_threads", lambda: n)
 
@@ -109,10 +119,10 @@ def test_bytes_do_not_depend_on_thread_count(symmetry_spec, monkeypatch,
     results = []
     for n in (0, 1, 2, 3):
         _helpers(monkeypatch, n)
-        before, active = starts[0], threading.active_count()
-        results.append(_bytes(evaluate_grid(spec, xs, y, POLICY)))
+        before = starts[0]
+        with _no_thread_left():
+            results.append(_bytes(evaluate_grid(spec, xs, y, POLICY)))
         assert starts[0] - before == min(n, chunks - 1)
-        assert threading.active_count() == active
     assert results[1:] == results[:1] * 3
 
 
@@ -263,11 +273,10 @@ def test_budget_failure_count_is_the_serial_fold(monkeypatch):
                                   max_terms=max_terms)
         for n in (0, 1, 2, 3):
             _helpers(monkeypatch, n)
-            active = threading.active_count()
-            with pytest.raises(TruncationLimitExceeded) as err:
+            with _no_thread_left(), \
+                    pytest.raises(TruncationLimitExceeded) as err:
                 evaluate_grid(spec, xs, y, policy)
             assert err.value.terms == expected
-            assert threading.active_count() == active
     policy = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-10,
                               max_terms=totals[-1])
     _helpers(monkeypatch, 3)
@@ -296,11 +305,9 @@ def test_budget_stops_each_thread_after_one_chunk(n, monkeypatch):
     _helpers(monkeypatch, n)
     policy = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-10,
                               max_terms=len(xs))
-    active = threading.active_count()
-    with pytest.raises(TruncationLimitExceeded) as err:
+    with _no_thread_left(), pytest.raises(TruncationLimitExceeded) as err:
         evaluate_grid(spec, xs, y, policy)
     assert err.value.terms == expected
-    assert threading.active_count() == active
     assert 1 <= sum(terms > 0 for terms in walked) <= n + 1
 
 
@@ -353,10 +360,9 @@ def test_helper_exception_stops_the_caller_and_is_raised(n, monkeypatch):
     _helpers(monkeypatch, n)
     late = _after_first_helper_call(
         monkeypatch, _raise(RuntimeError("helper failed")), None)
-    active = threading.active_count()
-    with pytest.raises(RuntimeError, match="helper failed"):
+    with _no_thread_left(), pytest.raises(RuntimeError,
+                                          match="helper failed"):
         evaluate_grid(spec, xs, y, POLICY)
-    assert threading.active_count() == active
     # the caller stops at its next item, each other helper at its next
     assert late["caller"] <= 1 and late["helper"] <= n - 1
 
@@ -369,8 +375,6 @@ def test_caller_interrupt_stops_helpers_and_is_raised(n, monkeypatch):
     _helpers(monkeypatch, n)
     late = _after_first_helper_call(monkeypatch, None,
                                     _raise(KeyboardInterrupt()))
-    active = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
+    with _no_thread_left(), pytest.raises(KeyboardInterrupt):
         evaluate_grid(spec, xs, y, POLICY)
-    assert threading.active_count() == active
     assert late["helper"] <= n
