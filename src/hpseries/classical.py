@@ -15,13 +15,14 @@ k >= 4 and level q is computed two independent ways:
   rows below; above 1024 units and inverses are built per call) and a
   Bessel J that is the ascending series in exact integer arithmetic,
   with a proved remainder, on all of 0 <= x <= 1000.  Each sum
-  S(m, n; c) and each value J_{k-1}(4 pi sqrt(mn) / c) is evaluated
-  once and kept in a float64 row indexed by c, one row per (m, n) and
-  one per (k - 1, 4 pi sqrt(mn)), so (m, n) and (n, m), and every level
-  q, share them.  The sum over c stops at the first modulus past which
-  no term can change its double total (a bound from the first term of
-  the Bessel series against the rounding gap of the total), so it has
-  the bits of the sum to c_max without evaluating the moduli beyond;
+  S(m, n; c) and each value J_{k-1}(x) is kept in one memo keyed by its
+  inputs, (min(m, n), max(m, n), c) and (k - 1, x), so (m, n) and
+  (n, m), every level q, and every pair with the same double
+  x = 4 pi sqrt(mn) / c share them.  The sum over c stops at the first
+  modulus past which no term can change its double total (a bound from
+  the first term of the Bessel series against the rounding gap of the
+  total), so it has the bits of the sum to c_max without evaluating the
+  moduli beyond;
 
 * direct coset summation of the series over bottom rows (c, d), c > 0,
   q | c, gcd(c, d) = 1 in the disc |cz + d| <= R (plus the single
@@ -42,9 +43,8 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -53,7 +53,7 @@ TWO_PI = 2.0 * pi
 
 _KLOOSTERMAN_CMAX = 10_000
 _TABLE_CMAX = 1024  # largest modulus whose tables are stored
-_ROW_ENTRIES = 200_000  # float64 slots kept over all rows of one row store
+_MEMO_ENTRIES = 1 << 13  # values kept by each memo of the explicit formula
 # QuadraturePolicy.auto refuses a run whose disc would walk more than this
 # many lattice sites over the grid (`_radius_cap`); the largest
 # criterion-1 configuration, (m, n, k, q) = (3, 3, 12, 1), walks about 2.1e5
@@ -267,65 +267,6 @@ def _disc_tail_log_bound(radius: float, k: int, q: int, y: float) -> float:
     return math.log(walked + past) - k * math.log(scale)
 
 
-_TableCacheInfo = namedtuple("_TableCacheInfo",
-                             "hits misses budget entries currsize")
-
-
-def _row_cache(budget: int):
-    """Memoize a scalar function f(a, b, c) -> float, c >= 0 an integer, in
-    one float64 row per key (a, b), indexed by c, NaN marking the c not yet
-    evaluated (f never returns NaN).  A row grows to the larger of c + 1
-    and twice its length when a c past its end is evaluated, and the store
-    is bounded by the total length of its rows: a value whose row would
-    take the store past its budget is returned but not stored, and nothing
-    is evicted.  A hit costs a dict lookup and one array read, and a row
-    of 8-byte slots weighs a fraction of the per-entry tuple keys and
-    links of functools.lru_cache.  The wrapper has cache_info (currsize
-    counts the values stored, entries the slots of all rows) and
-    cache_clear."""
-    def decorate(f):
-        rows: dict[tuple, np.ndarray] = {}
-        hits = misses = entries = size = 0
-
-        @wraps(f)
-        def cached(a, b, c: int) -> float:
-            nonlocal hits, misses, entries, size
-            row = rows.get((a, b))
-            length = 0 if row is None else len(row)
-            if c < length:
-                value = row.item(c)
-                if value == value:
-                    hits += 1
-                    return value
-            misses += 1
-            value = f(a, b, c)
-            if c >= length:
-                grown = max(c + 1, 2 * length)
-                if entries + grown - length > budget:
-                    return value
-                longer = np.full(grown, np.nan)
-                if row is not None:
-                    longer[:length] = row
-                rows[(a, b)] = row = longer
-                entries += grown - length
-            row[c] = value
-            size += 1
-            return value
-
-        def cache_info() -> _TableCacheInfo:
-            return _TableCacheInfo(hits, misses, budget, entries, size)
-
-        def cache_clear():
-            nonlocal hits, misses, entries, size
-            rows.clear()
-            hits = misses = entries = size = 0
-
-        cached.cache_info = cache_info
-        cached.cache_clear = cache_clear
-        return cached
-    return decorate
-
-
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     """The units x of Z/c in increasing order and their inverses mod c
     (c = 1 has the single unit 0, its own inverse).
@@ -488,18 +429,17 @@ def bessel_j_with_bound(order: int, x: float) -> tuple[float, float]:
     return _bessel_series_rational(order, x)
 
 
-@_row_cache(_ROW_ENTRIES)
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def _kloosterman_cached(m: int, n: int, c: int) -> float:
-    """kloosterman(m, n, c), stored in the row of (m, n); callers pass
-    m <= n, since S is symmetric in (m, n), so a miss is one sum
-    evaluated."""
+    """kloosterman(m, n, c), memoized by (m, n, c); callers pass m <= n,
+    since S is symmetric in (m, n), so a miss is one sum evaluated."""
     return kloosterman(m, n, c)
 
 
-@_row_cache(_ROW_ENTRIES)
-def _bessel_cached(order: int, arg: float, c: int) -> float:
-    """bessel_j(order, arg / c), stored in the row of (order, arg)."""
-    return bessel_j(order, arg / c)
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _bessel_cached(order: int, x: float) -> float:
+    """bessel_j(order, x), memoized by (order, x)."""
+    return bessel_j(order, x)
 
 
 def _log_first_term(k: int, x: float) -> float:
@@ -524,12 +464,13 @@ def petersson_coefficient(params: ClassicalParams,
     bound from |S(m,n;c)| <= c and J_{k-1}(x) <= (x/2)^{k-1}/(k-1)!.
 
     The terms are added in increasing c.  S(m, n; c) is read from the
-    shared row of (min(m, n), max(m, n)), and J_{k-1}(4 pi sqrt(mn) / c)
-    from the shared row of (k - 1, 4 pi sqrt(mn)), both indexed by c and
-    filled on first use (`_row_cache`).  So (m, n) and (n, m) and every
-    level q share each sum and each Bessel value, every weight shares the
-    sums, and every pair with the same product mn shares the Bessel
-    values; a value read back has the bits it had when it was computed.
+    memo keyed by (min(m, n), max(m, n), c), and J_{k-1}(x_c) from the
+    memo keyed by (k - 1, x_c), x_c = 4 pi sqrt(mn) / c the double the
+    stop test below forms; each keeps its _MEMO_ENTRIES most recently
+    used values.  So (m, n) and (n, m) and every level q share each sum
+    and each Bessel value, every weight shares the sums, and pairs with
+    equal x_c, such as (mn, c) = (1, 1) and (4, 2), share the Bessel
+    values; a stored value has the bits of a fresh evaluation.
 
     The sum stops at the first c at which no later term can change the
     double `total`, before that modulus's sum or Bessel value is read, so
@@ -578,7 +519,7 @@ def petersson_coefficient(params: ClassicalParams,
                 break
         s = _kloosterman_cached(lo, hi, c)
         if s != 0.0:
-            total += s / c * _bessel_cached(k - 1, arg, c)
+            total += s / c * _bessel_cached(k - 1, x)
     delta = 1.0 if m == n else 0.0
     value = delta + 2 * pi * ik * scale * total
     return PeterssonResult(value=value, c_max=c_max,

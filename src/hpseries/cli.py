@@ -78,11 +78,12 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _check_out(out: str | None) -> None:
-    """Raise OutputError unless out is None or a file name in a writable
-    directory: checked before any computation (`_write_out` still reports
-    a failed write)."""
-    if out is not None and not (os.path.basename(out) and os.access(
-            os.path.dirname(out) or ".", os.W_OK | os.X_OK)):
+    """Raise OutputError unless out is None or a file name, not an existing
+    directory, in a writable directory: checked before any computation
+    (`_write_out` still reports a failed write)."""
+    if out is not None and (os.path.isdir(out) or not (
+            os.path.basename(out) and os.access(os.path.dirname(out) or ".",
+                                                os.W_OK | os.X_OK))):
         raise OutputError(f"cannot write output: {out!r} is not a file "
                           f"name in a writable directory")
 

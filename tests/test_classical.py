@@ -540,26 +540,34 @@ def test_unit_inverses_above_the_cap_are_not_stored():
     assert cla._modulus_tables.cache_info() == before
 
 
-def test_row_cache_grows_and_keeps_what_fits():
-    calls = []
+def test_memos_are_bounded_and_reevaluate_to_the_same_bits(monkeypatch):
+    """Filled past maxsize, each memo of the explicit formula keeps
+    maxsize values: the least recently used one is evicted, and evaluated
+    again it has the bits of its first evaluation."""
+    size = cla._MEMO_ENTRIES
+    for memo, name, keys in (
+            (cla._kloosterman_cached, "kloosterman",
+             [(1, n, 97) for n in range(size + 1)]),
+            (cla._bessel_cached, "bessel_j",
+             [(3, j / size) for j in range(size + 1)])):
+        calls = []
 
-    def f(a, b, c):
-        calls.append((a, b, c))
-        return a + b * c + 0.5
+        def counting(*args, _original=getattr(cla, name)):
+            calls.append(args)
+            return _original(*args)
 
-    rows = cla._row_cache(8)(f)
-    assert rows(1, 2, 3) == 7.5  # row (1, 2): 4 slots
-    assert rows(1, 2, 3) == 7.5  # hit
-    assert rows(1, 2, 5) == 11.5  # the row doubles to 8 slots
-    assert rows(0, 1, 0) == 0.5  # a new row would pass the budget
-    assert rows(0, 1, 0) == 0.5  # so it is evaluated again
-    info = rows.cache_info()
-    assert (info.hits, info.misses, info.entries, info.currsize) == \
-        (1, 4, 8, 2)
-    assert calls == [(1, 2, 3), (1, 2, 5), (0, 1, 0), (0, 1, 0)]
-    rows.cache_clear()
-    assert rows.cache_info() == (0, 0, 8, 0, 0)
-    assert rows(1, 2, 3) == 7.5 and len(calls) == 5
+        monkeypatch.setattr(cla, name, counting)
+        memo.cache_clear()
+        first = [memo(*key) for key in keys]
+        info = memo.cache_info()
+        assert info.maxsize == size
+        assert (info.misses, info.currsize) == (size + 1, size)
+        again = memo(*keys[0])  # evicted by the last key
+        assert again.hex() == first[0].hex()
+        assert memo(*keys[-1]).hex() == first[-1].hex()  # still stored
+        assert calls == [*keys, keys[0]]
+        assert memo.cache_info().currsize == size
+        memo.cache_clear()
 
 
 def test_cosine_tables_are_shared_read_only_and_exact():
@@ -696,9 +704,9 @@ def _stop_modulus(params, c_max, sums, values):
 
 def test_petersson_evaluates_each_bessel_value_once(monkeypatch):
     """Over the criterion-1 grid, bessel_j runs once per distinct
-    (order, 4 pi sqrt(mn), c) with S(m, n; c) != 0 that the sum reaches
-    before it stops, the stop fires in every configuration, and every
-    coefficient has the bits of the loop to c_max."""
+    (order, x) = (k - 1, 4 pi sqrt(mn) / c) with S(m, n; c) != 0 that the
+    sum reaches before it stops, the stop fires in every configuration,
+    and every coefficient has the bits of the loop to c_max."""
     c_max = 1000
     grid = [ClassicalParams(m, n, k, q) for m in (1, 2, 3) for n in (1, 2, 3)
             for k in (12, 16) for q in (1, 2)]
@@ -706,7 +714,7 @@ def test_petersson_evaluates_each_bessel_value_once(monkeypatch):
     want = [_reference_petersson(p, c_max, sums, values) for p in grid]
     stops = [_stop_modulus(p, c_max, sums, values) for p in grid]
     assert max(stops) == 204  # (m, n, k, q) = (3, 3, 12, 1)
-    needed = {(p.k - 1, 4 * pi * math.sqrt(p.m * p.n), c)
+    needed = {(p.k - 1, 4 * pi * math.sqrt(p.m * p.n) / c)
               for p, stop in zip(grid, stops) for c in range(p.q, stop, p.q)
               if sums[min(p.m, p.n), max(p.m, p.n), c] != 0.0}
     calls = []
@@ -719,8 +727,8 @@ def test_petersson_evaluates_each_bessel_value_once(monkeypatch):
     cla._bessel_cached.cache_clear()
     got = [petersson_coefficient(p, c_max).value for p in grid]
     assert [v.hex() for v in got] == [v.hex() for v in want]
-    assert sorted(calls) == sorted((o, a / c) for o, a, c in needed)
-    assert len(calls) <= 823  # 11,974 to c_max; 26,900 per (m, n, k, q)
+    assert sorted(calls) == sorted(needed)
+    assert len(calls) <= 687  # 11,974 to c_max; 26,900 per (m, n, k, q)
     assert cla._bessel_cached.cache_info().currsize == len(needed)
     cla._bessel_cached.cache_clear()
 

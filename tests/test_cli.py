@@ -489,16 +489,20 @@ def test_unwritable_output_exits_2(argv, capsys, tmp_path, monkeypatch):
                  classical, "petersson_coefficient", id="classical"),
     pytest.param(["field-info", "--d", "5", "--out", "nodir/x.txt"],
                  cli, "make_field", id="field-info"),
+    pytest.param(["sweep-weight", "--d", "5", "--ks", "6,10", "--out",
+                  "adir"], experiments, "sweep_weight", id="directory"),
 ])
 def test_unwritable_output_exits_2_before_computing(argv, module, entry,
                                                     capsys, tmp_path,
                                                     monkeypatch):
     """The directory of --out, or of a config file's out, is checked
-    before anything is computed."""
+    before anything is computed, and an existing directory is no file
+    name."""
     def refuse(*args, **kwargs):
         raise AssertionError(f"{entry} called with an unwritable out")
 
     (tmp_path / "run.cfg").write_text("out=nodir/x.csv\n")
+    (tmp_path / "adir").mkdir()
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(module, entry, refuse)
     code, out, err = run_cli(argv, capsys)
