@@ -449,15 +449,6 @@ def _log_first_term(k: int, x: float) -> float:
     return (k - 1) * math.log(x / 2) - math.lgamma(k)
 
 
-def _power_prefactor(num: int, den: int, k: int) -> float:
-    """(num/den)^{(k-1)/2}; ClassicalError when it overflows a double."""
-    try:
-        return (num / den) ** ((k - 1) / 2)
-    except OverflowError:
-        raise ClassicalError(f"the prefactor ({num}/{den})^(({k}-1)/2) "
-                             f"overflows a double") from None
-
-
 def petersson_coefficient(params: ClassicalParams,
                           c_max: int) -> PeterssonResult:
     """Partial sum of the explicit formula over c <= c_max plus a tail
@@ -494,19 +485,39 @@ def petersson_coefficient(params: ClassicalParams,
     every later c as well.
 
     The prefactor (n/m)^{(k-1)/2} raises ClassicalError when it overflows
-    a double.  The tail bound (`_tail_bound`) keeps its product formula,
-    and so the bits of earlier versions, wherever that formula is finite
-    and nonzero.  It is taken in logs elsewhere: where a factor leaves the
-    doubles ((k - 1)! > 1.8e308 from k = 172 on, or a large
-    (2 pi sqrt(mn))^{k-1}), and where the small factor c_max^{2-k}
-    underflows or a partial product overflows before it."""
+    a double.  The tail bound (`_tail_bound`) is taken in logs, so no
+    factor of it has to fit in a double."""
+    return _petersson(params, c_max, raw=True)
+
+
+def normalized_coefficient(params: ClassicalParams,
+                           c_max: int) -> PeterssonResult:
+    """(m/n)^{(k-1)/2} * p_{m,k,q}(n): the delta-plus-Kloosterman/Bessel
+    sum with no power prefactor, the quantity whose large-k and large-q
+    limits are the Kronecker delta in the orthogonality propositions.
+    The sum of `petersson_coefficient` times 2 pi i^{-k}, plus delta, so
+    no power of n/m is formed, and the tail bound without the prefactor."""
+    return _petersson(params, c_max, raw=False)
+
+
+def _petersson(params: ClassicalParams, c_max: int,
+               raw: bool) -> PeterssonResult:
+    """The explicit formula with the prefactor (n/m)^{(k-1)/2} (raw) or
+    without it: one stopped loop over c and one tail bound for both."""
     _check_type("params", params, ClassicalParams, "ClassicalParams")
     _check_type("c_max", c_max)
     if c_max < params.q:
         raise ClassicalError("c_max must be at least q")
     m, n, k, q = params.m, params.n, params.k, params.q
     _check_kloosterman_modulus(c_max - c_max % q)  # the largest c, up front
-    scale = _power_prefactor(n, m, k)
+    scale, log_scale = 1.0, 0.0
+    if raw:
+        try:
+            scale = (n / m) ** ((k - 1) / 2)
+        except OverflowError:
+            raise ClassicalError(f"the prefactor ({n}/{m})^(({k}-1)/2) "
+                                 f"overflows a double") from None
+        log_scale = (k - 1) / 2 * math.log(n / m)
     arg = 4 * pi * math.sqrt(m * n)
     ik = (-1) ** (k // 2)  # i^{-k} for even k
     lo, hi = min(m, n), max(m, n)
@@ -522,44 +533,25 @@ def petersson_coefficient(params: ClassicalParams,
             total += s / c * _bessel_cached(k - 1, x)
     delta = 1.0 if m == n else 0.0
     value = delta + 2 * pi * ik * scale * total
-    return PeterssonResult(value=value, c_max=c_max,
-                           tail_bound=_tail_bound(params, c_max, scale, arg))
+    tail = _tail_bound(params, c_max, log_scale, arg)
+    return PeterssonResult(value=value, c_max=c_max, tail_bound=tail)
 
 
-def _tail_bound(params: ClassicalParams, c_max: int, scale: float,
+def _tail_bound(params: ClassicalParams, c_max: int, log_scale: float,
                 arg: float) -> float:
-    """2 pi scale times the sum over c > c_max, q | c, of the term bound
-    (1/c) c (arg/(2c))^{k-1}/(k-1)!, which is at most
+    """2 pi e^{log_scale} times the sum over c > c_max, q | c, of the term
+    bound (1/c) c (arg/(2c))^{k-1}/(k-1)!, arg = 4 pi sqrt(mn) and
+    log_scale the log of the prefactor (or 0), which is at most
 
-        2 pi scale (arg/2)^{k-1}/(k-1)! c_max^{2-k} / ((k-2) q)
+        2 pi e^{log_scale} (x/2)^{k-1}/(k-1)! c_max / ((k-2) q),
 
-    (scale = (n/m)^{(k-1)/2}, arg = 4 pi sqrt(mn)).  The product formula
-    is returned where it is finite and nonzero; elsewhere the same bound
-    is taken in logs, with (arg/2)^{k-1} c_max^{2-k} = (x/2)^{k-1} c_max
-    at x = arg / c_max, and a bound past the doubles is inf."""
-    m, n, k, q = params.m, params.n, params.k, params.q
-    try:
-        tail = (2 * pi * scale * (arg / 2) ** (k - 1) / math.factorial(k - 1)
-                * c_max ** (2 - k) / ((k - 2) * q))
-    except OverflowError:
-        tail = math.inf
-    if 0.0 < tail < math.inf:
-        return tail
-    log_tail = (math.log(TWO_PI) + (k - 1) / 2 * math.log(n / m)
+    x = arg / c_max, taken in logs so that no factor has to fit in a
+    double; a bound past the doubles is inf."""
+    k, q = params.k, params.q
+    log_tail = (math.log(TWO_PI) + log_scale
                 + _log_first_term(k, arg / c_max)
                 + math.log(c_max / ((k - 2) * q)))
     return math.exp(log_tail) if log_tail <= _LOG_DOUBLE_MAX else math.inf
-
-
-def normalized_coefficient(params: ClassicalParams,
-                           c_max: int) -> PeterssonResult:
-    """(m/n)^{(k-1)/2} * p_{m,k,q}(n): the delta-plus-Kloosterman/Bessel
-    sum with no power prefactor, the quantity whose large-k and large-q
-    limits are the Kronecker delta in the orthogonality propositions."""
-    raw = petersson_coefficient(params, c_max)
-    scale = _power_prefactor(params.m, params.n, params.k)
-    return PeterssonResult(value=scale * raw.value, c_max=c_max,
-                           tail_bound=scale * raw.tail_bound)
 
 
 def _eval_series_grid(m: int, k: int, q: int,

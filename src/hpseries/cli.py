@@ -31,10 +31,13 @@ from .hpoincare import (
     TruncationLimitExceeded,
     TruncationPolicy,
     Weight,
+    enumerate_cosets,
     evaluate,
+    term,
 )
 from .qfield import (
     DualIndex,
+    IdealHNF,
     QFieldError,
     codifferent_gen,
     fundamental_unit,
@@ -110,10 +113,12 @@ def _load_config_file(path: str) -> dict[str, str]:
 _CONFIG_ONLY_KEYS = ("max_terms",)
 
 
-def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Config-file values with explicit flags winning.  A file key that is
-    neither one of the subcommand's flags nor a config-only policy key is a
-    ValueError, not silently dropped."""
+def _merged(args: argparse.Namespace) -> dict:
+    """Config-file values with explicit flags winning.  The flags are the
+    parsed attributes but command, func and config; a file key that is
+    neither a flag nor a config-only policy key is a ValueError, not
+    silently dropped."""
+    keys = [k for k in vars(args) if k not in ("command", "func", "config")]
     merged = {}
     if getattr(args, "config", None):
         merged.update(_load_config_file(args.config))
@@ -152,7 +157,6 @@ def _parse_levels(field, text) -> list:
     for part in str(text).split(","):
         if ":" in part:
             a, b, c = (int(t) for t in part.split(":"))
-            from .qfield import IdealHNF
             out.append(IdealHNF(field=field, m00=a, m01=b, m11=c))
         else:
             out.append(ideal_from_gen(field.element(int(part), 0)))
@@ -238,10 +242,8 @@ def cmd_sweep(args) -> int:
     """sweep-weight (parallel weights --ks at one --level) and sweep-level
     (levels --levels at one weight --k): the same experiment on two axes."""
     by_weight = args.command == "sweep-weight"
-    keys = ["d", "ks", "level"] if by_weight else ["d", "k", "levels"]
     try:  # the parse order decides which fault a bad config reports first
-        cfg = _merged(args, keys + ["nu", "mu", "y", "grid", "height",
-                                    "cutoff", "final_dev", "format", "out"])
+        cfg = _merged(args)
         _check_out(cfg.get("out"))
         if cfg.get("format", "csv") not in _SWEEP_FORMATS:
             raise ValueError(f"format must be {' or '.join(_SWEEP_FORMATS)}, "
@@ -285,10 +287,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    keys = ["d", "k", "level", "nu", "y", "grid", "height", "cutoff",
-            "safety", "out"]
     try:
-        cfg = _merged(args, keys)
+        cfg = _merged(args)
         _check_out(cfg.get("out"))
         field = make_field(int(cfg["d"]))
         k1, k2 = _pair_of_ints(cfg["k"])
@@ -389,7 +389,6 @@ def cmd_selftest(args) -> int:
                         level=ideal_from_gen(field.one))
     policy = TruncationPolicy(gamma_height_max=6.0, term_cutoff=1e-10)
     z = (0.13 + 1.15j, -0.21 + 1.05j)
-    from .hpoincare import enumerate_cosets, term
     res = evaluate(spec, z, policy)
     reps = enumerate_cosets(spec, z, policy)
     direct = sum(term(M, z, spec) for M in reps)

@@ -215,13 +215,21 @@ def extract_many(evaluand, mus: Sequence[DualIndex],
                 e^{-2 pi i (r u + s v)/n}.
     quad_error compares the full grid against its half-resolution subgrid;
     trunc_error propagates the evaluand's own tail estimates.
+    AliasingError, before any sampling: a target outside the open Nyquist
+    box, or aliased content above _ALIAS_REL_WEIGHT times the smallest
+    target weight e^{-2 pi tr(mu y)}, that of the largest trace.
     """
     if not mus:
         return []
-    alias_tr = evaluand.min_alias_trace(domain)
     n = domain.grid_n
+    for mu in mus:
+        r, s = mu.freq
+        if abs(r) >= n // 2 or abs(s) >= n // 2:
+            raise AliasingError(f"target frequency {mu.freq} outside the "
+                                f"Nyquist box of grid_n = {n}")
+    alias_tr = evaluand.min_alias_trace(domain)
     if alias_tr != math.inf:
-        target_tr = min(
+        target_tr = max(
             m.embeddings()[0] * domain.y1 + m.embeddings()[1] * domain.y2
             for m in mus)
         if math.exp(-TWO_PI * alias_tr) > _ALIAS_REL_WEIGHT * math.exp(
@@ -234,9 +242,6 @@ def extract_many(evaluand, mus: Sequence[DualIndex],
     out = []
     for mu in mus:
         r, s = mu.freq
-        if abs(r) >= n // 2 or abs(s) >= n // 2:
-            raise AliasingError(f"target frequency {mu.freq} outside the "
-                                f"Nyquist box of grid_n = {n}")
         m1, m2 = mu.embeddings()
         unfold = math.exp(TWO_PI * (m1 * domain.y1 + m2 * domain.y2))
         full = _dft_readout(samples, n, (r, s))

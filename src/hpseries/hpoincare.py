@@ -246,9 +246,9 @@ class _GammaClass:
     """One kept bottom-row class at a fibre y: fixed gamma, all valid delta.
 
     Carries the embeddings of gamma, b_j = |gamma_j| y_j, the delta-box
-    half-widths `wd` (`_delta_windows`) and the cutoff strip radii `rho`
-    (`_strip_radii`), the HNF of gamma*O_F for residue reduction, and the
-    exact completion phase e^{2 pi i tr(nu a/gamma)} per invertible residue.
+    half-widths `wd` and the cutoff strip radii `rho` (`_class_window`),
+    the HNF of gamma*O_F for residue reduction, and the exact completion
+    phase e^{2 pi i tr(nu a/gamma)} per invertible residue.
     Built only by `_classes_with_skip_info`, which decides the classes kept.
     """
 
@@ -303,8 +303,8 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
     the whole-class parts of the `Tail`, each charged in class order.
 
     The one place that decides whether a gamma class is summed, by one
-    test: its delta box is empty (`_delta_windows` is None), which holds
-    iff its largest possible term prod b_j^{-k_j}, b_j = |gamma_j| y_j, is
+    test: its window is empty (`_class_window` is None), which holds iff
+    its largest possible term prod b_j^{-k_j}, b_j = |gamma_j| y_j, is
     at most the cutoff.  Such a class is dropped wholesale and charged
     `_corner_bound` at (0, 0).  A kept class carries b, its delta box and
     its strip radii, and is charged `_corner_bound` at rho (corners) and
@@ -327,11 +327,11 @@ def _classes_with_skip_info(spec: PoincareSpec, y: tuple[float, float],
             continue
         emb = _embed(f, pq)
         b1, b2 = abs(emb[0]) * y[0], abs(emb[1]) * y[1]
-        wd = _delta_windows(b1, b2, k1, k2, cutoff)
-        if wd is None:
+        window = _class_window(b1, b2, k1, k2, cutoff)
+        if window is None:
             skipped += _corner_bound(b1, b2, k1, k2, (0.0, 0.0))
             continue
-        rho = _strip_radii(b1, b2, k1, k2, cutoff)
+        wd, rho = window
         a1, a2 = wd[0] - _DELTA_BOX_MARGIN, wd[1] - _DELTA_BOX_MARGIN
         unvisited += _corner_bound(b1, b2, k1, k2, rho) \
             + _corner_bound(b1, b2, k1, k2, (0.0, a2)) \
@@ -366,20 +366,27 @@ def _beyond_box_mass(spec: PoincareSpec, y: tuple[float, float],
 
 # -- delta boxes ------------------------------------------------------------
 
-def _delta_windows(b1: float, b2: float, k1: int, k2: int, cutoff: float):
-    """Half-widths (W1, W2) of the per-embedding delta box around
-    (-gamma_j x_j), or None if no delta reaches the cutoff: r_j <= b_j
-    iff prod_j b_j^{-k_j} <= cutoff, for either j.  Every delta
-    outside the box has prod |gamma_j z_j + delta_j|^{-k_j} < cutoff; the
-    box only bounds the strips `_strip_sites` walks, and `_cutoff_window`
-    picks the sites summed."""
-    r1 = (b2 ** (-k2) / cutoff) ** (1.0 / k1)
-    r2 = (b1 ** (-k1) / cutoff) ** (1.0 / k2)
-    if r1 <= b1 or r2 <= b2:
+def _class_window(b1: float, b2: float, k1: int, k2: int, cutoff: float):
+    """(wd, rho) of a class with b_j = |gamma_j| y_j, or None when no
+    delta reaches the cutoff: the half-widths wd of its delta box around
+    (-gamma_j x_j) and the radii rho of its cutoff strips |u_j| <= rho_j,
+    u_j = gamma_j x_j + delta_j, from one exponent E = L - m1 - m2, L =
+    -2 log(cutoff), m_j = k_j log(b_j^2).  The largest term bound prod_j
+    b_j^{-k_j} reaches the cutoff iff E > 0.  A kept site has k_j log(u_j^2
+    + b_j^2) <= L - m_{3-j} = m_j + E, so |u_j| <= b_j sqrt(expm1(E/k_j)),
+    the box edge.  A site with |u_j| > rho_j for both j, rho_j^2 + b_j^2 =
+    b_j^2 e^{E/(2 k_j)}, has sum_j k_j log(u_j^2 + b_j^2) > L: every kept
+    site lies in a strip.  The box only bounds the strips `_strip_sites`
+    walks; `_cutoff_window` picks the sites summed."""
+    e = -2.0 * math.log(cutoff) - k1 * math.log(b1 * b1) \
+        - k2 * math.log(b2 * b2)
+    if e <= 0.0:
         return None
-    wd1 = math.sqrt(r1 * r1 - b1 * b1) + _DELTA_BOX_MARGIN
-    wd2 = math.sqrt(r2 * r2 - b2 * b2) + _DELTA_BOX_MARGIN
-    return wd1, wd2
+    wd = (b1 * math.sqrt(math.expm1(e / k1)) + _DELTA_BOX_MARGIN,
+          b2 * math.sqrt(math.expm1(e / k2)) + _DELTA_BOX_MARGIN)
+    rho = (b1 * math.sqrt(math.expm1(e / (2 * k1))),
+           b2 * math.sqrt(math.expm1(e / (2 * k2))))
+    return wd, rho
 
 
 def _q_ranges(cl: _GammaClass, x1, x2, sq_disc: float):
@@ -391,22 +398,6 @@ def _q_ranges(cl: _GammaClass, x1, x2, sq_disc: float):
     qlo = np.ceil(((c1 - wd[0]) - (c2 + wd[1])) / sq_disc).astype(np.int64)
     qhi = np.floor(((c1 + wd[0]) - (c2 - wd[1])) / sq_disc).astype(np.int64)
     return c1, c2, qlo, qhi
-
-
-def _strip_radii(b1: float, b2: float, k1: int, k2: int, cutoff: float):
-    """Half-widths (rho1, rho2) of the two cutoff strips |u_j| <= rho_j of a
-    class with b_j = |gamma_j| y_j, where u_j = gamma_j x_j + delta_j.
-
-    With L = -2 log(cutoff), m_j = k_j log(b_j^2) and E = L - m1 - m2
-    (positive for every class `_delta_windows` keeps), set
-    rho_j^2 + b_j^2 = b_j^2 e^{E/(2 k_j)}.  A site with |u_1| > rho_1 and
-    |u_2| > rho_2 has k1 log(u1^2 + b1^2) + k2 log(u2^2 + b2^2) >
-    m1 + m2 + E = L, so its term bound is below the cutoff: every kept site
-    lies in one of the strips."""
-    e = max(-2.0 * math.log(cutoff) - k1 * math.log(b1 * b1)
-            - k2 * math.log(b2 * b2), 0.0)
-    return (b1 * math.sqrt(math.expm1(e / (2 * k1))),
-            b2 * math.sqrt(math.expm1(e / (2 * k2))))
 
 
 def _corner_bound(b1: float, b2: float, k1: int, k2: int,
@@ -508,13 +499,6 @@ def _cutoff_window(u1: np.ndarray, u2: np.ndarray, b: tuple[float, float],
 
 # -- lattice sum --------------------------------------------------------------
 
-def _kahan(s: np.ndarray, c: np.ndarray, x: np.ndarray):
-    """One compensated-summation step: (sum, compensation) after adding x."""
-    yv = x - c
-    t = s + yv
-    return t, (t - s) - yv
-
-
 def _check_y(y: tuple[float, float]):
     # NaN passes every < test: ask for finiteness first
     if not all(map(math.isfinite, y)):
@@ -553,9 +537,8 @@ def _class_plan(cl: _GammaClass, x1: np.ndarray, x2: np.ndarray,
     """(items, sites): the `evaluate_grid` items of class cl, one (slice,
     cl, c1, c2, qlo, qhi) per chunk of whole points, with their box centres
     and q-ranges (`_q_ranges`), and the estimated delta-box sites of the
-    class's walk.  The chunks fix the last bits of the values: a chunk with
-    terms takes a Kahan step at each of its points, zero sums included,
-    and that step folds each point's compensation into its sum."""
+    class's walk.  The chunks fix the last bits of the values: each chunk
+    with terms adds one per-point sum to the value of each of its points."""
     c1, c2, qlo, qhi = _q_ranges(cl, x1, x2, sq_disc)
     per_point = float(np.maximum(qhi - qlo + 1, 0).mean()) \
         * (2 * cl.wd[0] + 1) or 1.0
@@ -690,9 +673,9 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     record and the total count of summed terms.  The only lattice-sum
     engine; `evaluate` is its one-point case.
 
-    Per class, the delta box of `_delta_windows` only bounds the strips
-    |u_j| <= rho_j (`_strip_radii`) that hold every kept site, and only the
-    strip sites inside the box are walked (`_strip_sites`).  A walked site
+    Per class, the delta box only bounds the strips |u_j| <= rho_j that
+    hold every kept site (both from `_class_window`), and only the strip
+    sites inside the box are walked (`_strip_sites`).  A walked site
     is summed iff its bound prod_j |w_j|^{-k_j} is at least the cutoff
     (`_cutoff_window`), and the residue lookup and the term are computed
     for kept sites only.  The bounds of the walked sites below the cutoff
@@ -709,8 +692,8 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
     thread walks at most one chunk past max_terms.  A chunk peaks at up to
     92 bytes per walked site.  Deterministic: fixed class and lattice
     ordering, per-point bincount reductions in that order, and the records
-    folded in list order through the same Kahan step, so values, every
-    `Tail` part and terms_used have the same bytes for any thread count.
+    added to the values in list order, so values, every `Tail` part and
+    terms_used have the same bytes for any thread count.
     xs must be a non-empty (npts, 2) array (EvaluationError otherwise)."""
     _check_y(y)
     nu1, nu2 = spec.nu.embeddings()
@@ -737,10 +720,9 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
 
     # the gamma = 0 class is the identity row (0, 1) alone: the units sit
     # in the stabilizer.  + 0.0 turns the -0.0 parts of an underflowed term
-    # into +0.0, as a compensated sum started from zero would
+    # into +0.0, as a sum started from zero would
     values = np.exp(2j * math.pi * (nu1 * (x1 + 1j * y[0])
                                     + nu2 * (x2 + 1j * y[1]))) + 0.0
-    comp = np.zeros(npts, dtype=np.complex128)  # Kahan per point
     cut_mass = np.zeros(npts, dtype=np.float64)
     terms_used = npts
     for (sl, *_), (cut, sums, terms) in zip(items, records):
@@ -751,14 +733,14 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
         terms_used += terms
         if terms_used > policy.max_terms:
             raise TruncationLimitExceeded(terms_used)
-        values[sl], comp[sl] = _kahan(values[sl], comp[sl], sums)
+        values[sl] += sums
     return values, Tail(cut_mass, *whole_class_parts), terms_used
 
 
 def evaluate(spec: PoincareSpec, z: tuple[complex, complex],
              policy: TruncationPolicy) -> EvalResult:
-    """Compensated sum of the truncated series at a single point: a
-    one-point `evaluate_grid`; `tail_estimate` is its `Tail.total()`."""
+    """The truncated series at a single point: a one-point `evaluate_grid`;
+    `tail_estimate` is its `Tail.total()`."""
     values, tail, terms_used = evaluate_grid(
         spec, [(z[0].real, z[1].real)], (z[0].imag, z[1].imag), policy)
     return EvalResult(value=complex(values[0]),
@@ -833,8 +815,7 @@ def term(M: CosetRep, z: tuple[complex, complex], spec: PoincareSpec) -> complex
 def modularity_defect(spec: PoincareSpec, z: tuple[complex, complex],
                       M: tuple[tuple[FieldElement, FieldElement],
                                tuple[FieldElement, FieldElement]],
-                      policy: TruncationPolicy,
-                      policy_at_mz: TruncationPolicy | None = None) -> float:
+                      policy: TruncationPolicy) -> float:
     """|evaluate(Mz) - mu(M,z)^k evaluate(z)| / max(1, |evaluate(z)|).
 
     M is a level-subgroup element given as ((a, b), (gamma, delta)).
@@ -849,6 +830,6 @@ def modularity_defect(spec: PoincareSpec, z: tuple[complex, complex],
     mz = apply_mobius(rep, z)
     mu_k = automorphy_factor(rep, z, spec.weight)
     base = evaluate(spec, z, policy)
-    shifted = evaluate(spec, mz, policy_at_mz or policy)
+    shifted = evaluate(spec, mz, policy)
     num = abs(shifted.value - mu_k * base.value)
     return num / max(1.0, abs(base.value))

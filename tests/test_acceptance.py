@@ -343,8 +343,9 @@ def test_criterion_8_modularity_defect(field5, nu5):
     # orbit-section defect of the one-representative convention
     v = tuple(tuple(field5.element(*c) for c in row)
               for row in [[(1, 0), (0, 0)], [(2, 0), (1, 0)]])
-    policy_mz = TruncationPolicy(gamma_height_max=40.0, term_cutoff=1e-16)
-    d = modularity_defect(spec, DEFECT_Z, v, policy, policy_at_mz=policy_mz)
+    # a finer truncation at both z and Mz, whose Im(Mz) is smaller
+    fine = TruncationPolicy(gamma_height_max=40.0, term_cutoff=1e-16)
+    d = modularity_defect(spec, DEFECT_Z, v, fine)
     print(f"  [diagnostic] gamma!=0 matrix [[1,0],[2,1]] defect = {d:.3e} "
           f"(intrinsic to one-rep-per-unit-orbit; not gated)")
 

@@ -349,8 +349,22 @@ def test_petersson_tail_in_logs_where_its_product_fails():
 def test_prefactor_past_the_doubles_is_refused():
     with pytest.raises(ClassicalError, match="overflows a double"):
         petersson_coefficient(ClassicalParams(1, 100, 400, 1), 50)
-    with pytest.raises(ClassicalError, match="overflows a double"):
-        normalized_coefficient(ClassicalParams(100, 1, 400, 1), 50)
+
+
+def test_normalized_coefficient_forms_no_prefactor():
+    """(1000/1)^{399/2} and (1/100)^{-399/2} are past the doubles, but the
+    normalized coefficient is delta + 2 pi i^{-k} times the Kloosterman-
+    Bessel sum itself, with the bits of the direct sum of its terms."""
+    for (m, n), c_max in (((1, 1000), 5), ((100, 1), 50)):
+        res = normalized_coefficient(ClassicalParams(m, n, 400, 1), c_max)
+        total = 0.0
+        for c in range(1, c_max + 1):
+            total += kloosterman(m, n, c) / c \
+                * bessel_j(399, 4 * pi * math.sqrt(m * n) / c)
+        assert res.value == 2 * pi * total
+        assert math.isfinite(res.tail_bound)
+    assert normalized_coefficient(ClassicalParams(1, 1000, 400, 1),
+                                  5).value == pytest.approx(0.3061, abs=1e-4)
 
 
 # -- Ramanujan tau oracle ----------------------------------------------------------
@@ -667,6 +681,17 @@ def _reference_petersson(params, c_max, sums, values):
 
 
 def _reference_tail(params, c_max):
+    """The tail bound's log formula: log 2 pi, the log of the prefactor,
+    the log of the first Bessel term at x = arg / c_max and
+    log(c_max / ((k - 2) q)), added in that order."""
+    m, n, k, q = params.m, params.n, params.k, params.q
+    x = 4 * pi * math.sqrt(m * n) / c_max
+    return math.exp(math.log(2 * pi) + (k - 1) / 2 * math.log(n / m)
+                    + ((k - 1) * math.log(x / 2) - math.lgamma(k))
+                    + math.log(c_max / ((k - 2) * q)))
+
+
+def _product_tail(params, c_max):
     """The tail bound's product formula, finite for the weights k <= 171."""
     m, n, k, q = params.m, params.n, params.k, params.q
     arg = 4 * pi * math.sqrt(m * n)
@@ -734,11 +759,13 @@ def test_petersson_evaluates_each_bessel_value_once(monkeypatch):
 
 
 def test_stopped_petersson_sum_has_the_bits_of_the_full_loop(monkeypatch):
-    """Value and tail bound are the bits of the loop to c_max, and the sum
-    reads exactly the moduli before the stop of `_stop_modulus`.  The grid
-    holds p_{1,12,8}(2), whose sums S(1, 2; c), 8 | c, vanish and leave
-    only their rounding in the total, and k = 4, where the first-term
-    bound stays above the gap for every c <= 1000: neither stops."""
+    """The value has the bits of the loop to c_max, the tail bound those
+    of its log formula, within 1e-13 relative of its product formula, and
+    the sum reads exactly the moduli before the stop of `_stop_modulus`.
+    The grid holds p_{1,12,8}(2), whose sums S(1, 2; c), 8 | c, vanish and
+    leave only their rounding in the total, and k = 4, where the
+    first-term bound stays above the gap for every c <= 1000: neither
+    stops."""
     reads = []
     cached = cla._kloosterman_cached
 
@@ -760,6 +787,8 @@ def test_stopped_petersson_sum_has_the_bits_of_the_full_loop(monkeypatch):
             assert got.value.hex() == want.hex(), (p, c_max)
             assert got.tail_bound.hex() == _reference_tail(p, c_max).hex(), \
                 (p, c_max)
+            assert math.isclose(got.tail_bound, _product_tail(p, c_max),
+                                rel_tol=1e-13), (p, c_max)
             stop = _stop_modulus(p, c_max, sums, values)
             assert reads == list(range(p.q, stop, p.q)), (p, c_max)
             if c_max == 1000 and stop > c_max:

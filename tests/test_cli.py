@@ -195,10 +195,10 @@ _CERTIFY_ARGV = ["certify", "--d", "5", "--k", "8,8", "--grid", "32",
 _CERTIFY_TEXT = """\
 {
   "coefficient": {
-    "im": 2.8615480587640134e-16,
+    "im": 2.953273654238465e-16,
     "quad_error": 2.3817427244231326e-09,
     "re": 1.036569893123054,
-    "trunc_error": 2.876665684848722e-05
+    "trunc_error": 2.876665684848721e-05
   },
   "config": {
     "cutoff": "1e-10",
@@ -231,7 +231,7 @@ _CERTIFY_TEXT = """\
       8
     ]
   },
-  "total_error": 2.8769038591211646e-05,
+  "total_error": 2.8769038591211636e-05,
   "verdict": "NonzeroCertified"
 }
 """
@@ -245,12 +245,12 @@ _SWEEP_WEIGHT_TEXT = (
     '# height=9.0\n'
     '# ks=10,14\n'
     'axis,param,re_p_nu,im_p_nu,err_p_nu,re_p_mu,im_p_mu,err_p_mu\n'
-    'weight,10,1.0011491784372826,2.8930999807533846e-16,'
-    '1.5428091190765506e-06,0.0030973513917895617,'
-    '-1.1331650621349776e-17,1.164894089389261e-06\n'
-    'weight,14,1.0000000363388908,2.7987771055557274e-16,'
-    '4.1464857390334003e-07,6.704788073604125e-08,0.0,'
-    '3.130523733951906e-07\n'
+    'weight,10,1.0011491784372828,2.990702004287145e-16,'
+    '1.5428091190765506e-06,0.0030973513917895695,'
+    '1.0252445800268845e-17,1.1648940894205581e-06\n'
+    'weight,14,1.000000036338891,3.071709861489623e-16,'
+    '4.1464857372038276e-07,6.704788073550165e-08,'
+    '-1.1871253031890242e-17,3.1305237340503765e-07\n'
 )
 
 

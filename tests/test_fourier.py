@@ -182,6 +182,40 @@ def test_aliasing_guard_poincare_coarse_grid(field5, nu5, mu5, unit_ideal5):
         extract_many(ev, [nu5, mu5], dom4)
 
 
+def test_aliasing_guard_gates_every_target(field5, nu5, unit_ideal5):
+    """The gate weighs the aliased content against the target of largest
+    trace: mu = 3 w/sqrt 5 (tr(mu y) = 3.217) is refused at grid 24 alone,
+    and so with nu beside it, in either order."""
+    spec = PoincareSpec(field=field5, weight=Weight(8, 8), nu=nu5,
+                        level=unit_ideal5)
+    ev = PoincareEvaluand(spec, TruncationPolicy(gamma_height_max=3.0,
+                                                 term_cutoff=1e-4))
+    dom24 = SamplingDomain(field=field5, y1=1.1, y2=1.0, grid_n=24)
+    mu = DualIndex.from_numerator(field5, field5.element(0, 3))
+    extract_many(ev, [nu5], dom24)
+    for mus in ([mu], [nu5, mu], [mu, nu5]):
+        with pytest.raises(AliasingError, match="not negligible"):
+            extract_many(ev, mus, dom24)
+
+
+def test_out_of_box_target_refused_before_sampling(field5, nu5, unit_ideal5):
+    """A target outside the Nyquist box is refused before the lattice sum
+    runs, also after a target inside it."""
+    spec = PoincareSpec(field=field5, weight=Weight(6, 6), nu=nu5,
+                        level=unit_ideal5)
+
+    class Unsampled(PoincareEvaluand):
+        def sample_grid(self, domain):
+            raise AssertionError("sampled")
+
+    ev = Unsampled(spec, TruncationPolicy(gamma_height_max=12.0,
+                                          term_cutoff=3e-12))
+    dom32 = SamplingDomain(field=field5, y1=1.1, y2=1.0, grid_n=32)
+    far = DualIndex.from_numerator(field5, field5.element(0, 16))
+    with pytest.raises(AliasingError, match="outside the Nyquist box"):
+        extract_many(ev, [nu5, far], dom32)
+
+
 def _fraction_gate_oracle(field, domain, shells):
     """The alias gate as an exact-rational scan: solve the trace pairing
     for each frequency (r, s) by Cramer's rule in Fractions, build the

@@ -24,20 +24,21 @@ from hpseries.hpoincare import (
 from hpseries.hpoincare import (
     _DELTA_BOX_MARGIN,
     _beyond_box_mass,
+    _class_window,
     _classes_with_skip_info,
     _corner_bound,
     _cutoff_window,
-    _delta_windows,
     _gamma_box,
     _q_ranges,
     _residue_index,
-    _strip_radii,
     _strip_sites,
     enumerate_gamma_classes,
 )
 from hpseries.qfield import (
     EUCLIDEAN_D,
     DualIndex,
+    _embed,
+    _unit_inverse_int,
     complete_pair,
     fundamental_unit,
     ideal_from_gen,
@@ -448,8 +449,7 @@ def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
         b = (abs(cl.emb[0]) * y[0], abs(cl.emb[1]) * y[1])
         wd, rho = cl.wd, cl.rho
         assert cl.b == b
-        assert wd == _delta_windows(*b, *k, cutoff)
-        assert rho == _strip_radii(*b, *k, cutoff)
+        assert (wd, rho) == _class_window(*b, *k, cutoff)
         p, q, u1, u2 = _lattice_sites(f, cl, x, wd)
         keep, logs = _cutoff_window(u1, u2, b, spec.weight, cutoff)
         in_strips = (np.abs(u1) <= rho[0]) | (np.abs(u2) <= rho[1])
@@ -501,6 +501,59 @@ def test_strips_and_corner_bound_against_brute_force(d, k, level_gen,
     estimate = evaluate(spec, z, policy).tail_estimate
     assert tail.total()[0] == estimate
     assert unsummed <= estimate
+
+
+def _two_formula_window(b1, b2, k1, k2, cutoff):
+    """The class window as two formulas: the delta box from the radii r_j
+    with r_j^{k_j} b_{3-j}^{k_{3-j}} = 1 / cutoff, half-width
+    sqrt(r_j^2 - b_j^2) + margin, None if r_j <= b_j for either j; and the
+    strip radii from the exponent E clamped at 0."""
+    r1 = (b2 ** (-k2) / cutoff) ** (1.0 / k1)
+    r2 = (b1 ** (-k1) / cutoff) ** (1.0 / k2)
+    if r1 <= b1 or r2 <= b2:
+        return None
+    wd = (math.sqrt(r1 * r1 - b1 * b1) + _DELTA_BOX_MARGIN,
+          math.sqrt(r2 * r2 - b2 * b2) + _DELTA_BOX_MARGIN)
+    e = max(-2.0 * math.log(cutoff) - k1 * math.log(b1 * b1)
+            - k2 * math.log(b2 * b2), 0.0)
+    return wd, (b1 * math.sqrt(math.expm1(e / (2 * k1))),
+                b2 * math.sqrt(math.expm1(e / (2 * k2))))
+
+
+# (d, weights, height, cutoff): the certificates in all six fields, and the
+# weight sweep over Q(sqrt 5)
+_WINDOW_RUNS = [(d, (8,), 8.0, 1e-11) for d in EUCLIDEAN_D] \
+    + [(5, (6, 10, 14, 18), 12.0, 3e-12)]
+
+
+@pytest.mark.parametrize("d,ks,height,cutoff", _WINDOW_RUNS,
+                         ids=[f"d{d}-H{h:g}" for d, _k, h, _c in _WINDOW_RUNS])
+def test_class_window_against_two_formulas(d, ks, height, cutoff):
+    """On every canonical class of the height box at y = (1.1, 1.0),
+    `_class_window` skips the classes the two-formula window skips, has
+    its strip radii bit for bit, and its box half-widths within 1e-12
+    relative."""
+    f = make_field(d)
+    eps_inv = _unit_inverse_int(f, fundamental_unit(f).int_coords())
+    y = (1.1, 1.0)
+    kept = skipped = 0
+    for pq in _gamma_box(f, height):
+        if not is_canonical_gamma(f, pq, eps_inv):
+            continue
+        e1, e2 = _embed(f, pq)
+        b = (abs(e1) * y[0], abs(e2) * y[1])
+        for k in ks:
+            got = _class_window(*b, k, k, cutoff)
+            want = _two_formula_window(*b, k, k, cutoff)
+            assert (got is None) == (want is None), (pq, k)
+            if got is None:
+                skipped += 1
+                continue
+            kept += 1
+            assert got[1] == want[1], (pq, k)
+            for w_got, w_want in zip(got[0], want[0]):
+                assert w_got == pytest.approx(w_want, rel=1e-12, abs=0.0)
+    assert kept and skipped
 
 
 @pytest.mark.parametrize("d", EUCLIDEAN_D)
