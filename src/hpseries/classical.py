@@ -29,8 +29,9 @@ k >= 4 and level q is computed two independent ways:
   identity row), followed by equispaced quadrature on the circle at a
   fiber y > 1.  The disc is the term cutoff |cz + d|^{-k} >= R^{-k};
   `QuadraturePolicy.auto` picks R from a closed-form bound on the cut
-  mass (`_disc_tail_log_bound`), and each row c is walked for all grid
-  points as one flat array.
+  mass (`_disc_tail_log_bound`), and each row c is walked as one flat
+  array for the grid points 0 <= x <= 1/2, one per orbit of x -> -x; the
+  other half of the grid is their conjugate.
 
 Their agreement pins the normalization; it is the raw coefficient of
 e^{2 pi i n z}.  The orthogonality propositions are cleanest for the
@@ -53,7 +54,8 @@ TWO_PI = 2.0 * pi
 
 _KLOOSTERMAN_CMAX = 10_000
 _TABLE_CMAX = 1024  # largest modulus whose tables are stored
-_MEMO_ENTRIES = 1 << 13  # values kept by each memo of the explicit formula
+_MEMO_ENTRIES = 1 << 13  # values kept by each memo (Kloosterman sums,
+                         # Bessel values, quadrature radii)
 # QuadraturePolicy.auto refuses a run whose disc would walk more than this
 # many lattice sites over the grid (`_radius_cap`); the largest
 # criterion-1 configuration, (m, n, k, q) = (3, 3, 12, 1), walks about 2.1e5
@@ -154,7 +156,10 @@ class QuadraturePolicy:
         _RADIUS_STEPS Newton steps on log R with slope 2 - k, and then
         rises in steps of _RADIUS_STEP_UP until the bound holds, so the
         returned R satisfies it whatever the steps did.  No lattice site
-        is visited.
+        is visited.  The search reads n, k, q, y, grid_n and tol only, not
+        m, so `_auto_radius` keeps its result in a memo keyed by exactly
+        those inputs: the policies of p_{m,k,q}(n) for every m share one
+        search.
 
         Raises ClassicalError unless tol is finite and > 0, and when the
         bound is still above target at the radius `_radius_cap` allows
@@ -166,23 +171,29 @@ class QuadraturePolicy:
         _check_type("tol", tol, (int, float), "a real number")
         if not math.isfinite(tol) or tol <= 0.0:
             raise ClassicalError("quadrature tol must be finite and > 0")
-        k, q = params.k, params.q
-        log_target = math.log(tol / 2.0) - TWO_PI * params.n * y
-        log_cap = math.log(_radius_cap(q, y, grid_n))
-        log_r = min((math.log(pi / ((k - 2) * q * y)) - log_target)
-                    / (k - 2), log_cap)
-        for _ in range(_RADIUS_STEPS):
-            excess = _disc_tail_log_bound(math.exp(log_r), k, q, y) \
-                - log_target
-            log_r = min(log_r + excess / (k - 2), log_cap)
-        while _disc_tail_log_bound(math.exp(log_r), k, q, y) > log_target:
-            if log_r == log_cap:
-                raise ClassicalError(
-                    f"quadrature needs more than {_QUADRATURE_MAX_TERMS:.0e}"
-                    f" lattice terms: the disc tail bound at radius "
-                    f"{math.exp(log_cap):.1f} is still above tol / 2")
-            log_r = min(log_r + _RADIUS_STEP_UP, log_cap)
-        return cls(radius=math.exp(log_r), grid_n=grid_n, y=y)
+        radius = _auto_radius(params.n, params.k, params.q, y, grid_n, tol)
+        return cls(radius=radius, grid_n=grid_n, y=y)
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _auto_radius(n: int, k: int, q: int, y: float, grid_n: int,
+                 tol: float) -> float:
+    """The radius search of `QuadraturePolicy.auto`, on checked inputs."""
+    log_target = math.log(tol / 2.0) - TWO_PI * n * y
+    log_cap = math.log(_radius_cap(q, y, grid_n))
+    log_r = min((math.log(pi / ((k - 2) * q * y)) - log_target)
+                / (k - 2), log_cap)
+    for _ in range(_RADIUS_STEPS):
+        excess = _disc_tail_log_bound(math.exp(log_r), k, q, y) - log_target
+        log_r = min(log_r + excess / (k - 2), log_cap)
+    while _disc_tail_log_bound(math.exp(log_r), k, q, y) > log_target:
+        if log_r == log_cap:
+            raise ClassicalError(
+                f"quadrature needs more than {_QUADRATURE_MAX_TERMS:.0e}"
+                f" lattice terms: the disc tail bound at radius "
+                f"{math.exp(log_cap):.1f} is still above tol / 2")
+        log_r = min(log_r + _RADIUS_STEP_UP, log_cap)
+    return math.exp(log_r)
 
 
 def _radius_cap(q: int, y: float, grid_n: int) -> float:
@@ -546,12 +557,16 @@ def _tail_bound(params: ClassicalParams, c_max: int, log_scale: float,
         2 pi e^{log_scale} (x/2)^{k-1}/(k-1)! c_max / ((k-2) q),
 
     x = arg / c_max, taken in logs so that no factor has to fit in a
-    double; a bound past the doubles is inf."""
+    double.  A bound past the doubles is inf, and a bound below them is
+    the least positive double, not 0.0: a positive bound never reads as
+    an exact sum."""
     k, q = params.k, params.q
     log_tail = (math.log(TWO_PI) + log_scale
                 + _log_first_term(k, arg / c_max)
                 + math.log(c_max / ((k - 2) * q)))
-    return math.exp(log_tail) if log_tail <= _LOG_DOUBLE_MAX else math.inf
+    if log_tail > _LOG_DOUBLE_MAX:
+        return math.inf
+    return max(math.exp(log_tail), math.ulp(0.0))
 
 
 def _eval_series_grid(m: int, k: int, q: int,
@@ -561,9 +576,18 @@ def _eval_series_grid(m: int, k: int, q: int,
     the disc |cz + d| <= radius, plus the identity row, using
     M z = a/c - 1/(c(cz+d)) with a d = 1 mod c.
 
+    The rows are walked only at x_j = j / grid_n for 0 <= j <= grid_n/2,
+    one point per orbit of x -> -x, and index grid_n - j is filled with
+    the conjugate of index j: the truncated sum has
+    P(-x + iy) = conj P(x + iy) term by term.  The row (c, -d) keeps
+    gcd(c, d) and sends a to -a, so its term is the conjugate of the term
+    of (c, d) at x; the chord window at -x is the exact negation of the
+    window at x (ceil(-t) = -floor(t)); and the sum is 1-periodic, so
+    -x_j is x_{grid_n - j}.
+
     Row c (`_disc_rows`) walks the d with |c x + d| <= rho_c, widened by
     _ROW_MARGIN radius so that rounding drops no site of the chord, for
-    all grid points as one flat array ordered by point, then d.  The
+    those points as one flat array ordered by point, then d.  The
     inverse map (-1 off the units, spread from the shared tables of
     `_tables_for`) and the phase table e(m a / c) over a mod c
     are built once per row and gathered by d; each term is the
@@ -571,11 +595,12 @@ def _eval_series_grid(m: int, k: int, q: int,
     and of the imaginary parts, add each point's terms in order, left to
     right from 0.0."""
     n_grid = policy.grid_n
+    n_reps = n_grid // 2 + 1
     y = policy.y
-    xs = np.arange(n_grid) / n_grid
+    xs = np.arange(n_reps) / n_grid
     z = xs + 1j * y
     vals = np.exp(2j * pi * m * z)
-    points = np.arange(n_grid)
+    points = np.arange(n_reps)
     margin = _ROW_MARGIN * policy.radius
     for c, rho in zip(*_disc_rows(policy.radius, q, y)):
         c = int(c)
@@ -597,11 +622,11 @@ def _eval_series_grid(m: int, k: int, q: int,
         # complex * is not bitwise commutative (FMA); numpy runs x * temp as
         # temp * x from 16,384 elements, which an out= rewrite must keep
         t = w ** (-k) * phase[a] * np.exp(-2j * pi * m / (c * w))
-        row = np.empty(n_grid, dtype=np.complex128)
-        row.real = np.bincount(point, weights=t.real, minlength=n_grid)
-        row.imag = np.bincount(point, weights=t.imag, minlength=n_grid)
+        row = np.empty(n_reps, dtype=np.complex128)
+        row.real = np.bincount(point, weights=t.real, minlength=n_reps)
+        row.imag = np.bincount(point, weights=t.imag, minlength=n_reps)
         vals += row
-    return vals
+    return np.concatenate((vals, np.conj(vals[-2:0:-1])))
 
 
 def classical_poincare_coefficient_by_quadrature(

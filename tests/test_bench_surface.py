@@ -102,10 +102,11 @@ def _clear_like_the_runner():
 
 def test_runner_sweep_empties_every_classical_store(monkeypatch):
     """After the runner's sweep, a Petersson and a quadrature call build
-    as many unit tables and evaluate as many Kloosterman sums and Bessel
-    values as they did the first time: no store keeps them across
-    passes."""
-    names = ("_unit_inverses", "kloosterman", "bessel_j")
+    as many unit tables, evaluate as many Kloosterman sums and Bessel
+    values and take as many disc tail bounds in the radius search as they
+    did the first time: no store keeps them across passes."""
+    names = ("_unit_inverses", "kloosterman", "bessel_j",
+             "_disc_tail_log_bound")
     counts = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(classical, name)

@@ -298,6 +298,27 @@ def test_quadrature_auto_radius_meets_its_bound(m, n, k, q):
     assert log_bound + TWO_PI * n * policy.y <= math.log(tol / 2)
 
 
+# the criterion-1 grid
+_CRIT1 = [ClassicalParams(m, n, k, q) for m in (1, 2, 3) for n in (1, 2, 3)
+          for k in (12, 16) for q in (1, 2)]
+
+
+def test_quadrature_auto_radius_is_one_search_per_n_k_q():
+    """The radius search never reads m: the 36 criterion-1 policies make
+    one search per (n, k, q), 12 in all, and each radius has the bits of
+    an uncached search."""
+    search = cla._auto_radius
+    search.cache_clear()
+    policies = [QuadraturePolicy.auto(p) for p in _CRIT1]
+    info = search.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (12, 24, 12)
+    assert info.maxsize == cla._MEMO_ENTRIES
+    for p, policy in zip(_CRIT1, policies):
+        fresh = search.__wrapped__(p.n, p.k, p.q, 1.1, 64, 1e-8)
+        assert policy.radius.hex() == fresh.hex(), p
+    search.cache_clear()
+
+
 def test_petersson_requires_cmax_at_least_q():
     with pytest.raises(ClassicalError):
         petersson_coefficient(ClassicalParams(1, 1, 12, 5), 3)
@@ -317,7 +338,8 @@ def _exact_tail(params, c_max):
 def test_petersson_large_weight_tail_in_logs(k):
     """From k = 172 on (k - 1)! is past the doubles: the value keeps the
     bits of the reference loop and the tail bound is within 1e-9 of the
-    exact rational bound, relatively.  At k = 264 the
+    exact rational bound, relatively, or the least subnormal where that
+    bound rounds to 0.  At k = 264 the
     total of p_{1,264,1}(1) is subnormal, so its gap is the least
     subnormal, whose quarter underflows to 0."""
     sums, values = {}, {}
@@ -327,7 +349,8 @@ def test_petersson_large_weight_tail_in_logs(k):
         res = petersson_coefficient(params, c_max)
         want = _reference_petersson(params, c_max, sums, values)
         assert res.value.hex() == want.hex()
-        assert math.isclose(res.tail_bound, _exact_tail(params, c_max),
+        assert math.isclose(res.tail_bound,
+                            max(_exact_tail(params, c_max), math.ulp(0.0)),
                             rel_tol=1e-9)
 
 
@@ -349,6 +372,20 @@ def test_petersson_tail_in_logs_where_its_product_fails():
 def test_prefactor_past_the_doubles_is_refused():
     with pytest.raises(ClassicalError, match="overflows a double"):
         petersson_coefficient(ClassicalParams(1, 100, 400, 1), 50)
+
+
+def test_tail_bound_below_the_doubles_is_the_least_subnormal():
+    """A tail bound whose log is below the doubles (here about -1410)
+    is the least positive double, so it never reads as an exact sum; a
+    bound with a double value keeps the bits of its log formula."""
+    res = normalized_coefficient(ClassicalParams(100, 1, 400, 1), 50)
+    assert res.tail_bound == math.ulp(0.0) > 0.0
+    assert res.value == pytest.approx(3.3e-147, rel=0.1)
+    for params, c_max in ((ClassicalParams(1, 1, 124, 1), 50),  # subnormal
+                          (ClassicalParams(2, 3, 12, 1), 1000)):
+        got = petersson_coefficient(params, c_max).tail_bound
+        assert 0.0 < got < math.inf
+        assert got.hex() == _reference_tail(params, c_max).hex()
 
 
 def test_normalized_coefficient_forms_no_prefactor():
@@ -632,20 +669,30 @@ def test_kloosterman_wide_arguments_bits(m, n, c):
 
 # the criterion-1 grid at its auto policies: grid 64, up to 43 rows
 _CRIT1_AUTO = [
-    pytest.param(m, k, q, QuadraturePolicy.auto(ClassicalParams(m, n, k, q)),
-                 id=f"auto-{m}-{n}-{k}-{q}")
-    for m in (1, 2, 3) for n in (1, 2, 3) for k in (12, 16) for q in (1, 2)]
+    pytest.param(p.m, p.k, p.q, QuadraturePolicy.auto(p),
+                 id=f"auto-{p.m}-{p.n}-{p.k}-{p.q}")
+    for p in _CRIT1]
 
 
 @pytest.mark.parametrize("m,k,q,policy", [
     (1, 12, 1, QuadraturePolicy(radius=15.0, grid_n=16, y=1.1)),  # c <= 13
     (2, 16, 3, QuadraturePolicy(radius=36.0, grid_n=8, y=1.2)),   # c <= 30
+    (3, 12, 1, QuadraturePolicy(radius=20.0, grid_n=4, y=1.1)),   # c <= 18
     *_CRIT1_AUTO,
 ])
 def test_series_grid_matches_per_term_grid_bits(m, k, q, policy):
+    """The points 0 <= x <= 1/2 have the bits of the per-term sum; each
+    point of the other half is exactly the conjugate of its mirror, and
+    within rounding of its own per-term sum."""
     got = cla._eval_series_grid(m, k, q, policy)
     want = _reference_eval_series_grid(m, k, q, policy)
-    assert got.tobytes() == want.tobytes()
+    n_grid = policy.grid_n
+    half = n_grid // 2
+    assert got.shape == want.shape == (n_grid,)
+    assert got[:half + 1].tobytes() == want[:half + 1].tobytes()
+    mirror = n_grid - np.arange(half + 1, n_grid)
+    assert got[half + 1:].tobytes() == np.conj(got[mirror]).tobytes()
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_kloosterman_cache_miss_is_one_sum():
