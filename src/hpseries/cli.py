@@ -4,6 +4,12 @@ Outputs are CSV (with the run configuration in leading comment lines) or
 JSON (configuration embedded); re-running an embedded configuration
 reproduces the values bit for bit.
 
+sweep-weight, sweep-level and certify share one run path, `cmd_run`: one
+reader merges the config file and the flags and checks them in one order
+(out, the sweep format, d, the axis flags, nu, mu, level, the sampling
+domain, the truncation policy, then --final-dev or --safety), and the
+flags a command declares pick its library call and its writer.
+
 Exit codes: 0 all asserted properties hold; 1 an asserted trend or verdict
 failed; 2 invalid configuration, an output path that cannot be written
 included; 3 truncation failure (partial output is still written).
@@ -132,22 +138,13 @@ def _merged(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _pair_of_ints(text) -> tuple[int, int]:
-    parts = [int(p) for p in str(text).split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected 'a,b', got {text!r}")
-    return (parts[0], parts[1])
-
-
-def _pair_of_floats(text) -> tuple[float, float]:
-    parts = [float(p) for p in str(text).split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected 'y1,y2', got {text!r}")
-    return (parts[0], parts[1])
-
-
-def _int_list(text) -> list[int]:
-    return [int(p) for p in str(text).split(",")]
+def _numbers(text, kind=int, shape: str | None = None) -> list:
+    """The comma list text as kind values; given a shape such as 'a,b',
+    exactly as many values as it names, else ValueError."""
+    parts = [kind(p) for p in str(text).split(",")]
+    if shape is not None and len(parts) != len(shape.split(",")):
+        raise ValueError(f"expected {shape!r}, got {text!r}")
+    return parts
 
 
 def _parse_levels(field, text) -> list:
@@ -163,30 +160,9 @@ def _parse_levels(field, text) -> list:
     return out
 
 
-def _one_level(field, text):
-    levels = _parse_levels(field, text)
-    if len(levels) != 1:
-        raise ValueError(f"--level takes one level, got {text!r}")
-    return levels[0]
-
-
 def _dual(field, coords) -> DualIndex:
-    p, q = _pair_of_ints(coords)
+    p, q = _numbers(coords, int, "a,b")
     return DualIndex.from_numerator(field, field.element(p, q))
-
-
-def _policy_from(cfg: dict) -> TruncationPolicy:
-    return TruncationPolicy(
-        gamma_height_max=float(cfg.get("height", 12.0)),
-        term_cutoff=float(cfg.get("cutoff", 3e-12)),
-        max_terms=int(cfg.get("max_terms", 50_000_000)),
-    )
-
-
-def _domain_from(field, cfg: dict) -> SamplingDomain:
-    y1, y2 = _pair_of_floats(cfg.get("y", "1.1,1.0"))
-    return SamplingDomain(field=field, y1=y1, y2=y2,
-                          grid_n=int(cfg.get("grid", 32)))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -234,14 +210,12 @@ def cmd_field_info(args) -> int:
     return EXIT_OK
 
 
-def _config_lines(cfg: dict) -> list[str]:
-    return [f"{k}={cfg[k]}" for k in sorted(cfg)]
-
-
-def cmd_sweep(args) -> int:
-    """sweep-weight (parallel weights --ks at one --level) and sweep-level
-    (levels --levels at one weight --k): the same experiment on two axes."""
-    by_weight = args.command == "sweep-weight"
+def cmd_run(args) -> int:
+    """sweep-weight, sweep-level and certify.  One reader takes the config
+    once, in one order, reading only the flags the command declares; then
+    the run those flags name: a weight sweep (--ks), a level sweep
+    (--levels) or a certificate (--safety)."""
+    declared = vars(args)
     try:  # the parse order decides which fault a bad config reports first
         cfg = _merged(args)
         _check_out(cfg.get("out"))
@@ -249,103 +223,102 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"format must be {' or '.join(_SWEEP_FORMATS)}, "
                              f"got {cfg['format']!r}")
         field = make_field(int(cfg["d"]))
-        if by_weight:
-            params = _int_list(cfg["ks"])
-            if sorted(params) != params:
+        if "ks" in declared:
+            ks = _numbers(cfg["ks"])
+            if sorted(ks) != ks:
                 raise ValueError(f"--ks must be ascending, got {cfg['ks']}")
-        else:
-            k1, k2 = _pair_of_ints(cfg["k"])
-            params = _parse_levels(field, cfg["levels"])
+        if "k" in declared:
+            k1, k2 = _numbers(cfg["k"], int, "a,b")
+        if "levels" in declared:
+            levels = _parse_levels(field, cfg["levels"])
         nu = _dual(field, cfg.get("nu", "0,1"))
-        mu = _dual(field, cfg.get("mu", "-1,1"))
-        if by_weight:
-            fixed = _one_level(field, cfg.get("level", "1"))
-        domain = _domain_from(field, cfg)
-        policy = _policy_from(cfg)
-        thresholds = exp.TrendThresholds(
-            final_deviation=float(cfg.get("final_dev", 0.05)))
-        if not by_weight:
-            fixed = Weight(k1, k2)
+        if "mu" in declared:
+            mu = _dual(field, cfg.get("mu", "-1,1"))
+        if "level" in declared:
+            level, *more = _parse_levels(field, cfg.get("level", "1"))
+            if more:
+                raise ValueError(f"--level takes one level, "
+                                 f"got {cfg['level']!r}")
+        y1, y2 = _numbers(cfg.get("y", "1.1,1.0"), float, "y1,y2")
+        domain = SamplingDomain(field=field, y1=y1, y2=y2,
+                                grid_n=int(cfg.get("grid", 32)))
+        policy = TruncationPolicy(
+            gamma_height_max=float(cfg.get("height", 12.0)),
+            term_cutoff=float(cfg.get("cutoff", 3e-12)),
+            max_terms=int(cfg.get("max_terms", 50_000_000)))
+        if "safety" in declared:
+            spec = PoincareSpec(field=field, weight=Weight(k1, k2), nu=nu,
+                                level=level)
+            safety = exp.check_safety_factor(float(cfg.get("safety", 10.0)))
+        else:
+            final_dev = exp.TrendThresholds(
+                float(cfg.get("final_dev", 0.05))).final_deviation
     except (KeyError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    run = exp.sweep_weight if by_weight else exp.sweep_level
-    report = run(field, nu, mu, fixed, params, domain, policy)
-    if cfg.get("format", "csv") == "json":
-        text = exp.sweep_to_json(report, {k: str(v) for k, v in cfg.items()})
+    config = {k: str(v) for k, v in cfg.items()}
+    if "safety" in declared:
+        cert = exp.certify_nonvanishing(spec, domain, policy, safety)
+        _write_out(exp.certificate_to_json(cert, config), cfg.get("out"))
+        return EXIT_OK if cert.verdict is exp.Verdict.NONZERO_CERTIFIED \
+            else EXIT_ASSERT
+    if "ks" in declared:
+        report = exp.sweep_weight(field, nu, mu, level, ks, domain, policy)
+    else:  # Weight reports a bad k after every fault the reader finds
+        report = exp.sweep_level(field, nu, mu, Weight(k1, k2), levels,
+                                 domain, policy)
+    if cfg.get("format") == "json":
+        text = exp.sweep_to_json(report, config)
     else:
-        text = exp.sweep_to_csv(report, _config_lines(cfg))
+        text = exp.sweep_to_csv(report, [f"{k}={cfg[k]}" for k in sorted(cfg)])
     _write_out(text, cfg.get("out"))
     if any(row.failed for row in report.rows):
         return EXIT_TRUNCATION
     nu_ok, mu_ok = report.endpoint_improvement()
     dev_nu, dev_mu = report.final_deviations()
-    trends_ok = (nu_ok and mu_ok
-                 and dev_nu < thresholds.final_deviation
-                 and dev_mu < thresholds.final_deviation)
+    trends_ok = nu_ok and mu_ok and dev_nu < final_dev and dev_mu < final_dev
     return EXIT_OK if trends_ok else EXIT_ASSERT
-
-
-def cmd_certify(args) -> int:
-    try:
-        cfg = _merged(args)
-        _check_out(cfg.get("out"))
-        field = make_field(int(cfg["d"]))
-        k1, k2 = _pair_of_ints(cfg["k"])
-        nu = _dual(field, cfg.get("nu", "0,1"))
-        level = _one_level(field, cfg.get("level", "1"))
-        domain = _domain_from(field, cfg)
-        policy = _policy_from(cfg)
-        spec = PoincareSpec(field=field, weight=Weight(k1, k2), nu=nu,
-                            level=level)
-        safety = exp.check_safety_factor(float(cfg.get("safety", 10.0)))
-    except (KeyError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    cert = exp.certify_nonvanishing(spec, domain, policy, safety)
-    text = exp.certificate_to_json(cert, {k: str(v) for k, v in cfg.items()})
-    _write_out(text, cfg.get("out"))
-    return EXIT_OK if cert.verdict is exp.Verdict.NONZERO_CERTIFIED \
-        else EXIT_ASSERT
 
 
 def cmd_classical(args) -> int:
     _check_out(args.out)
-    rows = []
-    if args.mode == "petersson":
-        params = cla.ClassicalParams(m=args.m, n=args.n, k=args.k, q=args.q)
-        res = cla.petersson_coefficient(params, args.cmax)
-        rows.append(dict(m=args.m, n=args.n, k=args.k, q=args.q,
-                         value=res.value, tail_bound=res.tail_bound,
-                         method="petersson"))
-    elif args.mode == "quadrature":
-        params = cla.ClassicalParams(m=args.m, n=args.n, k=args.k, q=args.q)
-        # QuadraturePolicy.auto keeps its own defaults for the flags not given
-        flags = {"y": args.y, "grid_n": args.grid}
-        policy = cla.QuadraturePolicy.auto(
-            params, **{key: v for key, v in flags.items() if v is not None})
-        val = cla.classical_poincare_coefficient_by_quadrature(params, policy)
-        rows.append(dict(m=args.m, n=args.n, k=args.k, q=args.q,
-                         value=val, tail_bound=0.0, method="quadrature"))
-    elif args.mode == "tau":
+    # only the quadrature reads --grid and --y; another mode would echo them
+    given = [key for key in ("grid", "y") if getattr(args, key) is not None]
+    if given and args.mode != "quadrature":
+        print(f"config error: classical {args.mode} does not read "
+              + " or ".join(f"--{key}" for key in given), file=sys.stderr)
+        return EXIT_CONFIG
+    if args.mode == "tau":
         taus = cla.delta_coefficients(args.nmax)
         lines = [f"# config: nmax={args.nmax}", "n,tau"]
         lines += [f"{i + 1},{t}" for i, t in enumerate(taus)]
         _write_out("\n".join(lines) + "\n", args.out)
         return EXIT_OK
-    elif args.mode == "scan":
+    if args.mode == "scan":
         scan = cla.nonvanishing_range_scan(args.k, args.mmax, args.cmax)
         lines = [f"# config: k={args.k} mmax={args.mmax} "
                  f"cmax={args.cmax}", "m,certified"]
         lines += [f"{m},{cert}" for m, cert in scan]
         _write_out("\n".join(lines) + "\n", args.out)
         return EXIT_OK if all(c for _m, c in scan) else EXIT_ASSERT
-    cfg_line = (f"# config: mode={args.mode} m={args.m} n={args.n} "
-                f"k={args.k} q={args.q} cmax={args.cmax}")
-    for key in ("grid", "y"):  # echoed only when given: defaults unchanged
-        if getattr(args, key) is not None:
-            cfg_line += f" {key}={getattr(args, key)}"
-    _write_out(cfg_line + "\n" + cla.classical_csv(rows), args.out)
+    params = cla.ClassicalParams(m=args.m, n=args.n, k=args.k, q=args.q)
+    if args.mode == "petersson":
+        res = cla.petersson_coefficient(params, args.cmax)
+        value, tail_bound = res.value, res.tail_bound
+    else:
+        # QuadraturePolicy.auto keeps its own defaults for the flags not given
+        flags = {"y": args.y, "grid_n": args.grid}
+        policy = cla.QuadraturePolicy.auto(
+            params, **{key: v for key, v in flags.items() if v is not None})
+        value = cla.classical_poincare_coefficient_by_quadrature(params,
+                                                                 policy)
+        tail_bound = 0.0
+    row = dict(m=args.m, n=args.n, k=args.k, q=args.q, value=value,
+               tail_bound=tail_bound, method=args.mode)
+    _write_out(f"# config: mode={args.mode} m={args.m} n={args.n} k={args.k} "
+               f"q={args.q} cmax={args.cmax}"
+               + "".join(f" {key}={getattr(args, key)}" for key in given)
+               + "\n" + cla.classical_csv([row]), args.out)
     return EXIT_OK
 
 
@@ -418,7 +391,8 @@ def _add_run_flags(p: argparse.ArgumentParser, axis_flags: tuple[str, ...],
                    sweep: bool) -> None:
     """Flags of sweep-weight, sweep-level and certify, in help order: --d,
     the axis flags, the series and sampling flags, then --final-dev and
-    --format (sweeps) or --safety (certify), --out and --config."""
+    --format (sweeps) or --safety (certify), --out and --config; all three
+    run `cmd_run`."""
     p.add_argument("--d", type=int)
     for flag in axis_flags:
         p.add_argument(flag)
@@ -436,6 +410,7 @@ def _add_run_flags(p: argparse.ArgumentParser, axis_flags: tuple[str, ...],
         p.add_argument("--safety", type=float)
     p.add_argument("--out")
     p.add_argument("--config")
+    p.set_defaults(func=cmd_run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,15 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-weight", help="coefficients across a "
                                             "parallel-weight list")
     _add_run_flags(p, ("--ks", "--level"), sweep=True)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sweep-level", help="coefficients across a level list")
     _add_run_flags(p, ("--k", "--levels"), sweep=True)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("certify", help="non-vanishing certificate at mu = nu")
     _add_run_flags(p, ("--k", "--level"), sweep=False)
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("classical", help="F = Q oracles")
     p.add_argument("mode", choices=("petersson", "quadrature", "tau", "scan"))

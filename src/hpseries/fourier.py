@@ -40,6 +40,13 @@ class AliasingError(ValueError):
     """Evaluand declares frequency content beyond the Nyquist box."""
 
 
+def _in_nyquist_box(r, s, n: int):
+    """Whether frequency (r, s) lies in the open Nyquist box |r|, |s| < n/2
+    of an n x n grid (n even), where the DFT resolves it; elementwise on
+    integer arrays."""
+    return (abs(r) < n // 2) & (abs(s) < n // 2)
+
+
 @dataclass(frozen=True)
 class SamplingDomain:
     """Fiber y (N(y) > 1) and grid resolution per lattice direction."""
@@ -166,8 +173,7 @@ class SyntheticEvaluand:
         n = domain.grid_n
         out = math.inf
         for mu, _c in self.terms:
-            r, s = mu.freq
-            if abs(r) >= n // 2 or abs(s) >= n // 2:
+            if not _in_nyquist_box(*mu.freq, n):
                 m1, m2 = mu.embeddings()
                 out = min(out, m1 * domain.y1 + m2 * domain.y2)
         return out
@@ -184,11 +190,10 @@ def _min_tp_trace_outside(field: RealQuadraticField, domain: SamplingDomain,
     iff r > 0 and N(beta) = s^2 - t r s + n r^2 < 0.  tr(m y) is then taken
     in floats from m's exact coordinates, as DualIndex.embeddings does.
     """
-    half = domain.grid_n // 2
     r, s = np.meshgrid(np.arange(1, shells + 1), np.arange(-shells, shells + 1),
                        indexing="ij")
     _beta, (a, b), positive = _dual_from_freq_int(field, r, s)
-    keep = positive & ((r >= half) | (np.abs(s) >= half))
+    keep = positive & ~_in_nyquist_box(r, s, domain.grid_n)
     m1, m2 = _embed(field, (a[keep] / field.disc, b[keep] / field.disc))
     tr = m1 * domain.y1 + m2 * domain.y2
     return float(np.min(tr, initial=math.inf))
@@ -223,8 +228,7 @@ def extract_many(evaluand, mus: Sequence[DualIndex],
         return []
     n = domain.grid_n
     for mu in mus:
-        r, s = mu.freq
-        if abs(r) >= n // 2 or abs(s) >= n // 2:
+        if not _in_nyquist_box(*mu.freq, n):
             raise AliasingError(f"target frequency {mu.freq} outside the "
                                 f"Nyquist box of grid_n = {n}")
     alias_tr = evaluand.min_alias_trace(domain)
@@ -246,7 +250,8 @@ def extract_many(evaluand, mus: Sequence[DualIndex],
         unfold = math.exp(TWO_PI * (m1 * domain.y1 + m2 * domain.y2))
         full = _dft_readout(samples, n, (r, s))
         value = unfold * full
-        if n >= 8 and abs(r) < n // 4 and abs(s) < n // 4:
+        # the stride-2 subgrid, itself at least 4 x 4, resolves (r, s)
+        if n >= 8 and _in_nyquist_box(r, s, n // 2):
             half = _dft_readout(samples, n, (r, s), stride=2)
             quad_err = abs(unfold * (full - half))
         else:

@@ -670,8 +670,9 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
                   y: tuple[float, float], policy: TruncationPolicy):
     """(values, tail, terms_used) of the truncated series at the points
     x + iy for x in xs (embedding pairs): per-point values, the `Tail`
-    record and the total count of summed terms.  The only lattice-sum
-    engine; `evaluate` is its one-point case.
+    record and the total count of summed terms, the npts identity terms
+    included; TruncationLimitExceeded once that count passes max_terms.
+    The only lattice-sum engine; `evaluate` is its one-point case.
 
     Per class, the delta box only bounds the strips |u_j| <= rho_j that
     hold every kept site (both from `_class_window`), and only the strip
@@ -734,6 +735,8 @@ def evaluate_grid(spec: PoincareSpec, xs: Sequence[tuple[float, float]],
         if terms_used > policy.max_terms:
             raise TruncationLimitExceeded(terms_used)
         values[sl] += sums
+    if terms_used > policy.max_terms:  # the identity terms alone
+        raise TruncationLimitExceeded(terms_used)
     return values, Tail(cut_mass, *whole_class_parts), terms_used
 
 

@@ -189,6 +189,27 @@ def test_classical_quadrature_output_bytes(flags, capsys):
                    f"1,1,12,1,{value},0.0,quadrature\n")
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["petersson", "--m", "1", "--n", "2", "--grid", "16",
+                  "--y", "1.3"], id="petersson"),
+    pytest.param(["tau", "--nmax", "3", "--grid", "16"], id="tau"),
+    pytest.param(["scan", "--mmax", "3", "--y", "1.2"], id="scan"),
+])
+def test_classical_grid_and_y_belong_to_quadrature(argv, capsys,
+                                                   monkeypatch):
+    # only the quadrature reads them: no other mode may echo them
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed with a flag the mode does not read")
+
+    for entry in ("petersson_coefficient", "delta_coefficients",
+                  "nonvanishing_range_scan"):
+        monkeypatch.setattr(classical, entry, refuse)
+    code, out, err = run_cli(["classical", *argv], capsys)
+    assert code == 2
+    assert err.startswith(f"config error: classical {argv[0]} does not read")
+    assert out == ""
+
+
 # Byte-exact Hilbert outputs, one small run per output format: the values,
 # the error columns and the embedded configuration
 _CERTIFY_ARGV = ["certify", "--d", "5", "--k", "8,8", "--grid", "32",
@@ -263,6 +284,32 @@ def test_hilbert_output_bytes(argv, text, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == text
+
+
+def _embedded_config(text):
+    """The key=value lines of the configuration a run embeds: its leading
+    '# ' lines (CSV) or its 'config' object (JSON)."""
+    if text.startswith("{"):
+        return [f"{k}={v}" for k, v in json.loads(text)["config"].items()]
+    return [line[2:] for line in text.split("\n") if line.startswith("# ")]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_SWEEP_WEIGHT_ARGV, id="sweep-weight-csv"),
+    pytest.param([*_SWEEP_WEIGHT_ARGV, "--format", "json"],
+                 id="sweep-weight-json"),
+    pytest.param(["sweep-level", "--d", "5", "--k", "8,8", "--levels", "3,7",
+                  "--grid", "32", "--height", "8", "--cutoff", "1e-10"],
+                 id="sweep-level-csv"),
+    pytest.param([*_CERTIFY_ARGV, "--level", "2", "--safety", "2"],
+                 id="certify-json"),
+])
+def test_embedded_config_reproduces_the_run(argv, capsys, tmp_path):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    cfg = tmp_path / "embedded.cfg"
+    cfg.write_text("\n".join(_embedded_config(out)) + "\n")
+    assert run_cli([argv[0], "--config", str(cfg)], capsys)[:2] == (code, out)
 
 
 def test_classical_tau(capsys):

@@ -10,6 +10,7 @@ from hpseries.fourier import (
     PoincareEvaluand,
     SamplingDomain,
     SyntheticEvaluand,
+    _in_nyquist_box,
     _min_tp_trace_outside,
     extract_coefficient,
     extract_many,
@@ -249,6 +250,18 @@ def _fraction_gate_oracle(field, domain, shells):
             m1, m2 = mu.embeddings()
             best = min(best, m1 * domain.y1 + m2 * domain.y2)
     return best
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 32])
+def test_nyquist_box_is_one_rule_for_ints_and_arrays(n):
+    # the open box |r|, |s| < n/2 holds (n - 1)^2 frequencies, and an int
+    # pair gets the decision of its entry in an array
+    f = np.arange(-n, n + 1)
+    r, s = np.meshgrid(f, f, indexing="ij")
+    inside = _in_nyquist_box(r, s, n)
+    assert inside.sum() == (n - 1) ** 2
+    assert [_in_nyquist_box(a, b, n) for a in f.tolist()
+            for b in f.tolist()] == inside.ravel().tolist()
 
 
 @pytest.mark.parametrize("d", EUCLIDEAN_D)

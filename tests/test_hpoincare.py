@@ -257,6 +257,21 @@ def test_max_terms_failure_carries_count(spec8):
     assert err.value.terms > 10
 
 
+def test_identity_terms_alone_can_exceed_max_terms(spec8):
+    # every gamma class is skipped, so no chunk has terms: the budget is
+    # still charged one identity term per point
+    xs, y = [(0.1 * i, 0.05 * i) for i in range(5)], (1.1, 1.0)
+    policy = TruncationPolicy(gamma_height_max=3.0, term_cutoff=0.5,
+                              max_terms=2)
+    assert _classes_with_skip_info(spec8, y, policy)[0] == []
+    with pytest.raises(TruncationLimitExceeded) as err:
+        evaluate_grid(spec8, xs, y, policy)
+    assert err.value.terms == 5
+    policy = TruncationPolicy(gamma_height_max=3.0, term_cutoff=0.5,
+                              max_terms=5)
+    assert evaluate_grid(spec8, xs, y, policy)[2] == 5
+
+
 # -- evaluation -------------------------------------------------------------------
 
 @pytest.mark.parametrize("level_gen", (1, 2))
