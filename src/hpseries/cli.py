@@ -414,32 +414,38 @@ def _add_run_flags(p: argparse.ArgumentParser, axis_flags: tuple[str, ...],
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser and its subparsers take flags spelled in full only: with
+    argparse's prefix matching, `sweep-weight --k 8,8` would read as
+    `--ks 8,8`, a sweep nobody asked for."""
     parser = argparse.ArgumentParser(
-        prog="hpseries",
+        prog="hpseries", allow_abbrev=False,
         description="Poincare series over real quadratic fields: "
                     "coefficient extraction, orthogonality sweeps, "
                     "non-vanishing certificates, classical oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("field-info", help="field invariants and the "
-                                          "trace-1 totally positive duals")
+    def add_parser(name, **kwargs):
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p = add_parser("field-info", help="field invariants and the "
+                                      "trace-1 totally positive duals")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--height-bound", type=int, default=8)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_field_info)
 
-    p = sub.add_parser("sweep-weight", help="coefficients across a "
-                                            "parallel-weight list")
+    p = add_parser("sweep-weight", help="coefficients across a "
+                                        "parallel-weight list")
     _add_run_flags(p, ("--ks", "--level"), sweep=True)
 
-    p = sub.add_parser("sweep-level", help="coefficients across a level list")
+    p = add_parser("sweep-level", help="coefficients across a level list")
     _add_run_flags(p, ("--k", "--levels"), sweep=True)
 
-    p = sub.add_parser("certify", help="non-vanishing certificate at mu = nu")
+    p = add_parser("certify", help="non-vanishing certificate at mu = nu")
     _add_run_flags(p, ("--k", "--level"), sweep=False)
 
-    p = sub.add_parser("classical", help="F = Q oracles")
+    p = add_parser("classical", help="F = Q oracles")
     p.add_argument("mode", choices=("petersson", "quadrature", "tau", "scan"))
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_classical)
 
-    p = sub.add_parser("selftest", help="run the worked-example suite")
+    p = add_parser("selftest", help="run the worked-example suite")
     p.set_defaults(func=cmd_selftest)
 
     return parser

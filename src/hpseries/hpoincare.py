@@ -66,6 +66,7 @@ from .qfield import (
     RealQuadraticField,
     _conj,
     _complete_int,
+    _completion,
     _embed,
     _ideal_hnf,
     _mul,
@@ -761,9 +762,10 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
     corner sites outside both strips are bounded in the tail, not visited)
     and keeps a site by the same `_cutoff_window` decision as
     `evaluate_grid`, so both sum exactly the same rows; it then completes
-    each pair exactly instead of reading residue tables (a from
-    `_complete_int`, None off the unimodular pairs, and b = (a*delta - 1)/gamma
-    by one exact division), and `CosetRep` checks each determinant."""
+    each pair exactly instead of reading residue tables (`_completion`, the
+    integer pass under `complete_pair`: None off the unimodular pairs, else
+    a and b by the same exact division), and `CosetRep` checks each
+    determinant."""
     f = spec.field
     y = (z[0].imag, z[1].imag)
     _check_y(y)
@@ -778,12 +780,11 @@ def enumerate_cosets(spec: PoincareSpec, z: tuple[complex, complex],
         keep = _cutoff_window(u1, u2, cl.b, spec.weight,
                               policy.term_cutoff)[0]
         for p, q in zip(pd[keep].tolist(), qd[keep].tolist()):
-            a = _complete_int(f, cl.pq, (p, q))
-            if a is None:
+            ab = _completion(f, cl.pq, (p, q))
+            if ab is None:
                 continue
-            a, delta = FieldElement(f, *a), f.element(p, q)
-            reps.append(CosetRep(gamma=gamma, delta=delta, a=a,
-                                 b=(a * delta - 1) / gamma))
+            reps.append(CosetRep(gamma=gamma, delta=f.element(p, q),
+                                 a=ab[0], b=ab[1]))
             count += 1
             if count > policy.max_terms:
                 raise TruncationLimitExceeded(count)

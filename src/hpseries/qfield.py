@@ -10,9 +10,13 @@ integer coordinate pairs of the hot paths and `FieldElement` alike.
 
 Float embeddings take one path: `_embed` on a coordinate pair, which
 `FieldElement.embeddings()` calls; `FieldElement.trace()` and `.norm()` are
-the exact trace and norm.  Unimodular completion has one integer core,
-`_complete_int` (a, by an extended gcd tracking one Bezout coefficient), under
-`complete_pair` (b by one exact division) and the `hpoincare` phase tables.
+the exact trace and norm.  Unimodular completion is one integer pass on
+local ints, without pair-core tuples: `_complete_int` (a, by an extended gcd
+tracking one Bezout coefficient) under the `hpoincare` phase tables, and
+`_completion` (b by one exact floor division, and the determinant check)
+under `complete_pair` and `hpoincare.enumerate_cosets`.  Both entries are
+built by `_int_element`, a private constructor for int coordinates that sets
+FieldElement's three slots directly.
 """
 
 from __future__ import annotations
@@ -572,33 +576,86 @@ def _unit_inverse_int(f: RealQuadraticField,
 def _complete_int(f: RealQuadraticField, gamma: tuple[int, int],
                   delta: tuple[int, int]):
     """a with a*delta = 1 mod gamma*O_F in integer coordinates, or None if
-    the pair is not unimodular: it generates the unit ideal iff the gcd of
+    the pair is not unimodular: it generates the unit ideal iff the gcd g of
     the extended Euclidean algorithm is a unit.  delta = 0 is fine (the pair
-    is then unimodular iff gamma is a unit, e.g. the inversion row (1, 0))."""
-    g, x = _ext_gcd_int(f, delta, gamma)
-    gi = _unit_inverse_int(f, g)
-    return None if gi is None else _mul(f, gi, x)
+    is then unimodular iff gamma is a unit, e.g. the inversion row (1, 0)).
+
+    One integer pass on local ints after the gcd: with x*delta = g mod
+    gamma, a = x/g = N(g)*conj(g)*x, the value `_unit_inverse_int` and
+    `_mul` give, formed without their tuples."""
+    (g0, g1), (x0, x1) = _ext_gcd_int(f, delta, gamma)
+    t = f.omega_trace
+    n = g0 * g0 + t * g0 * g1 + f.omega_norm * g1 * g1  # N(g)
+    if n != 1 and n != -1:
+        return None
+    # 1/g = N(g)*conj(g) = (n (g0 + t g1), -n g1), times x = x0 + x1 w
+    i0, i1 = n * (g0 + t * g1), -n * g1
+    cross = i1 * x1
+    return (i0 * x0 + f.omega_sq_const * cross,
+            i0 * x1 + i1 * x0 + f.omega_sq_lin * cross)
+
+
+# FieldElement's slot setters: `_int_element` fills the three slots directly
+_SET_FIELD = FieldElement.field.__set__
+_SET_A = FieldElement.a.__set__
+_SET_B = FieldElement.b.__set__
+
+
+def _int_element(f: RealQuadraticField, a: int, b: int) -> FieldElement:
+    """FieldElement(f, a, b) for Python int coordinates, without `__init__`
+    and `__post_init__`: on ints the normalisation does nothing, so the
+    element is the same, equal and hash-equal, and as frozen."""
+    x = object.__new__(FieldElement)
+    _SET_FIELD(x, f)
+    _SET_A(x, a)
+    _SET_B(x, b)
+    return x
+
+
+def _completion(f: RealQuadraticField, gamma: tuple[int, int],
+                delta: tuple[int, int]):
+    """(a, b) as FieldElements with a*delta - b*gamma = 1 for integer
+    coordinate pairs, or None if the pair is not unimodular: a from
+    `_complete_int`, b = (a*delta - 1)*conj(gamma)/N(gamma) by exact floor
+    division (the one b for gamma != 0, so the gcd's -y/g bit for bit; 0
+    for gamma = 0).  The determinant is checked on the same local ints and
+    a failure raises QFieldError; no pair-core tuple is built."""
+    a = _complete_int(f, gamma, delta)
+    if a is None:
+        return None
+    c0, c1, t = f.omega_sq_const, f.omega_sq_lin, f.omega_trace
+    (a0, a1), (g0, g1), (d0, d1) = a, gamma, delta
+    cross = a1 * d1
+    ad0 = a0 * d0 + c0 * cross - 1  # a*delta - 1
+    ad1 = a0 * d1 + a1 * d0 + c1 * cross
+    n = g0 * g0 + t * g0 * g1 + f.omega_norm * g1 * g1  # N(gamma)
+    if n:
+        # (a*delta - 1)*conj(gamma), conj(gamma) = (g0 + t g1, -g1)
+        cg0 = g0 + t * g1
+        cross = -ad1 * g1
+        b0 = (ad0 * cg0 + c0 * cross) // n
+        b1 = (-ad0 * g1 + ad1 * cg0 + c1 * cross) // n
+    else:
+        b0 = b1 = 0
+    cross = b1 * g1
+    if ad0 - b0 * g0 - c0 * cross or ad1 - b0 * g1 - b1 * g0 - c1 * cross:
+        raise QFieldError("completion determinant check failed")
+    return _int_element(f, a0, a1), _int_element(f, b0, b1)
 
 
 def complete_pair(gamma: FieldElement,
                   delta: FieldElement) -> tuple[FieldElement, FieldElement]:
-    """(a, b) with a*delta - b*gamma = 1, checked by the determinant: a from
-    `_complete_int`, b = (a*delta - 1)/gamma by one exact division (the one b
-    for gamma != 0, so the gcd's -y/g bit for bit; 0 for gamma = 0)."""
+    """(a, b) with a*delta - b*gamma = 1, checked by the determinant: one
+    integer pass (`_completion`) from the coordinates to both entries, each
+    built by the private int constructor `_int_element`."""
     f = _common_field(gamma, delta)
     if not f.euclidean:
         raise QFieldError(f"d={f.d} is not in the supported Euclidean set")
     dc, gc = delta.int_coords(), gamma.int_coords()
-    a = _complete_int(f, gc, dc)
-    if a is None:
+    ab = _completion(f, gc, dc)
+    if ab is None:
         raise QFieldError("pair is not unimodular")
-    ad, n = _mul(f, a, dc), _norm(f, gc)
-    e = _mul(f, (ad[0] - 1, ad[1]), _conj(f, gc))
-    b = (e[0] // n, e[1] // n) if n else (0, 0)
-    bg = _mul(f, b, gc)
-    if (ad[0] - bg[0], ad[1] - bg[1]) != (1, 0):
-        raise QFieldError("completion determinant check failed")
-    return FieldElement(f, *a), FieldElement(f, *b)
+    return ab
 
 
 def fundamental_unit(field: RealQuadraticField) -> FieldElement:

@@ -467,6 +467,22 @@ def test_convention_flag_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,prefix", [
+    (["sweep-weight", "--d", "5", "--ks", "10", "--k", "8,8"], "--k 8,8"),
+    (["field-info", "--d", "5", "--height", "3"], "--height 3"),
+    (["classical", "tau", "--nm", "3"], "--nm 3"),
+    (["certify", "--d", "5", "--k", "12,12", "--lev", "1"], "--lev 1"),
+])
+def test_flag_prefixes_are_usage_errors(argv, prefix, capsys):
+    # a prefix of a flag (--k of --ks) is not that flag, so nothing runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {prefix}" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["sweep-weight", "certify"])
 @pytest.mark.parametrize("which", ["missing", "directory"])
 def test_unreadable_config_file_exits_2(command, which, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -404,6 +405,102 @@ def test_complete_pair_exhaustive_small_heights():
                         assert a * delta - b * gamma == f.one
                         checked += 1
         assert checked > 0
+
+
+def _completion_by_pair_core(f, gamma, delta):
+    """The completion composed from the pair core: a = (1/g)*x by
+    _unit_inverse_int and _mul on the gcd's (g, x), and
+    b = (a*delta - 1)*conj(gamma)/N(gamma) by floor division (0 for
+    gamma = 0); None off the unimodular pairs."""
+    g, x = qfield._ext_gcd_int(f, delta, gamma)
+    gi = qfield._unit_inverse_int(f, g)
+    if gi is None:
+        return None
+    a = qfield._mul(f, gi, x)
+    ad, n = qfield._mul(f, a, delta), qfield._norm(f, gamma)
+    e = qfield._mul(f, (ad[0] - 1, ad[1]), qfield._conj(f, gamma))
+    b = (e[0] // n, e[1] // n) if n else (0, 0)
+    return a, b
+
+
+@pytest.mark.parametrize("height", [20, 10**12])
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_complete_pair_matches_pair_core_composition(d, height):
+    """2,000 unimodular pairs per field at coordinate height 20 and 10^12
+    (Python bigints), plus the rows (0, u) and (u, 0) for the units
+    u = +-eps^k, |k| <= 40: complete_pair returns the pair-core
+    composition's coordinates as exact ints, in elements equal and
+    hash-equal to f.element(...) and as frozen."""
+    f = make_field(d)
+    rng = random.Random(30 * d + height % 997)
+    pairs = []
+    while len(pairs) < 2000:
+        gamma, delta = ((rng.randint(-height, height),
+                         rng.randint(-height, height)) for _ in range(2))
+        if _completion_by_pair_core(f, gamma, delta) is not None:
+            pairs.append((gamma, delta))
+    eps = fundamental_unit(f)
+    for k in range(-40, 41):
+        for u in (eps ** k, -eps ** k):
+            pairs += [((0, 0), u.int_coords()), (u.int_coords(), (0, 0))]
+    for gamma, delta in pairs:
+        expected = _completion_by_pair_core(f, gamma, delta)
+        ab = complete_pair(f.element(*gamma), f.element(*delta))
+        assert tuple(x.int_coords() for x in ab) == expected, (gamma, delta)
+        for x, coords in zip(ab, expected):
+            assert type(x.a) is int and type(x.b) is int
+            assert x.field is f
+            assert x == f.element(*coords)
+            assert hash(x) == hash(f.element(*coords))
+    with pytest.raises(FrozenInstanceError):
+        ab[0].a = 0
+    with pytest.raises(FrozenInstanceError):
+        ab[1].field = f
+
+
+def test_complete_pair_error_messages_and_order(monkeypatch):
+    """Each error keeps its message, and a pair with several faults
+    reports the first in this order: two fields (or a non-element), a
+    non-Euclidean field, a non-integral coordinate (delta's before
+    gamma's), then a pair that is not unimodular, both entries zero
+    included."""
+    f5, f2 = make_field(5), make_field(2)
+    f11 = make_field(11, strict=False)
+    half = Fraction(1, 2)
+    cases = [
+        (f11.element(half), f5.zero, "elements of different fields"),
+        (f5.element(half), f2.element(half), "elements of different fields"),
+        (f11.element(half), f11.zero,
+         "d=11 is not in the supported Euclidean set"),
+        (f11.zero, f11.zero, "d=11 is not in the supported Euclidean set"),
+        (f5.element(0, half), f5.element(half),
+         r"\(1/2 \+ 0\*w \| d=5\) is not integral"),
+        (f5.element(0, half), f5.zero,
+         r"\(0 \+ 1/2\*w \| d=5\) is not integral"),
+        (f5.zero, f5.zero, "pair is not unimodular"),
+        (f5.element(2, 0), f5.element(0, 2), "pair is not unimodular"),
+    ]
+    for gamma, delta, message in cases:
+        with pytest.raises(QFieldError, match=f"^{message}$"):
+            complete_pair(gamma, delta)
+    # a wrong a (off by 1, not by a multiple of gamma) leaves a*delta - 1
+    # off the ideal gamma*O_F: the floor division is inexact and the
+    # determinant check fires, for gamma = 0 too
+    pairs = [((2, 0), (1, 0)), ((3, 1), (1, 1)), ((0, 0), (1, 0)),
+             ((7, -3), (2, 5))]
+    for gamma, delta in pairs:
+        assert complete_pair(f5.element(*gamma), f5.element(*delta))
+    exact = qfield._complete_int
+
+    def off_by_one(f, gamma, delta):
+        a0, a1 = exact(f, gamma, delta)
+        return a0 + 1, a1
+
+    monkeypatch.setattr(qfield, "_complete_int", off_by_one)
+    for gamma, delta in pairs:
+        with pytest.raises(QFieldError,
+                           match="^completion determinant check failed$"):
+            complete_pair(f5.element(*gamma), f5.element(*delta))
 
 
 def _ext_gcd_by_steps(f, a, b, hits):
